@@ -1,4 +1,4 @@
-"""Per-inverter control laws.
+"""Per-inverter control laws and the closed loop they form with the network.
 
 Two voltage-control modes exist:
 
@@ -10,26 +10,32 @@ Two voltage-control modes exist:
   distributed primal-dual optimizer that drives the utilization ratios
   Q_i/S_i toward a common setpoint lambda.
 
-All right-hand-side helpers return the *pre-tau* bracket; the caller
-divides by the relevant time constant.
+Both modes share the droop frequency channel. ``ClosedLoop`` writes the
+whole loop down once: its pre-tau brackets, the right-hand side
+brackets / tau, and the analytic Jacobian built from the power-flow
+derivatives by ``brackets_jacobian``. The simulator integrates it, the
+equilibrium solver selects gauge-fixed rows and columns from it, and the
+timescale sweep eliminates its fast states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import network
 from .graph import CommGraph, laplacian
 
 __all__ = [
     "IbrParams",
     "voltage_output",
     "leakage",
+    "saturation_derivatives",
     "integrator_rhs",
-    "droop_rhs",
-    "primal_dual_rhs",
     "kkt_residual",
+    "ClosedLoop",
+    "brackets_jacobian",
 ]
 
 ATANH_CLIP = 0.999  # used when re-initializing v from a measured voltage
@@ -122,6 +128,13 @@ def leakage(p: IbrParams, v) -> np.ndarray:
     return np.maximum(np.abs(np.asarray(v, dtype=float) / p.delta) - 3.0, 0.0)
 
 
+def saturation_derivatives(p: IbrParams, v):
+    """(dV/dv, d(rho(v) v)/dv) elementwise, outward one-sided at the kink |v| = 3 Delta."""
+    v = np.asarray(v, dtype=float)
+    u = np.abs(v) / p.delta
+    return 1.0 / np.cosh(v / p.delta) ** 2, np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
+
+
 def integrator_rhs(p: IbrParams, v, lam, Q) -> np.ndarray:
     """Pre-tau_v bracket of the leaky integral channel.
 
@@ -133,34 +146,6 @@ def integrator_rhs(p: IbrParams, v, lam, Q) -> np.ndarray:
         - p.beta * p.delta * np.tanh(v / p.delta)
         - leakage(p, v) * v
     )
-
-
-def droop_rhs(p: IbrParams, Omega, v, P, Q):
-    """Pre-tau brackets of the primary droop channels.
-
-    Returns (-Omega - m_omega P/S, -v - m_V Q/S); the proposed mode keeps
-    only the frequency channel.
-    """
-    d_omega = -np.asarray(Omega, dtype=float) - p.m_omega * np.asarray(P, dtype=float) / p.s_rated
-    d_v = -np.asarray(v, dtype=float) - p.m_v * np.asarray(Q, dtype=float) / p.s_rated
-    return d_omega, d_v
-
-
-def primal_dual_rhs(g: CommGraph, k: float, lam, zeta, q_ratio):
-    """Pre-tau brackets of the distributed optimizer.
-
-    tau_p dlam/dt = q_ratio - lam - L zeta - k L lam
-    tau_d dzeta/dt = L lam
-    """
-    lam = np.asarray(lam, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    q_ratio = np.asarray(q_ratio, dtype=float)
-    if lam.shape != (g.n,) or zeta.shape != (g.n,) or q_ratio.shape != (g.n,):
-        raise ValueError(f"state vectors must have shape ({g.n},)")
-    L = laplacian(g)
-    d_lam = q_ratio - lam - L @ zeta - k * (L @ lam)
-    d_zeta = L @ lam
-    return d_lam, d_zeta
 
 
 def kkt_residual(g: CommGraph, k: float, lam, zeta, q_ratio):
@@ -175,3 +160,105 @@ def kkt_residual(g: CommGraph, k: float, lam, zeta, q_ratio):
     stationarity = lam - q_ratio + L @ zeta + k * (L @ lam)
     consensus = L @ lam
     return stationarity, consensus
+
+
+@dataclass(frozen=True, eq=False)
+class ClosedLoop:
+    """The closed loop of one voltage-control mode on a fixed reduced network.
+
+    State, n entries per block: ``droop`` [theta, Omega, v] and ``proposed``
+    [theta, Omega, v, lambda, zeta], with theta the angle in the frame
+    rotating at omega_nom and L the communication Laplacian. ``brackets``
+    are the pre-tau right-hand sides; ``tau`` holds [1, tau_omega, tau_v,
+    tau_p, tau_d] repeated per unit, and ``rhs`` = brackets / tau.
+    """
+
+    mode: str
+    params: IbrParams
+    net: network.ReducedNetwork
+    L: np.ndarray
+    tau: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.mode not in ("droop", "proposed"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        p = self.params
+        taus = (1.0, p.tau_omega, p.tau_v, p.tau_p, p.tau_d)
+        object.__setattr__(self, "tau", np.repeat(taus[: 3 if self.mode == "droop" else 5], p.n))
+
+    @property
+    def dim(self) -> int:
+        return self.tau.size
+
+    def voltage(self, v) -> np.ndarray:
+        """Terminal voltage commanded by the voltage-channel state v."""
+        return 1.0 + v if self.mode == "droop" else voltage_output(self.params, v)
+
+    def brackets(self, x) -> np.ndarray:
+        p = self.params
+        n = p.n
+        theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
+        P, Q = network.power_flow(self.net, theta, self.voltage(v))
+        out = np.empty(self.dim)
+        out[:n] = Omega
+        out[n:2 * n] = -Omega - p.m_omega * P / p.s_rated
+        if self.mode == "droop":
+            out[2 * n:] = -v - p.m_v * Q / p.s_rated
+            return out
+        lam, zeta = x[3 * n:4 * n], x[4 * n:]
+        L_lam = self.L @ lam
+        out[2 * n:3 * n] = integrator_rhs(p, v, lam, Q)
+        out[3 * n:4 * n] = Q / p.s_rated - lam - self.L @ zeta - p.k * L_lam
+        out[4 * n:] = L_lam
+        return out
+
+    def brackets_jac(self, x) -> np.ndarray:
+        n = self.params.n
+        v = x[2 * n:3 * n]
+        lin = network.jacobians(self.net, x[:n], self.voltage(v))
+        return brackets_jacobian(self.mode, self.params, self.L, lin, v)
+
+    def rhs(self, _t, x) -> np.ndarray:
+        return self.brackets(x) / self.tau
+
+    def jac(self, _t, x) -> np.ndarray:
+        return self.brackets_jac(x) / self.tau[:, None]
+
+
+def brackets_jacobian(mode: str, p: IbrParams, L, lin: network.LinearizedModel, v) -> np.ndarray:
+    """Jacobian of ``ClosedLoop.brackets`` given the power-flow derivatives there.
+
+    ``lin`` linearizes the power flow at the state's (theta, V(v)); the
+    result does not depend on Omega, lambda or zeta. Rows and columns follow
+    the ``ClosedLoop`` state layout of ``mode``.
+    """
+    n = p.n
+    th, om, vc, la, ze = (slice(b * n, (b + 1) * n) for b in range(5))
+    d = np.arange(n)
+    J = np.zeros((3 * n, 3 * n) if mode == "droop" else (5 * n, 5 * n))
+    J[d, n + d] = 1.0
+    J[n + d, n + d] = -1.0
+    m_s = (p.m_omega / p.s_rated)[:, None]
+    J[om, th] = -m_s * lin.J_theta_P
+    if mode == "droop":
+        mv_s = (p.m_v / p.s_rated)[:, None]
+        J[om, vc] = -m_s * lin.J_V_P
+        J[vc, th] = -mv_s * lin.J_theta_Q
+        J[vc, vc] = -mv_s * lin.J_V_Q
+        J[2 * n + d, 2 * n + d] -= 1.0
+        return J
+    H, drho_v = saturation_derivatives(p, v)
+    inv_s = (1.0 / p.s_rated)[:, None]
+    vs_s = (p.v_star / p.s_rated)[:, None]
+    J[om, vc] = -m_s * lin.J_V_P * H
+    J[vc, th] = -vs_s * lin.J_theta_Q
+    J[vc, vc] = -vs_s * lin.J_V_Q * H
+    J[2 * n + d, 2 * n + d] -= p.beta * H + drho_v
+    J[2 * n + d, 3 * n + d] = p.v_star
+    J[la, th] = inv_s * lin.J_theta_Q
+    J[la, vc] = inv_s * lin.J_V_Q * H
+    J[la, la] = -p.k * L
+    J[3 * n + d, 3 * n + d] -= 1.0
+    J[la, ze] = -L
+    J[ze, la] = L
+    return J

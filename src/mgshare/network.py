@@ -278,12 +278,15 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     V = np.asarray(V, dtype=float)
     if theta.shape != (net.n,) or V.shape != (net.n,):
         raise ValueError(f"theta and V must have shape ({net.n},)")
+    MP, MQ = _flow_kernels(net, theta)
+    return V * (MP @ V), V * (MQ @ V)
+
+
+def _flow_kernels(net: ReducedNetwork, theta: np.ndarray):
+    """(MP, MQ) with P = V * (MP @ V) and Q = V * (MQ @ V)."""
     dth = theta[:, None] - theta[None, :]
-    MP = net.G * np.cos(dth) + net.B * np.sin(dth)
-    MQ = net.G * np.sin(dth) - net.B * np.cos(dth)
-    P = V * (MP @ V)
-    Q = V * (MQ @ V)
-    return P, Q
+    cos, sin = np.cos(dth), np.sin(dth)
+    return net.G * cos + net.B * sin, net.G * sin - net.B * cos
 
 
 @dataclass(frozen=True)
@@ -317,9 +320,8 @@ def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> Linear
     """Analytic partial derivatives of the power flow at (theta0, V0)."""
     theta0 = np.asarray(theta0, dtype=float)
     V0 = np.asarray(V0, dtype=float)
-    dth = theta0[:, None] - theta0[None, :]
-    MP = net.G * np.cos(dth) + net.B * np.sin(dth)
-    MQ = net.G * np.sin(dth) - net.B * np.cos(dth)
+    MP, MQ = _flow_kernels(net, theta0)
+    MPV, MQV = MP @ V0, MQ @ V0
     VV = np.outer(V0, V0)
 
     Jt_P = VV * MQ
@@ -330,10 +332,9 @@ def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> Linear
     np.fill_diagonal(Jt_Q, 0.0)
     np.fill_diagonal(Jt_Q, -Jt_Q.sum(axis=1))
 
-    Jv_P = V0[:, None] * MP + np.diag(MP @ V0)
-    Jv_Q = V0[:, None] * MQ + np.diag(MQ @ V0)
+    Jv_P = V0[:, None] * MP + np.diag(MPV)
+    Jv_Q = V0[:, None] * MQ + np.diag(MQV)
 
-    P0, Q0 = power_flow(net, theta0, V0)
-    w_P = P0 - Jt_P @ theta0 - Jv_P @ V0
-    w_Q = Q0 - Jt_Q @ theta0 - Jv_Q @ V0
+    w_P = V0 * MPV - Jt_P @ theta0 - Jv_P @ V0
+    w_Q = V0 * MQV - Jt_Q @ theta0 - Jv_Q @ V0
     return LinearizedModel(Jt_P, Jv_P, Jt_Q, Jv_Q, w_P, w_Q, theta0, V0)

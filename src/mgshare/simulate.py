@@ -1,10 +1,10 @@
 """Closed-loop time-domain simulation.
 
-Integrates the compact closed loop (angle/frequency droop, voltage channel,
-primal-dual optimizer) over a scenario timeline with events: controller
-activation, load steps, and voltage-limit changes. Angles evolve in a frame
-rotating at omega_nom, so theta is the deviation angle and the state stays
-bounded. Events restart the integration at their exact timestamps; a no-op
+Integrates ``controller.ClosedLoop`` (angle/frequency droop, voltage
+channel, primal-dual optimizer) with RK45 over a scenario timeline with
+events: controller activation, load steps, and voltage-limit changes. Angles
+evolve in a frame rotating at omega_nom, so theta is the deviation angle and
+the state stays bounded. Events restart the integration at their exact timestamps; a no-op
 event (e.g. scaling a load by its current factor) is skipped so it cannot
 perturb the trajectory.
 
@@ -166,46 +166,6 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides
-# ---------------------------------------------------------------------------
-
-def _droop_rhs(params: IbrParams, red: ReducedNetwork):
-    """State [theta, Omega, v], legacy droop on both channels."""
-    n = params.n
-
-    def rhs(_t, x):
-        theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:]
-        V = 1.0 + v
-        P, Q = power_flow(red, theta, V)
-        d_omega, d_v = ctrl.droop_rhs(params, Omega, v, P, Q)
-        return np.concatenate([Omega, d_omega / params.tau_omega, d_v / params.tau_v])
-
-    return rhs
-
-
-def _proposed_rhs(params: IbrParams, red: ReducedNetwork, L: np.ndarray):
-    """State [theta, Omega, v, lambda, zeta]."""
-    n = params.n
-
-    def rhs(_t, x):
-        theta = x[:n]
-        Omega = x[n:2 * n]
-        v = x[2 * n:3 * n]
-        lam = x[3 * n:4 * n]
-        zeta = x[4 * n:]
-        V = ctrl.voltage_output(params, v)
-        P, Q = power_flow(red, theta, V)
-        q_ratio = Q / params.s_rated
-        d_omega = (-Omega - params.m_omega * P / params.s_rated) / params.tau_omega
-        d_v = ctrl.integrator_rhs(params, v, lam, Q) / params.tau_v
-        d_lam = (q_ratio - lam - L @ zeta - params.k * (L @ lam)) / params.tau_p
-        d_zeta = (L @ lam) / params.tau_d
-        return np.concatenate([Omega, d_omega, d_v, d_lam, d_zeta])
-
-    return rhs
-
-
-# ---------------------------------------------------------------------------
 # simulation driver
 # ---------------------------------------------------------------------------
 
@@ -270,9 +230,8 @@ def simulate(s: Scenario) -> TimeSeries:
                 segment_starts.append(ev.time)
         t_next = min((e.time for e in pending), default=s.t_end)
         red = reduced()
-        rhs = _droop_rhs(params, red) if mode == "droop" else _proposed_rhs(params, red, L)
         sol = solve_ivp(
-            rhs, (t_now, t_next), x, method="RK45",
+            ctrl.ClosedLoop(mode, params, red, L).rhs, (t_now, t_next), x, method="RK45",
             rtol=s.rel_tol, atol=1e-10, dense_output=True,
         )
         if sol.status != 0 or not np.all(np.isfinite(sol.y)):
@@ -364,12 +323,10 @@ def _check_containment(mode, params, sol):
     if mode != "proposed":
         return
     n = params.n
-    v = sol.y[2 * n:3 * n, :]
-    V = params.v_star[:, None] + params.delta[:, None] * np.tanh(v / params.delta[:, None])
-    lo = params.v_min[:, None]
-    hi = params.v_max[:, None]
-    if np.any(V <= lo) or np.any(V >= hi):
-        step = int(np.argmax(np.any((V <= lo) | (V >= hi), axis=0)))
+    V = ctrl.voltage_output(params, sol.y[2 * n:3 * n].T)   # (steps, n)
+    outside = (V <= params.v_min) | (V >= params.v_max)
+    if np.any(outside):
+        step = int(np.argmax(np.any(outside, axis=1)))
         raise SimulationError(
             f"voltage left the open limit band at t={sol.t[step]:.6g}",
             time=float(sol.t[step]),

@@ -11,8 +11,12 @@ difference transform T, assembles the cascade blocks, and checks:
 * the boundary-layer (fast dual) dynamics via a Lyapunov equation on the
   negative-definite block R_zeta;
 * an empirical sweep of the spectral abscissa of the linearized
-  three-block system over the timescale ratio tau_d/tau_v (the analytic
-  separation threshold is not computed).
+  (theta, v, zeta) system over the timescale ratio tau_d/tau_v (the
+  analytic separation threshold is not computed). That system is the Schur
+  complement of the ``controller.ClosedLoop`` bracket Jacobian over the
+  fast states (Omega, lambda), i.e. its limit as tau_omega, tau_p -> 0;
+  the complement is formed once and each ratio only rescales its rows by
+  [1, tau_v, ratio tau_v].
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .controller import IbrParams
+from .controller import (
+    IbrParams, brackets_jacobian, leakage, saturation_derivatives, voltage_output,
+)
 from .errors import MgshareError
 from .graph import CommGraph, consensus_gain_matrix, laplacian
 from .network import LinearizedModel
@@ -38,7 +44,6 @@ __all__ = [
     "reduced_rhs",
     "lyapunov_value",
     "reduced_system_matrix",
-    "three_block_matrix",
     "spectral_abscissa",
 ]
 
@@ -314,14 +319,6 @@ def boundary_layer_check(blocks: ReducedBlocks):
 # reduced dynamics, Lyapunov value, eigenvalue sweep
 # ---------------------------------------------------------------------------
 
-def _sat_derivs(params: IbrParams, v_bar: np.ndarray):
-    """(dV/dv, d(rho v)/dv) at v_bar, outward one-sided at the leakage kink."""
-    H = 1.0 / np.cosh(v_bar / params.delta) ** 2
-    u = np.abs(v_bar) / params.delta
-    drho_v = np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
-    return H, drho_v
-
-
 def reduced_rhs(blocks: ReducedBlocks, params: IbrParams):
     """Right-hand side of the slow reduced system, state [r_theta, v]."""
     m = blocks.n - 1
@@ -329,8 +326,8 @@ def reduced_rhs(blocks: ReducedBlocks, params: IbrParams):
     def rhs(_t, x):
         r = x[:m]
         v = x[m:]
-        V = params.v_star + params.delta * np.tanh(v / params.delta)
-        rho = np.maximum(np.abs(v / params.delta) - 3.0, 0.0)
+        V = voltage_output(params, v)
+        rho = leakage(params, v)
         dr = blocks.R_theta @ r + blocks.R_thetaV @ V + blocks.d_theta
         dv = (
             blocks.R_vtheta_new @ r
@@ -373,46 +370,12 @@ def reduced_system_matrix(
 ) -> np.ndarray:
     """Linearization of the slow reduced system at the equilibrium (2n-1 states)."""
     n = blocks.n
-    H, drho_v = _sat_derivs(params, v_bar)
+    H, drho_v = saturation_derivatives(params, v_bar)
     A11 = blocks.R_theta
     A12 = blocks.R_thetaV * H[None, :]
     A21 = blocks.R_vtheta_new / params.tau_v
     A22 = ((blocks.R_vV_new - params.beta * np.eye(n)) * H[None, :] - np.diag(drho_v)) / params.tau_v
     return np.block([[A11, A12], [A21, A22]])
-
-
-def three_block_matrix(
-    lin: LinearizedModel,
-    g: CommGraph,
-    params: IbrParams,
-    v_bar: np.ndarray,
-    ratio: float,
-) -> np.ndarray:
-    """Linearized (theta, v, zeta) reduced closed loop at ratio = tau_d/tau_v.
-
-    Carries two structural zero eigenvalues (uniform angle and uniform dual
-    shifts); callers exclude them when reading off the abscissa.
-    """
-    n = lin.n
-    L = laplacian(g)
-    K = consensus_gain_matrix(g, params.k)
-    invS = np.diag(1.0 / params.s_rated)
-    mS = np.diag(params.m_omega / params.s_rated)
-    Vs = np.diag(params.v_star)
-    H, drho_v = _sat_derivs(params, v_bar)
-    tv = params.tau_v
-    td = ratio * tv
-    A11 = -mS @ lin.J_theta_P
-    A12 = -(mS @ lin.J_V_P) * H[None, :]
-    A13 = np.zeros((n, n))
-    A21 = Vs @ (K - np.eye(n)) @ invS @ lin.J_theta_Q / tv
-    A22 = ((Vs @ (K - np.eye(n)) @ invS @ lin.J_V_Q) * H[None, :]
-           - params.beta * np.diag(H) - np.diag(drho_v)) / tv
-    A23 = -Vs @ K @ L / tv
-    A31 = L @ K @ invS @ lin.J_theta_Q / td
-    A32 = (L @ K @ invS @ lin.J_V_Q) * H[None, :] / td
-    A33 = -L @ K @ L / td
-    return np.block([[A11, A12, A13], [A21, A22, A23], [A31, A32, A33]])
 
 
 def spectral_abscissa(A: np.ndarray, n_structural_zeros: int = 0) -> float:
@@ -434,18 +397,26 @@ def epsilon_sweep(
     v_bar: np.ndarray,
     ratios,
 ) -> list[tuple[float, float]]:
-    """Spectral abscissa of the reduced closed loop per timescale ratio.
+    """Spectral abscissa of the reduced closed loop per timescale ratio tau_d/tau_v.
 
-    ratio == 0 is the quasi-steady dual limit, evaluated on the slow reduced
-    system directly.
+    The (theta, v, zeta) system carries two structural zero eigenvalues
+    (uniform angle and uniform dual shifts), which are excluded. ratio == 0
+    is the quasi-steady dual limit, evaluated on the slow reduced system
+    directly.
     """
     blocks = assemble_blocks(lin, g, params)
+    n = lin.n
+    J = brackets_jacobian("proposed", params, laplacian(g), lin, v_bar)
+    slow = np.r_[0:n, 2 * n:3 * n, 4 * n:5 * n]     # theta, v, zeta
+    fast = np.r_[n:2 * n, 3 * n:4 * n]              # Omega, lambda
+    S = J[np.ix_(slow, slow)] - J[np.ix_(slow, fast)] @ np.linalg.solve(
+        J[np.ix_(fast, fast)], J[np.ix_(fast, slow)])
     out = []
     for r in ratios:
         if r == 0:
             A = reduced_system_matrix(blocks, params, v_bar)
             out.append((0.0, spectral_abscissa(A)))
         else:
-            A = three_block_matrix(lin, g, params, v_bar, r)
-            out.append((float(r), spectral_abscissa(A, n_structural_zeros=2)))
+            tau = np.repeat([1.0, params.tau_v, r * params.tau_v], n)
+            out.append((float(r), spectral_abscissa(S / tau[:, None], n_structural_zeros=2)))
     return out

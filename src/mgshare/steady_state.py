@@ -21,7 +21,8 @@ from . import controller as ctrl
 from .controller import IbrParams
 from .errors import ConvergenceError
 from .graph import CommGraph, laplacian
-from .network import ReducedNetwork, jacobians, power_flow
+from .network import ReducedNetwork, power_flow
+from .network import jacobians  # noqa: F401  unused; kept for tools that patch names per module
 
 __all__ = ["Equilibrium", "PropertyReport", "solve_equilibrium", "verify_properties"]
 
@@ -50,97 +51,7 @@ class Equilibrium:
         return self.theta.shape[0]
 
 
-def _residual_proposed(x, net, L, p: IbrParams, zeta_sum):
-    n = p.n
-    theta = np.concatenate([[0.0], x[: n - 1]])
-    c = x[n - 1]
-    v = x[n: 2 * n]
-    lam = x[2 * n: 3 * n]
-    zeta = x[3 * n: 4 * n]
-    V = ctrl.voltage_output(p, v)
-    P, Q = power_flow(net, theta, V)
-    q_ratio = Q / p.s_rated
-    F = np.empty(4 * n)
-    F[:n] = -c - p.m_omega * P / p.s_rated
-    F[n: 2 * n] = ctrl.integrator_rhs(p, v, lam, Q)
-    F[2 * n: 3 * n] = q_ratio - lam - L @ zeta - p.k * (L @ lam)
-    Llam = L @ lam
-    F[3 * n: 4 * n - 1] = Llam[: n - 1]
-    F[4 * n - 1] = zeta.sum() - zeta_sum
-    return F, theta, c, v, lam, zeta, V, P, Q
-
-
-def _jacobian_proposed(x, net, L, p: IbrParams):
-    """Analytic Jacobian of the proposed-mode residual."""
-    n = p.n
-    theta = np.concatenate([[0.0], x[: n - 1]])
-    v = x[n: 2 * n]
-    V = ctrl.voltage_output(p, v)
-    lin = jacobians(net, theta, V)
-    H = np.diag(1.0 / np.cosh(v / p.delta) ** 2)   # dV/dv
-    dtanh = np.diag((1.0 / np.cosh(v / p.delta) ** 2))
-    drho_v = np.diag(_d_rho_v(p, v))
-    invS = np.diag(1.0 / p.s_rated)
-    mS = np.diag(p.m_omega / p.s_rated)
-    Vs = np.diag(p.v_star)
-
-    J = np.zeros((4 * n, 4 * n))
-    # F1 rows
-    J[:n, : n - 1] = -(mS @ lin.J_theta_P)[:, 1:]
-    J[:n, n - 1] = -1.0
-    J[:n, n: 2 * n] = -(mS @ lin.J_V_P) @ H
-    # F2 rows
-    J[n: 2 * n, : n - 1] = -(Vs @ invS @ lin.J_theta_Q)[:, 1:]
-    J[n: 2 * n, n: 2 * n] = -drho_v - p.beta * dtanh - (Vs @ invS @ lin.J_V_Q) @ H
-    J[n: 2 * n, 2 * n: 3 * n] = Vs
-    # F3 rows
-    J[2 * n: 3 * n, : n - 1] = (invS @ lin.J_theta_Q)[:, 1:]
-    J[2 * n: 3 * n, n: 2 * n] = (invS @ lin.J_V_Q) @ H
-    J[2 * n: 3 * n, 2 * n: 3 * n] = -np.eye(n) - p.k * L
-    J[2 * n: 3 * n, 3 * n: 4 * n] = -L
-    # F4 rows
-    J[3 * n: 4 * n - 1, 2 * n: 3 * n] = L[: n - 1, :]
-    J[4 * n - 1, 3 * n: 4 * n] = 1.0
-    return J
-
-
-def _d_rho_v(p: IbrParams, v) -> np.ndarray:
-    """One-sided derivative of rho(v) v, outward at the kink |v| = 3 Delta."""
-    u = np.abs(v) / p.delta
-    return np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
-
-
-def _residual_droop(x, net, p: IbrParams):
-    n = p.n
-    theta = np.concatenate([[0.0], x[: n - 1]])
-    c = x[n - 1]
-    v = x[n: 2 * n]
-    V = 1.0 + v
-    P, Q = power_flow(net, theta, V)
-    F = np.empty(2 * n)
-    F[:n] = -c - p.m_omega * P / p.s_rated
-    F[n:] = -v - p.m_v * Q / p.s_rated
-    return F, theta, c, v, V, P, Q
-
-
-def _jacobian_droop(x, net, p: IbrParams):
-    n = p.n
-    theta = np.concatenate([[0.0], x[: n - 1]])
-    v = x[n: 2 * n]
-    V = 1.0 + v
-    lin = jacobians(net, theta, V)
-    mS = np.diag(p.m_omega / p.s_rated)
-    mvS = np.diag(p.m_v / p.s_rated)
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, : n - 1] = -(mS @ lin.J_theta_P)[:, 1:]
-    J[:n, n - 1] = -1.0
-    J[:n, n:] = -(mS @ lin.J_V_P)
-    J[n:, : n - 1] = -(mvS @ lin.J_theta_Q)[:, 1:]
-    J[n:, n:] = -np.eye(n) - mvS @ lin.J_V_Q
-    return J
-
-
-def _newton(residual, jacobian, x0, tol=1e-11, max_iter=60, fd_jacobian=False):
+def _newton(residual, jacobian, x0, tol=1e-11, max_iter=60):
     """Damped Newton with backtracking; retries from a perturbed point on stagnation."""
     rng = np.random.default_rng(0)
     x = np.asarray(x0, dtype=float).copy()
@@ -152,7 +63,7 @@ def _newton(residual, jacobian, x0, tol=1e-11, max_iter=60, fd_jacobian=False):
             norm = float(np.linalg.norm(F, np.inf))
             if norm < tol:
                 return x, norm
-            J = _fd_jac(residual, x) if fd_jacobian else jacobian(x)
+            J = jacobian(x)
             try:
                 dx = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
@@ -178,16 +89,6 @@ def _newton(residual, jacobian, x0, tol=1e-11, max_iter=60, fd_jacobian=False):
     )
 
 
-def _fd_jac(residual, x, h=1e-7):
-    F0 = residual(x)
-    J = np.empty((F0.size, x.size))
-    for j in range(x.size):
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (residual(xp) - F0) / h
-    return J
-
-
 def solve_equilibrium(
     net: ReducedNetwork,
     g: CommGraph,
@@ -195,54 +96,55 @@ def solve_equilibrium(
     initial_guess: np.ndarray | None = None,
     mode: str = "proposed",
     zeta_sum: float = 0.0,
-    fd_jacobian: bool = False,
 ) -> Equilibrium:
     """Newton solve of the steady-state equations with both gauges fixed.
 
-    ``initial_guess`` is a full state packing [theta_rel (n-1), Omega_common,
-    v, lam, zeta] (proposed) or [theta_rel, Omega_common, v] (droop); the
-    default is a flat start.
+    The unknowns are [theta_rel (n-1), Omega_common, v, lam, zeta]
+    (proposed) or [theta_rel, Omega_common, v] (droop); ``initial_guess``
+    packs them likewise and defaults to a flat start. The residual is
+    ``ClosedLoop.brackets`` without the theta rows and, in proposed mode,
+    with the last (redundant) zeta row replaced by the zeta-sum gauge.
     """
     n = params.n
-    L = laplacian(g)
-    if mode == "proposed":
-        dim = 4 * n
-        x0 = np.zeros(dim) if initial_guess is None else np.asarray(initial_guess, float)
+    model = ctrl.ClosedLoop(mode, params, net, laplacian(g))
+    proposed = mode == "proposed"
+    # model state = E @ unknowns, with theta_1 = 0 and Omega = Omega_common 1
+    E = np.zeros((model.dim, model.dim - n))
+    E[1:n, : n - 1] = np.eye(n - 1)
+    E[n:2 * n, n - 1] = 1.0
+    E[2 * n:, n:] = np.eye(model.dim - 2 * n)
 
-        def res(x):
-            return _residual_proposed(x, net, L, params, zeta_sum)[0]
+    def residual(x):
+        F = model.brackets(E @ x)[n:]
+        if proposed:
+            F[-1] = x[-n:].sum() - zeta_sum
+        return F
 
-        x, norm = _newton(res, lambda x: _jacobian_proposed(x, net, L, params),
-                          x0, fd_jacobian=fd_jacobian)
-        _, theta, c, v, lam, zeta, V, P, Q = _residual_proposed(x, net, L, params, zeta_sum)
-        rho = ctrl.leakage(params, v)
-    elif mode == "droop":
-        dim = 2 * n
-        x0 = np.zeros(dim) if initial_guess is None else np.asarray(initial_guess, float)
+    def jacobian(x):
+        J = model.brackets_jac(E @ x)[n:] @ E
+        if proposed:
+            J[-1] = 0.0
+            J[-1, -n:] = 1.0
+        return J
 
-        def res(x):
-            return _residual_droop(x, net, params)[0]
-
-        x, norm = _newton(res, lambda x: _jacobian_droop(x, net, params),
-                          x0, fd_jacobian=fd_jacobian)
-        _, theta, c, v, V, P, Q = _residual_droop(x, net, params)
-        lam = np.zeros(n)
-        zeta = np.zeros(n)
-        rho = np.zeros(n)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    x0 = np.zeros(model.dim - n) if initial_guess is None else np.asarray(initial_guess, float)
+    x, norm = _newton(residual, jacobian, x0)
+    x = E @ x
+    theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
+    V = model.voltage(v)
+    P, Q = power_flow(net, theta, V)
+    rho = ctrl.leakage(params, v) if proposed else np.zeros(n)
     return Equilibrium(
         mode=mode,
         theta=theta,
-        Omega=np.full(n, c),
+        Omega=Omega,
         v=v,
-        lam=lam,
-        zeta=zeta,
+        lam=x[3 * n:4 * n] if proposed else np.zeros(n),
+        zeta=x[4 * n:] if proposed else np.zeros(n),
         V=V,
         P=P,
         Q=Q,
-        omega_syn_dev=float(c),
+        omega_syn_dev=float(Omega[0]),
         alpha_P=float(np.mean(P / params.s_rated)),
         alpha_Q=float(np.mean(Q / params.s_rated)),
         saturated=frozenset(int(i) + 1 for i in np.nonzero(rho > 0)[0]),

@@ -72,15 +72,24 @@ def test_leakage_kink_oracle():
     assert ctrl.leakage(p, np.array([5.5 * d]))[0] == pytest.approx(2.5)
 
 
+def ring_network(n=3):
+    """Reduced network of a uniform line ring with a small shunt at every bus."""
+    lap = mg.laplacian(mg.CommGraph.ring(n))
+    return mg.ReducedNetwork(G=2.0 * lap + 0.5 * np.eye(n), B=-8.0 * lap - 0.2 * np.eye(n))
+
+
 def test_droop_rhs_oracle():
     p = make_params()
+    red = ring_network()
+    theta = np.array([0.02, 0.0, -0.01])
     Omega = np.array([0.1, 0.0, -0.2])
     v = np.array([0.01, 0.0, -0.01])
-    P = np.array([0.5, 0.6, 0.7])
-    Q = np.array([0.2, 0.3, 0.4])
-    d_omega, d_v = ctrl.droop_rhs(p, Omega, v, P, Q)
-    assert np.allclose(d_omega, -Omega - 1.57 * P)
-    assert np.allclose(d_v, -v - 0.05 * Q)
+    model = ctrl.ClosedLoop("droop", p, red, mg.laplacian(mg.CommGraph.ring(3)))
+    b = model.brackets(np.concatenate([theta, Omega, v]))
+    P, Q = mg.power_flow(red, theta, 1.0 + v)
+    assert np.allclose(b[:3], Omega)
+    assert np.allclose(b[3:6], -Omega - 1.57 * P)
+    assert np.allclose(b[6:], -v - 0.05 * Q)
 
 
 def test_integrator_rhs_components():
@@ -101,12 +110,54 @@ def test_integrator_rhs_components():
 def test_primal_dual_rhs_oracle():
     g = mg.CommGraph.ring(3)
     L = mg.laplacian(g)
+    p = make_params(k=2.0)
+    red = ring_network()
+    theta = np.array([0.02, 0.0, -0.01])
+    v = np.array([0.01, 0.0, -0.01])
     lam = np.array([0.3, 0.5, 0.1])
     zeta = np.array([0.0, 0.2, -0.2])
-    q = np.array([0.4, 0.4, 0.4])
-    d_lam, d_zeta = ctrl.primal_dual_rhs(g, 2.0, lam, zeta, q)
-    assert np.allclose(d_lam, q - lam - L @ zeta - 2.0 * (L @ lam))
-    assert np.allclose(d_zeta, L @ lam)
+    model = ctrl.ClosedLoop("proposed", p, red, L)
+    b = model.brackets(np.concatenate([theta, np.zeros(3), v, lam, zeta]))
+    _, Q = mg.power_flow(red, theta, ctrl.voltage_output(p, v))
+    assert np.allclose(b[6:9], ctrl.integrator_rhs(p, v, lam, Q))
+    assert np.allclose(b[9:12], Q / p.s_rated - lam - L @ zeta - 2.0 * (L @ lam))
+    assert np.allclose(b[12:], L @ lam)
+
+
+def test_closed_loop_jac_matches_central_differences(lv5, lv5_reduced, lv5_equilibrium):
+    """Analytic model Jacobian against central differences of the model rhs.
+
+    Covers both modes on random states and at the lv5 equilibria. Proposed
+    states have units past the leakage kink (|v| > 3 Delta), but every
+    |v|/Delta stays at least 0.1 from 3, so no stencil straddles it.
+    """
+    p = lv5.params
+    n = p.n
+    L = mg.laplacian(lv5.graph)
+    rng = np.random.default_rng(7)
+    eq = {"proposed": lv5_equilibrium,
+          "droop": mg.solve_equilibrium(lv5_reduced, lv5.graph, p, mode="droop")}
+    h = 1e-7
+    for mode in ("droop", "proposed"):
+        model = ctrl.ClosedLoop(mode, p, lv5_reduced, L)
+        e = eq[mode]
+        states = [np.concatenate([e.theta, e.Omega, e.v, e.lam, e.zeta][: model.dim // n])]
+        for _ in range(4):
+            x = rng.normal(0.0, 0.05, model.dim)
+            if mode == "proposed":
+                u = np.concatenate([rng.uniform(3.2, 6.0, 2), rng.uniform(0.0, 2.8, n - 2)])
+                x[2 * n:3 * n] = p.delta * u * rng.choice([-1.0, 1.0], n)
+            states.append(x)
+        for x in states:
+            if mode == "proposed":
+                assert np.all(np.abs(np.abs(x[2 * n:3 * n]) / p.delta - 3.0) >= 0.1)
+            J = model.jac(0.0, x)
+            fd = np.empty_like(J)
+            for k in range(model.dim):
+                dx = np.zeros(model.dim)
+                dx[k] = h
+                fd[:, k] = (model.rhs(0.0, x + dx) - model.rhs(0.0, x - dx)) / (2 * h)
+            assert np.abs(fd - J).max() <= 1e-6 * np.abs(J).max(), mode
 
 
 def test_kkt_zero_iff_consensus():

@@ -1,10 +1,13 @@
 """Stability analysis: transform, cascade blocks, LMI, boundary layer, sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import mgshare as mg
 from mgshare import stability as st
+from mgshare.controller import ClosedLoop
 from mgshare.network import jacobians
 
 
@@ -129,6 +132,19 @@ def test_sweep_converges_to_reduced_limit(lv5, lv5_lin, lv5_blocks, lv5_equilibr
     gaps = [abs(a - a_red) for _, a in out]
     assert gaps[-1] < gaps[0]
     assert gaps[-1] < 1e-3
+
+
+def test_sweep_is_singular_limit_of_full_model(lv5, lv5_reduced, lv5_lin, lv5_equilibrium):
+    """With tau_omega and tau_p scaled by 1e-3, the full closed loop's slow
+    abscissa matches the sweep's (fast states eliminated) at the same ratio."""
+    p = lv5.params
+    fast = replace(p, tau_omega=1e-3 * p.tau_omega, tau_p=1e-3 * p.tau_p, tau_d=0.1 * p.tau_v)
+    eq = lv5_equilibrium
+    model = ClosedLoop("proposed", fast, lv5_reduced, mg.laplacian(lv5.graph))
+    J = model.jac(0.0, np.concatenate([eq.theta, eq.Omega, eq.v, eq.lam, eq.zeta]))
+    a_full = st.spectral_abscissa(J, n_structural_zeros=2)
+    [(_, a_sweep)] = st.epsilon_sweep(lv5_lin, lv5.graph, p, eq.v, [0.1])
+    assert abs(a_full - a_sweep) <= 1e-5
 
 
 def test_lyapunov_decreases_along_reduced_flow(lv5, lv5_blocks, lv5_equilibrium):
