@@ -1,8 +1,11 @@
 """Closed-loop time-domain simulation.
 
 Integrates ``controller.ClosedLoop`` (angle/frequency droop, voltage
-channel, primal-dual optimizer) with RK45 over a scenario timeline with
-events: controller activation, load steps, and voltage-limit changes. Angles
+channel, primal-dual optimizer) with LSODA and the model's analytic ``jac``
+over a scenario timeline with events: controller activation, load steps, and
+voltage-limit changes. The proposed-mode loop is stiff (the fast dual
+consensus mode, about k*lambda_max(L)/tau_p, sets an explicit method's step),
+and LSODA switches between Adams and BDF on its own. Angles
 evolve in a frame rotating at omega_nom, so theta is the deviation angle and
 the state stays bounded. Events restart the integration at their exact timestamps; a no-op
 event (e.g. scaling a load by its current factor) is skipped so it cannot
@@ -230,8 +233,9 @@ def simulate(s: Scenario) -> TimeSeries:
                 segment_starts.append(ev.time)
         t_next = min((e.time for e in pending), default=s.t_end)
         red = reduced()
+        model = ctrl.ClosedLoop(mode, params, red, L)
         sol = solve_ivp(
-            ctrl.ClosedLoop(mode, params, red, L).rhs, (t_now, t_next), x, method="RK45",
+            model.rhs, (t_now, t_next), x, method="LSODA", jac=model.jac,
             rtol=s.rel_tol, atol=1e-10, dense_output=True,
         )
         if sol.status != 0 or not np.all(np.isfinite(sol.y)):

@@ -67,7 +67,7 @@ def test_ac03_containment_case1(case1_timeseries, lv5):
     margin = min(float((ts.V[sel] - ts.v_min[sel]).min()),
                  float((ts.v_max[sel] - ts.V[sel]).min()))
     dt = RUNTIMES["case1"]
-    ok = margin > 0 and dt < 60.0
+    ok = margin > 0 and dt < 10.0
     verdict("AC-3 containment", ok, f"min margin {margin:.2e} p.u., run {dt:.1f}s")
 
 
@@ -135,7 +135,7 @@ def test_ac05_solver_simulator_consistency(lv5, lv5_reduced, lv5_equilibrium,
     }
     j = case1_timeseries.index_at(24.0)
     transient_gap = np.abs(case1_timeseries.q_ratio[j] - eq.Q / p.s_rated).max()
-    ok = max(errs.values()) <= 1e-4 and dt < 60.0
+    ok = max(errs.values()) <= 1e-4 and dt < 10.0
     verdict("AC-5 solver/simulator consistency", ok,
             f"hold errors {', '.join(f'{k}={v:.1e}' for k, v in errs.items())}; "
             f"Case-1 transient gap at 24 s {transient_gap:.1e} (reported)")
@@ -256,7 +256,7 @@ def test_ac11_limit_shift(case2_timeseries):
     stay = bool(np.all(inband[ts.t >= entry]))
     gap, sat = unsaturated_sharing_gap(ts, ts.index_at(40.0))
     dt = RUNTIMES["case2"]
-    ok = (entry - 20.0) <= 10.0 and stay and gap <= SHARING_TOL and dt < 60.0
+    ok = (entry - 20.0) <= 10.0 and stay and gap <= SHARING_TOL and dt < 10.0
     verdict("AC-11 limit shift", ok,
             f"entered band {entry - 20.0:.2f}s after event, final unsaturated gap "
             f"{gap:.2e}, saturated {sorted(int(i) for i in np.nonzero(sat)[0] + 1)}, run {dt:.1f}s")

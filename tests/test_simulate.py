@@ -1,13 +1,18 @@
 """Time-domain simulator: events, sampling, conservation, CSV output."""
 
 import csv
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mgshare as mg
-from mgshare.simulate import CSV_HEADER
+from mgshare.simulate import CSV_HEADER, _check_containment
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "timeline-lv5.npz"
 
 
 def test_sampling_grid(case1_timeseries):
@@ -25,6 +30,43 @@ def test_mode_switches_at_activation(case1_timeseries):
 
 def test_segments_match_events(case1_timeseries):
     assert case1_timeseries.segment_starts == [0.0, 10.0, 25.0, 40.0]
+
+
+def test_case1_matches_stored_reference(case1_timeseries):
+    """Case-1 agrees with the stored 100 ms reference trajectory to 1e-7 in V and Q/S."""
+    ref = np.load(REFERENCE)
+    ts = case1_timeseries
+    assert np.abs(ts.V[::10] - ref["seed0_V"]).max() <= 1e-7
+    assert np.abs(ts.q_ratio[::10] - ref["seed0_q_ratio"]).max() <= 1e-7
+
+
+def test_case1_integration_cost(lv5, monkeypatch):
+    """A stiff integrator needs a few thousand RHS calls; an explicit one needs ~230k."""
+    sim = sys.modules["mgshare.simulate"]
+    solve_ivp = sim.solve_ivp
+    nfev = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(sim, "solve_ivp", counting_solve_ivp)
+    mg.simulate(lv5)
+    assert len(nfev) == 4
+    assert sum(nfev) < 10_000
+
+
+def test_containment_check_on_accepted_steps(lv5):
+    """A proposed-mode step with V at v_max raises at that step's time; droop is unchecked."""
+    n = lv5.params.n
+    y = np.zeros((5 * n, 4))
+    y[2 * n + 3, 2] = 1.0          # tanh(v/Delta) rounds to 1: V == v_max
+    sol = SimpleNamespace(t=np.array([0.0, 0.1, 0.25, 0.4]), y=y)
+    _check_containment("droop", lv5.params, sol)
+    with pytest.raises(mg.SimulationError) as err:
+        _check_containment("proposed", lv5.params, sol)
+    assert err.value.time == 0.25
 
 
 def test_droop_phase_reaches_droop_equilibrium(lv5, lv5_reduced):
