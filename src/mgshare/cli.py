@@ -73,10 +73,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = parse_scenario(args.scenario)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "simulate":
             return _cmd_simulate(args, scenario)
         if args.command == "steady-state":
@@ -86,7 +82,7 @@ def main(argv=None) -> int:
         return _cmd_tune(args, scenario)
     except MgshareError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ScenarioFormatError) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -273,18 +273,23 @@ def _singular_buses(Ybb: np.ndarray) -> list[int]:
 
 
 def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
-    """Evaluate (P, Q) injections at the reduced buses; pure algebra, no iteration."""
+    """Evaluate (P, Q) injections at the reduced buses; pure algebra, no iteration.
+
+    ``theta`` and ``V`` share one shape (..., n); leading axes are a batch of
+    independent operating points, evaluated at once.
+    """
     theta = np.asarray(theta, dtype=float)
     V = np.asarray(V, dtype=float)
-    if theta.shape != (net.n,) or V.shape != (net.n,):
-        raise ValueError(f"theta and V must have shape ({net.n},)")
+    if theta.shape[-1:] != (net.n,) or V.shape != theta.shape:
+        raise ValueError(f"theta and V must share one shape (..., {net.n})")
     MP, MQ = _flow_kernels(net, theta)
-    return V * (MP @ V), V * (MQ @ V)
+    Vc = V[..., None]
+    return V * (MP @ Vc)[..., 0], V * (MQ @ Vc)[..., 0]
 
 
 def _flow_kernels(net: ReducedNetwork, theta: np.ndarray):
-    """(MP, MQ) with P = V * (MP @ V) and Q = V * (MQ @ V)."""
-    dth = theta[:, None] - theta[None, :]
+    """(MP, MQ) with P = V * (MP @ V) and Q = V * (MQ @ V), batched over leading axes."""
+    dth = theta[..., :, None] - theta[..., None, :]
     cos, sin = np.cos(dth), np.sin(dth)
     return net.G * cos + net.B * sin, net.G * sin - net.B * cos
 

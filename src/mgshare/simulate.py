@@ -11,14 +11,15 @@ the state stays bounded. Events restart the integration at their exact timestamp
 event (e.g. scaling a load by its current factor) is skipped so it cannot
 perturb the trajectory.
 
-Output is sampled on a fixed grid by dense interpolation, independent of the
-adaptive steps; containment of the saturated voltages is asserted on every
-accepted integrator step, not just on output samples.
+Output is sampled by dense interpolation on a fixed grid, independent of the
+adaptive steps: it starts at 0, steps by ``sample_ms`` and ends at or before
+t_end. Each segment emits its block of samples at once, with one batched
+power-flow evaluation. Containment of the saturated voltages is asserted on
+every accepted integrator step, not just on output samples.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,9 @@ class Scenario:
     def __post_init__(self):
         if self.initial_mode not in ("droop", "proposed"):
             raise ScenarioFormatError(f"unknown mode {self.initial_mode!r}")
-        if self.t_end <= 0:
-            raise ScenarioFormatError("t_end must be positive")
+        for name in ("t_end", "sample_ms", "rel_tol"):
+            if not (0 < getattr(self, name) < np.inf):
+                raise ScenarioFormatError(f"{name} must be positive and finite")
         times = [e.time for e in self.events]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ScenarioFormatError("event times must be strictly increasing")
@@ -148,24 +150,14 @@ class TimeSeries:
 
     def to_csv(self, path):
         """Long-format CSV, one row per (sample, inverter), 1-based inverter ids."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_HEADER)
-            for s in range(self.t.shape[0]):
-                for i in range(self.n):
-                    w.writerow([
-                        _fmt(self.t[s]), i + 1,
-                        _fmt(self.theta[s, i]), _fmt(self.omega_dev[s, i]),
-                        _fmt(self.f[s, i]), _fmt(self.v[s, i]),
-                        _fmt(self.lam[s, i]), _fmt(self.zeta[s, i]),
-                        _fmt(self.V[s, i]), _fmt(self.P[s, i]), _fmt(self.Q[s, i]),
-                        _fmt(self.p_ratio[s, i]), _fmt(self.q_ratio[s, i]),
-                        _fmt(self.rho[s, i]),
-                    ])
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+        S, n = self.theta.shape
+        cols = [np.repeat(self.t, n), np.tile(np.arange(1.0, n + 1), S)]
+        cols += [getattr(self, name).ravel() for name in (
+            "theta", "omega_dev", "f", "v", "lam", "zeta",
+            "V", "P", "Q", "p_ratio", "q_ratio", "rho",
+        )]
+        np.savetxt(path, np.column_stack(cols), fmt="%.12g", delimiter=",",
+                   header=",".join(CSV_HEADER), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +169,8 @@ def simulate(s: Scenario) -> TimeSeries:
     n = s.network.n_ibr
     nb = s.network.n_bus
     dt = s.sample_ms / 1000.0
-    n_samples = int(round(s.t_end / dt)) + 1
+    # last sample at or before t_end; 1e-9 absorbs round-off in t_end / dt
+    n_samples = int(np.floor(s.t_end / dt + 1e-9)) + 1
     t_grid = np.arange(n_samples) * dt
 
     # mutable run state
@@ -207,10 +200,7 @@ def simulate(s: Scenario) -> TimeSeries:
         theta0 = np.zeros(n) if s.initial_theta is None else np.asarray(s.initial_theta, float)
         x = np.concatenate([theta0, np.zeros(2 * n if mode == "droop" else 4 * n)])
 
-    out: dict[str, list] = {key: [] for key in (
-        "mode", "theta", "omega_dev", "f", "v", "lam", "zeta",
-        "V", "P", "Q", "p_ratio", "q_ratio", "rho", "v_min", "v_max",
-    )}
+    blocks: list[dict[str, np.ndarray]] = []
     segment_starts = [0.0]
 
     pending = list(s.events)
@@ -250,32 +240,16 @@ def simulate(s: Scenario) -> TimeSeries:
         hi = n_samples if last else int(np.searchsorted(t_grid, t_next - 1e-12, "right"))
         seg_t = t_grid[emitted:hi]
         if seg_t.size:
-            X = sol.sol(seg_t).T
-            _emit(out, mode, params, red, X, s.network.bases.f_nom)
+            blocks.append(_channels(model, sol.sol(seg_t).T, s.network.bases.f_nom))
             emitted = hi
         x = sol.y[:, -1]
         t_now = t_next
 
-    ts = TimeSeries(
+    return TimeSeries(
         t=t_grid,
-        mode=np.asarray(out["mode"], dtype=int),
-        theta=np.vstack(out["theta"]),
-        omega_dev=np.vstack(out["omega_dev"]),
-        f=np.vstack(out["f"]),
-        v=np.vstack(out["v"]),
-        lam=np.vstack(out["lam"]),
-        zeta=np.vstack(out["zeta"]),
-        V=np.vstack(out["V"]),
-        P=np.vstack(out["P"]),
-        Q=np.vstack(out["Q"]),
-        p_ratio=np.vstack(out["p_ratio"]),
-        q_ratio=np.vstack(out["q_ratio"]),
-        rho=np.vstack(out["rho"]),
-        v_min=np.vstack(out["v_min"]),
-        v_max=np.vstack(out["v_max"]),
+        **{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]},
         segment_starts=segment_starts,
     )
-    return ts
 
 
 def _event_limits(ev: Event, params: IbrParams):
@@ -337,39 +311,26 @@ def _check_containment(mode, params, sol):
         )
 
 
-def _emit(out, mode, params: IbrParams, red: ReducedNetwork, X: np.ndarray, f_nom: float):
-    """Append channel rows for a block of sampled states X (n_samples x dim)."""
-    n = params.n
-    for x in X:
-        theta, Omega = x[:n], x[n:2 * n]
-        if mode == "droop":
-            v = x[2 * n:3 * n]
-            V = 1.0 + v
-            lam = np.zeros(n)
-            zeta = np.zeros(n)
-            rho = np.zeros(n)
-        else:
-            v = x[2 * n:3 * n]
-            lam = x[3 * n:4 * n]
-            zeta = x[4 * n:]
-            V = ctrl.voltage_output(params, v)
-            rho = ctrl.leakage(params, v)
-        P, Q = power_flow(red, theta, V)
-        out["mode"].append(0 if mode == "droop" else 1)
-        out["theta"].append(theta)
-        out["omega_dev"].append(Omega)
-        out["f"].append(f_nom + Omega / (2.0 * np.pi))
-        out["v"].append(v)
-        out["lam"].append(lam)
-        out["zeta"].append(zeta)
-        out["V"].append(V)
-        out["P"].append(P)
-        out["Q"].append(Q)
-        out["p_ratio"].append(P / params.s_rated)
-        out["q_ratio"].append(Q / params.s_rated)
-        out["rho"].append(rho)
-        out["v_min"].append(params.v_min.copy())
-        out["v_max"].append(params.v_max.copy())
+def _channels(model: ctrl.ClosedLoop, X: np.ndarray, f_nom: float) -> dict[str, np.ndarray]:
+    """TimeSeries channels, each (S, n), for a block of S sampled states X (S x dim)."""
+    p = model.params
+    n = p.n
+    S = X.shape[0]
+    theta, Omega, v = X[:, :n], X[:, n:2 * n], X[:, 2 * n:3 * n]
+    V = model.voltage(v)
+    P, Q = power_flow(model.net, theta, V)
+    if model.mode == "droop":
+        lam = zeta = rho = np.zeros((S, n))
+    else:
+        lam, zeta, rho = X[:, 3 * n:4 * n], X[:, 4 * n:], ctrl.leakage(p, v)
+    return {
+        "mode": np.full(S, int(model.mode == "proposed")),
+        "theta": theta, "omega_dev": Omega, "f": f_nom + Omega / (2.0 * np.pi),
+        "v": v, "lam": lam, "zeta": zeta, "V": V, "P": P, "Q": Q,
+        "p_ratio": P / p.s_rated, "q_ratio": Q / p.s_rated, "rho": rho,
+        "v_min": np.broadcast_to(p.v_min, (S, n)),
+        "v_max": np.broadcast_to(p.v_max, (S, n)),
+    }
 
 
 def detect_saturated_set(ts: TimeSeries, t: float) -> set[int]:

@@ -76,6 +76,14 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--sample-ms", "0"), ("--sample-ms", "-10"),
+                                         ("--rel-tol", "0"), ("--t-end", "nan")])
+def test_bad_simulate_override_exits_2(tmp_path, capsys, flag, value):
+    assert main(["simulate", "lv5", flag, value, "--out-dir", str(tmp_path)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "lv5_timeseries.csv").exists()
+
+
 def test_bad_ratios_exits_2(capsys):
     assert main(["stability", "lv5", "--ratios", "a,b"]) == 2
 

@@ -110,20 +110,33 @@ def test_isolated_island_rejected():
 # ---------------------------------------------------------------------------
 
 def test_power_flow_against_nodal_oracle(lv5, lv5_reduced):
-    """Reduced-network injections must match a direct complex nodal solve."""
+    """Reduced-network injections must match a direct complex nodal solve.
+
+    A batch of operating points, shape (S, n), gives exactly the row-by-row
+    results; theta and V of different shapes are rejected.
+    """
     net = lv5.network
     n = net.n_ibr
     Y = full_admittance(net)  # node order [internal buses | main buses]
     rng = np.random.default_rng(1)
-    for _ in range(5):
-        theta = rng.normal(0, 0.05, n)
-        V = 1 + rng.normal(0, 0.03, n)
+    thetas = rng.normal(0, 0.05, (5, n))
+    Vs = 1 + rng.normal(0, 0.03, (5, n))
+    rows = []
+    for theta, V in zip(thetas, Vs):
         Vt = V * np.exp(1j * theta)
         Vb = np.linalg.solve(Y[n:, n:], -Y[n:, :n] @ Vt)
         S = Vt * np.conj(Y[:n, :n] @ Vt + Y[:n, n:] @ Vb)
         P, Q = mg.power_flow(lv5_reduced, theta, V)
         assert np.allclose(P, S.real, atol=1e-12)
         assert np.allclose(Q, S.imag, atol=1e-12)
+        rows.append((P, Q))
+    P, Q = mg.power_flow(lv5_reduced, thetas, Vs)
+    assert P.shape == Q.shape == (5, n)
+    assert np.array_equal(P, np.array([r[0] for r in rows]))
+    assert np.array_equal(Q, np.array([r[1] for r in rows]))
+    for theta, V in ((thetas, Vs[0]), (thetas[0], Vs), (thetas[:, :-1], Vs[:, :-1])):
+        with pytest.raises(ValueError):
+            mg.power_flow(lv5_reduced, theta, V)
 
 
 def test_jacobian_rotational_invariance(lv5_reduced):

@@ -1,6 +1,5 @@
 """Time-domain simulator: events, sampling, conservation, CSV output."""
 
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,11 +14,20 @@ from mgshare.simulate import CSV_HEADER, _check_containment
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "timeline-lv5.npz"
 
 
-def test_sampling_grid(case1_timeseries):
-    ts = case1_timeseries
-    assert ts.t.size == 5001
-    assert ts.t[0] == 0.0 and ts.t[-1] == pytest.approx(50.0)
-    assert np.allclose(np.diff(ts.t), 0.01)
+def test_sampling_grid(lv5):
+    """The grid starts at 0, steps by sample_ms and ends at or before t_end."""
+    for t_end, sample_ms, t_last in (
+        (50.0, 10.0, 50.0),
+        (1.0, 250.0, 1.0),
+        (0.3, 100.0, 0.3),      # 0.3 / 0.1 rounds to 2.9999999999999996
+        (1.0, 600.0, 0.6),      # sample_ms does not divide t_end
+    ):
+        ts = mg.simulate(replace(lv5, t_end=t_end, sample_ms=sample_ms, events=()))
+        assert ts.t.size == round(t_last * 1000 / sample_ms) + 1
+        assert ts.t[0] == 0.0 and ts.t[-1] == pytest.approx(t_last)
+        assert ts.t[-1] <= t_end + 1e-12
+        assert np.allclose(np.diff(ts.t), sample_ms / 1000)
+        assert ts.V.shape == (ts.t.size, lv5.params.n)
 
 
 def test_mode_switches_at_activation(case1_timeseries):
@@ -158,17 +166,26 @@ def test_per_ibr_limit_event(lv5):
 
 
 def test_csv_output(tmp_path, case1_timeseries):
+    """Every row equals a per-value .12g rendering, sample-major, with integer ibr ids."""
+    ts = case1_timeseries
     path = tmp_path / "ts.csv"
-    case1_timeseries.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == CSV_HEADER
-    assert len(rows) == 1 + 5001 * 5
-    # spot-check one row against the arrays
-    r = rows[1 + 5 * 1234 + 2]
-    assert float(r[0]) == pytest.approx(case1_timeseries.t[1234])
-    assert int(r[1]) == 3
-    assert float(r[8]) == pytest.approx(case1_timeseries.V[1234, 2], abs=1e-12)
+    ts.to_csv(path)
+    channels = ("theta", "omega_dev", "f", "v", "lam", "zeta",
+                "V", "P", "Q", "p_ratio", "q_ratio", "rho")
+    expected = [",".join(CSV_HEADER)]
+    for s in range(ts.t.size):
+        for i in range(ts.n):
+            expected.append(",".join(
+                [format(float(ts.t[s]), ".12g"), str(i + 1)]
+                + [format(float(getattr(ts, c)[s, i]), ".12g") for c in channels]
+            ))
+    assert len(expected) == 1 + 5001 * 5
+    text = path.read_text()
+    assert text.endswith("\n")
+    got = text[:-1].split("\n")
+    assert len(got) == len(expected)
+    bad = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert bad is None, f"CSV line {bad + 1}: {got[bad]!r} != {expected[bad]!r}"
 
 
 def test_event_validation():
@@ -186,6 +203,11 @@ def test_scenario_validation(lv5):
         replace(lv5, events=(mg.Event(time=99.0, kind="activate"),))
     with pytest.raises(mg.ScenarioFormatError, match="unknown bus"):
         replace(lv5, events=(mg.Event(time=5.0, kind="scale-load", bus=9, factor=0.5),))
+    for name, value in (("sample_ms", 0.0), ("sample_ms", -10.0), ("sample_ms", np.nan),
+                        ("sample_ms", np.inf), ("rel_tol", 0.0), ("rel_tol", -1e-7),
+                        ("t_end", 0.0), ("t_end", np.nan), ("t_end", np.inf)):
+        with pytest.raises(mg.ScenarioFormatError, match=f"{name} must be positive and finite"):
+            replace(lv5, **{name: value})
 
 
 def test_window_and_index(case1_timeseries):
