@@ -47,6 +47,8 @@ class IbrParams:
 
     Per-unit arrays of length n: ``s_rated``, ``m_omega``, ``m_v``,
     ``v_min``, ``v_max``. Scalars: time constants and the gains beta, k.
+    Derived once, read-only and outside equality: the band centre
+    ``v_star`` and half-width ``delta``.
     """
 
     s_rated: np.ndarray
@@ -60,6 +62,8 @@ class IbrParams:
     tau_d: float
     beta: float
     k: float
+    v_star: np.ndarray = field(init=False, compare=False, repr=False)
+    delta: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arrays = {}
@@ -87,18 +91,14 @@ class IbrParams:
             raise ValueError("beta must be nonnegative")
         if self.k <= 0:
             raise ValueError("k must be positive")
+        for name, a in (("v_star", 0.5 * (self.v_max + self.v_min)),
+                        ("delta", 0.5 * (self.v_max - self.v_min))):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
         return self.s_rated.shape[0]
-
-    @property
-    def v_star(self) -> np.ndarray:
-        return 0.5 * (self.v_max + self.v_min)
-
-    @property
-    def delta(self) -> np.ndarray:
-        return 0.5 * (self.v_max - self.v_min)
 
     def with_limits(self, v_min, v_max) -> "IbrParams":
         """Copy with new voltage limits (scalar broadcasts to all units)."""

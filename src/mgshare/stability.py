@@ -97,6 +97,15 @@ class ReducedBlocks:
         return self.R_vV.shape[0]
 
 
+def _check_angle_shift_invariance(lin: LinearizedModel):
+    one = np.ones(lin.n)
+    if np.linalg.norm(lin.J_theta_P @ one) > 1e-6 or np.linalg.norm(lin.J_theta_Q @ one) > 1e-6:
+        raise MgshareError(
+            "linearized model violates the uniform-angle-shift invariance; "
+            "the relative-coordinate structure would break"
+        )
+
+
 def assemble_blocks(
     lin: LinearizedModel,
     g: CommGraph,
@@ -108,13 +117,9 @@ def assemble_blocks(
     ``omega_nom`` only enters the average-angle offset; the relative blocks
     are independent of it.
     """
+    _check_angle_shift_invariance(lin)
     n = lin.n
     one = np.ones(n)
-    if np.linalg.norm(lin.J_theta_P @ one) > 1e-6 or np.linalg.norm(lin.J_theta_Q @ one) > 1e-6:
-        raise MgshareError(
-            "linearized model violates the uniform-angle-shift invariance; "
-            "the relative-coordinate structure would break"
-        )
     T, Tinv = transform_matrix(n)
     Ir = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
     L = laplacian(g)
@@ -402,9 +407,9 @@ def epsilon_sweep(
     The (theta, v, zeta) system carries two structural zero eigenvalues
     (uniform angle and uniform dual shifts), which are excluded. ratio == 0
     is the quasi-steady dual limit, evaluated on the slow reduced system
-    directly.
+    directly; only then are the cascade blocks assembled.
     """
-    blocks = assemble_blocks(lin, g, params)
+    _check_angle_shift_invariance(lin)
     n = lin.n
     J = brackets_jacobian("proposed", params, laplacian(g), lin, v_bar)
     slow = np.r_[0:n, 2 * n:3 * n, 4 * n:5 * n]     # theta, v, zeta
@@ -414,7 +419,7 @@ def epsilon_sweep(
     out = []
     for r in ratios:
         if r == 0:
-            A = reduced_system_matrix(blocks, params, v_bar)
+            A = reduced_system_matrix(assemble_blocks(lin, g, params), params, v_bar)
             out.append((0.0, spectral_abscissa(A)))
         else:
             tau = np.repeat([1.0, params.tau_v, r * params.tau_v], n)

@@ -9,6 +9,15 @@ solved state satisfies, among others:
 * lambda_bar = alpha_Q 1 with alpha_Q the mean utilization ratio;
 * strict voltage containment;
 * the sharing-accuracy identities/bounds for unsaturated/saturated units.
+
+The Newton iteration evaluates the residual once per trial point: the
+accepted trial's residual carries into the next iteration. In proposed
+mode the leakage rho(v) v has a kink at |v| = 3 Delta, where the Jacobian
+jumps; a full step across it backtracks many times and stalls. So a
+step that would carry some unit's v across its kink is cut to land the
+first such unit on the kink (backtracking halves from there), and a cut
+step does not count as stagnation, which would trigger a random restart.
+``Equilibrium.iterations`` and ``Equilibrium.restarts`` report the cost.
 """
 
 from __future__ import annotations
@@ -45,45 +54,62 @@ class Equilibrium:
     alpha_Q: float
     saturated: frozenset[int]     # 1-based unit ids with rho > 0
     residual: float
+    iterations: int               # Newton steps (Jacobian solves)
+    restarts: int                 # random perturbations after stagnation
 
     @property
     def n(self) -> int:
         return self.theta.shape[0]
 
 
-def _newton(residual, jacobian, x0, tol=1e-11, max_iter=60):
-    """Damped Newton with backtracking; retries from a perturbed point on stagnation."""
+def _newton(residual, jacobian, x0, step_limit=None, tol=1e-11, max_iter=60):
+    """Damped Newton with backtracking; returns (x, residual norm, iterations, restarts).
+
+    Each trial point's residual is evaluated once: the accepted trial's
+    residual and norm carry into the next iteration, and when backtracking
+    runs out the last evaluated trial is accepted. ``step_limit(x, dx)``,
+    if given, caps the first trial step below 1 (backtracking halves from
+    there); an iteration whose step it cut is exempt from the stagnation
+    test. On stagnation the iterate is perturbed at random and Newton
+    restarts, at most three times. ``iterations`` counts Jacobian solves,
+    ``restarts`` the random perturbations.
+    """
     rng = np.random.default_rng(0)
     x = np.asarray(x0, dtype=float).copy()
-    norm = np.inf
-    for _attempt in range(4):
-        last_norm = np.inf
-        for _ in range(max_iter):
+    F = residual(x)
+    norm = float(np.linalg.norm(F, np.inf))
+    iterations = 0
+    for restarts in range(4):
+        if restarts:
+            x = x + rng.normal(scale=1e-4, size=x.shape)
             F = residual(x)
             norm = float(np.linalg.norm(F, np.inf))
+        last_norm = np.inf
+        for _ in range(max_iter):
             if norm < tol:
-                return x, norm
+                return x, norm, iterations, restarts
             J = jacobian(x)
+            iterations += 1
             try:
                 dx = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
                 raise ConvergenceError("singular Jacobian in equilibrium solve",
                                        residual=norm) from None
-            step = 1.0
-            norm_new = norm
-            while step > 1e-6:
-                norm_new = float(np.linalg.norm(residual(x + step * dx), np.inf))
-                if norm_new < norm:
+            step = 1.0 if step_limit is None else step_limit(x, dx)
+            cut = step < 1.0
+            while True:
+                x_new = x + step * dx
+                F_new = residual(x_new)
+                norm_new = float(np.linalg.norm(F_new, np.inf))
+                if norm_new < norm or step < 2e-6:    # at most 20 trials from step 1
                     break
                 step *= 0.5
-            x = x + step * dx
-            if norm_new > 0.999 * last_norm and norm_new > tol:
-                break  # stagnating (e.g. at a leakage kink); retry perturbed
-            last_norm = norm_new
-        norm = float(np.linalg.norm(residual(x), np.inf))
+            x, F, norm = x_new, F_new, norm_new
+            if norm > 0.999 * last_norm and not cut:
+                break  # stagnating; retry perturbed
+            last_norm = norm
         if norm < tol:
-            return x, norm
-        x = x + rng.normal(scale=1e-4, size=x.shape)
+            return x, norm, iterations, restarts
     raise ConvergenceError(
         f"Newton did not converge (last residual {norm:.3e})", residual=norm
     )
@@ -127,8 +153,23 @@ def solve_equilibrium(
             J[-1, -n:] = 1.0
         return J
 
+    def kink_step(x, dx):
+        # first trial step at which some unit's v reaches +/-3 Delta (the
+        # leakage kink); a unit within round-off of its kink does not limit
+        # it, so a landing is not repeated
+        v, dv = x[n:2 * n], dx[n:2 * n]
+        step = 1.0
+        for kink in (3.0 * params.delta, -3.0 * params.delta):
+            gap = kink - v
+            cross = (gap * dv > 0) & (np.abs(gap) < np.abs(dv))
+            cross &= np.abs(gap) > 1e-12 * np.abs(kink)
+            if cross.any():
+                step = min(step, float(np.min(gap[cross] / dv[cross])))
+        return step
+
     x0 = np.zeros(model.dim - n) if initial_guess is None else np.asarray(initial_guess, float)
-    x, norm = _newton(residual, jacobian, x0)
+    x, norm, iterations, restarts = _newton(residual, jacobian, x0,
+                                            step_limit=kink_step if proposed else None)
     x = E @ x
     theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
     V = model.voltage(v)
@@ -149,6 +190,8 @@ def solve_equilibrium(
         alpha_Q=float(np.mean(Q / params.s_rated)),
         saturated=frozenset(int(i) + 1 for i in np.nonzero(rho > 0)[0]),
         residual=float(norm),
+        iterations=iterations,
+        restarts=restarts,
     )
 
 

@@ -38,6 +38,7 @@ def test_steady_state_proposed(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "equilibrium (proposed)" in out
+    assert "Newton iterations, 0 restarts" in out.splitlines()[0]
     assert "overall                   : PASS" in out
 
 

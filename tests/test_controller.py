@@ -1,5 +1,7 @@
 """Controller primitives: saturation, leakage, channel right-hand sides."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,22 @@ def test_v_star_and_delta():
     p = make_params()
     assert np.allclose(p.v_star, 1.0)
     assert np.allclose(p.delta, 0.05)
+
+
+def test_band_arrays_derived_once():
+    """v_star and delta are read-only, recomputed by every copy, outside equality."""
+    p = make_params(v_min=np.array([0.95, 0.96, 0.97]), v_max=1.05)
+    assert p.delta is p.delta
+    for a in (p.v_star, p.delta):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    q = replace(p, v_max=np.full(3, 1.07))
+    assert np.array_equal(q.v_star, 0.5 * (q.v_max + q.v_min))
+    assert np.array_equal(q.delta, 0.5 * (q.v_max - q.v_min))
+    r = p.with_limits(1.01, 1.05)
+    assert np.allclose(r.v_star, 1.03) and np.allclose(r.delta, 0.02)
+    assert [f.name for f in fields(p) if f.compare] == [f.name for f in fields(p) if f.init]
+    assert p == p and "delta" not in repr(p)
 
 
 def test_voltage_output_midband_at_zero():

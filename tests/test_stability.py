@@ -8,6 +8,7 @@ import pytest
 import mgshare as mg
 from mgshare import stability as st
 from mgshare.controller import ClosedLoop
+from mgshare.errors import MgshareError
 from mgshare.network import jacobians
 
 
@@ -121,6 +122,20 @@ def test_reduced_matrix_matches_rhs_fd(lv5, lv5_blocks, lv5_equilibrium):
 def test_sweep_stable_at_reference_ratio(lv5, lv5_lin, lv5_equilibrium):
     out = st.epsilon_sweep(lv5_lin, lv5.graph, lv5.params, lv5_equilibrium.v, [0.1])
     assert out[0][1] < 0
+
+
+def test_sweep_assembles_blocks_only_for_ratio_zero(lv5, lv5_lin, lv5_equilibrium, monkeypatch):
+    def no_blocks(*_args, **_kw):
+        raise AssertionError("assemble_blocks called for a nonzero ratio")
+
+    args = (lv5.graph, lv5.params, lv5_equilibrium.v, [0.1, 0.01])
+    with monkeypatch.context() as m:
+        m.setattr(st, "assemble_blocks", no_blocks)
+        assert len(st.epsilon_sweep(lv5_lin, *args)) == 2
+    # the uniform-angle-shift check still guards the nonzero ratios
+    bad = replace(lv5_lin, J_theta_P=lv5_lin.J_theta_P + 1e-3 * np.eye(lv5_lin.n))
+    with pytest.raises(MgshareError, match="uniform-angle-shift"):
+        st.epsilon_sweep(bad, *args)
 
 
 def test_sweep_converges_to_reduced_limit(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):

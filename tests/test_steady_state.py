@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgshare as mg
 from mgshare import controller as ctrl
@@ -90,3 +92,70 @@ def test_light_load_equilibrium_moves(lv5, lv5_equilibrium):
 def test_unknown_mode_rejected(lv5, lv5_reduced):
     with pytest.raises(ValueError):
         mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, mode="magic")
+
+
+def test_newton_never_reevaluates_a_state(lv5, lv5_reduced, monkeypatch):
+    """Each residual evaluation is at a new state: accepted trials are reused."""
+    seen = []
+    brackets = ctrl.ClosedLoop.brackets
+
+    def recording(self, x):
+        seen.append(x.tobytes())
+        return brackets(self, x)
+
+    monkeypatch.setattr(ctrl.ClosedLoop, "brackets", recording)
+    eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, mode="proposed")
+    assert eq.residual < 1e-11
+    assert eq.iterations > 0 and eq.restarts == 0
+    assert len(seen) == len(set(seen))
+
+
+def _check_solution(eq, params):
+    report = mg.verify_properties(eq, params)
+    assert report.all_pass, "\n".join(report.lines())
+    assert np.abs(eq.lam - eq.alpha_Q).max() <= 1e-8
+    assert eq.residual < 1e-11
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    scale=st.lists(st.floats(0.2, 1.2), min_size=5, max_size=5),
+    shift_lo=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5),
+    shift_hi=st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5),
+)
+def test_operating_points_solve_without_restarts(lv5, scale, shift_lo, shift_hi):
+    """Random loads and per-unit limit bands within 20% of the nominal half-width."""
+    p = lv5.params
+    params = p.with_limits(p.v_min + np.array(shift_lo) * p.delta,
+                           p.v_max + np.array(shift_hi) * p.delta)
+    red = mg.kron_reduce(lv5.network, np.array(scale))
+    eq = mg.solve_equilibrium(red, lv5.graph, params, mode="proposed")
+    _check_solution(eq, params)
+    assert eq.restarts == 0
+
+
+def test_saturated_point_past_kink(lv5):
+    """A light-load point whose Newton path crosses the leakage kink."""
+    params = lv5.params.with_limits(0.948, 1.042)
+    red = mg.kron_reduce(lv5.network, np.array([0.76, 0.53, 1.13, 0.54, 0.44]))
+    eq = mg.solve_equilibrium(red, lv5.graph, params, mode="proposed")
+    _check_solution(eq, params)
+    assert eq.saturated  # units that end past their kink, |v| > 3 Delta
+    assert eq.restarts == 0
+
+
+def test_start_on_kink_converges(lv5, lv5_reduced, lv5_equilibrium):
+    """Every unit's v starts on its kink (exactly, or one ulp inside or outside it),
+    on the side of its solution; round-off off the kink does not cut steps."""
+    n = lv5.params.n
+    kink = 3.0 * lv5.params.delta
+    iterations = []
+    for start in (kink, np.nextafter(kink, 0.0), np.nextafter(kink, np.inf)):
+        x0 = np.zeros(4 * n)              # [theta_rel, Omega, v, lam, zeta]
+        x0[n:2 * n] = start * np.sign(lv5_equilibrium.v)
+        eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, initial_guess=x0)
+        _check_solution(eq, lv5.params)
+        assert eq.restarts == 0
+        assert np.abs(eq.V - lv5_equilibrium.V).max() <= 1e-8
+        iterations.append(eq.iterations)
+    assert max(iterations[1:]) <= iterations[0], iterations
