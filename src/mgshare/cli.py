@@ -193,9 +193,11 @@ def _cmd_steady_state(args, scenario) -> int:
 def _cmd_stability(args, scenario) -> int:
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
+        if not all(0.0 <= r < np.inf for r in ratios):
+            raise ValueError
     except ValueError:
-        print(f"error: --ratios must be comma-separated numbers, got {args.ratios!r}",
-              file=sys.stderr)
+        print("error: --ratios must be comma-separated nonnegative finite numbers, "
+              f"got {args.ratios!r}", file=sys.stderr)
         return 2
     red = kron_reduce(scenario.network)
     params = scenario.params

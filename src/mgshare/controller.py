@@ -20,7 +20,7 @@ timescale sweep eliminates its fast states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class IbrParams:
     Per-unit arrays of length n: ``s_rated``, ``m_omega``, ``m_v``,
     ``v_min``, ``v_max``. Scalars: time constants and the gains beta, k.
     Derived once, read-only and outside equality: the band centre
-    ``v_star`` and half-width ``delta``.
+    ``v_star`` and half-width ``delta``. Equality compares the other
+    fields by value.
     """
 
     s_rated: np.ndarray
@@ -95,6 +96,11 @@ class IbrParams:
                         ("delta", 0.5 * (self.v_max - self.v_min))):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    def __eq__(self, other):
+        return isinstance(other, IbrParams) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self) if f.compare)
 
     @property
     def n(self) -> int:

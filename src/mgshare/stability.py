@@ -1,9 +1,11 @@
 """Two-timescale stability machinery.
 
-Builds the reduced closed loop around an equilibrium under the timescale
-assumptions (frequency and primal low-pass channels treated as
-instantaneous), moves to relative coordinates through the averaging/
-difference transform T, assembles the cascade blocks, and checks:
+Every matrix here comes from the one closed-loop model,
+``controller.brackets_jacobian``. Its Schur complement over the fast states
+(Omega, lambda) is the linearized (theta, v, zeta) system, i.e. the limit
+tau_omega, tau_p -> 0. Projecting theta and zeta onto n-1 difference
+coordinates through the averaging/difference transform T gives the cascade
+blocks, and the module checks:
 
 * an LMI certificate (P_theta > 0, D_v > 0 diagonal, Q + Q^T < 0) for the
   slow reduced dynamics, found by projected subgradient descent on the
@@ -12,11 +14,9 @@ difference transform T, assembles the cascade blocks, and checks:
   negative-definite block R_zeta;
 * an empirical sweep of the spectral abscissa of the linearized
   (theta, v, zeta) system over the timescale ratio tau_d/tau_v (the
-  analytic separation threshold is not computed). That system is the Schur
-  complement of the ``controller.ClosedLoop`` bracket Jacobian over the
-  fast states (Omega, lambda), i.e. its limit as tau_omega, tau_p -> 0;
-  the complement is formed once and each ratio only rescales its rows by
-  [1, tau_v, ratio tau_v].
+  analytic separation threshold is not computed). The complement is formed
+  once; each nonzero ratio rescales its rows by [1, tau_v, ratio tau_v],
+  and ratio 0, the quasi-steady dual limit, eliminates zeta as well.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .controller import (
-    IbrParams, brackets_jacobian, leakage, saturation_derivatives, voltage_output,
-)
+from .controller import IbrParams, brackets_jacobian, leakage, voltage_output
 from .errors import MgshareError
-from .graph import CommGraph, consensus_gain_matrix, laplacian
+from .graph import CommGraph, laplacian
 from .network import LinearizedModel
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "epsilon_sweep",
     "reduced_rhs",
     "lyapunov_value",
-    "reduced_system_matrix",
     "spectral_abscissa",
 ]
 
@@ -52,16 +49,14 @@ def transform_matrix(n: int):
     """Averaging/difference transform T (first row 1/n, then difference rows).
 
     T @ 1 = e_1, so relative coordinates decouple from the two invariant
-    average directions. Returns (T, T_inverse).
+    average directions. Returns (T, T_inverse); the inverse is in closed
+    form: first column 1, then T_inverse[i, j] = j/n - [i < j].
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    T = np.zeros((n, n))
-    T[0, :] = 1.0 / n
-    for j in range(n - 1):
-        T[j + 1, j] = -1.0
-        T[j + 1, j + 1] = 1.0
-    return T, np.linalg.inv(T)
+    T = np.vstack([np.full(n, 1.0 / n), np.diff(np.eye(n), axis=0)])
+    j = np.arange(n)
+    return T, np.where(j == 0, 1.0, j / n - (j[:, None] < j))
 
 
 @dataclass(frozen=True)
@@ -85,9 +80,6 @@ class ReducedBlocks:
     d_theta: np.ndarray
     d_v: np.ndarray
     d_zeta: np.ndarray
-    R_theta_av: np.ndarray
-    R_thetaV_av: np.ndarray
-    d_theta_av: float
     R_vtheta_new: np.ndarray
     R_vV_new: np.ndarray
     d_v_new: np.ndarray
@@ -97,77 +89,82 @@ class ReducedBlocks:
         return self.R_vV.shape[0]
 
 
-def _check_angle_shift_invariance(lin: LinearizedModel):
+def _check_angle_shift_invariance(lin: LinearizedModel, L: np.ndarray):
     one = np.ones(lin.n)
-    if np.linalg.norm(lin.J_theta_P @ one) > 1e-6 or np.linalg.norm(lin.J_theta_Q @ one) > 1e-6:
+    if max(np.linalg.norm(M @ one) for M in (lin.J_theta_P, lin.J_theta_Q, L)) > 1e-9:
         raise MgshareError(
-            "linearized model violates the uniform-angle-shift invariance; "
-            "the relative-coordinate structure would break"
+            "linearized model or Laplacian violates the uniform-angle-shift "
+            "invariance; the relative-coordinate structure would break"
         )
 
 
-def assemble_blocks(
-    lin: LinearizedModel,
-    g: CommGraph,
-    params: IbrParams,
-    omega_nom: float = 0.0,
-) -> ReducedBlocks:
-    """Evaluate every cascade-block formula literally and enforce the structure.
+def _schur(M: np.ndarray, k: int) -> np.ndarray:
+    """Schur complement of M over its last k rows and columns; extra columns ride along."""
+    return M[:-k, :-k] - M[:-k, -k:] @ np.linalg.solve(M[-k:, -k:], M[-k:, :-k])
 
-    ``omega_nom`` only enters the average-angle offset; the relative blocks
-    are independent of it.
+
+def _eliminate_fast(J: np.ndarray) -> np.ndarray:
+    """Complement of a proposed-mode bracket Jacobian over (Omega, lambda).
+
+    Rows follow [theta, v, zeta] and columns [theta, v, extra, zeta], where
+    the extra columns are those of ``J`` beyond its 5n.
     """
-    _check_angle_shift_invariance(lin)
-    n = lin.n
-    one = np.ones(n)
-    T, Tinv = transform_matrix(n)
-    Ir = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
+    n = J.shape[0] // 5
+    order = np.arange(5 * n).reshape(5, n)[[0, 2, 4, 1, 3]].ravel()
+    cols = np.concatenate([order[:2 * n], np.arange(5 * n, J.shape[1]), order[2 * n:]])
+    return _schur(J[np.ix_(order, cols)], 2 * n)
+
+
+def _relative(S: np.ndarray) -> np.ndarray:
+    """Rows [r_theta, v, r_zeta] and columns [r_theta, v, extra, r_zeta] of S.
+
+    r = T[1:] x holds the n-1 neighbour differences of x, and x = 1 x_av
+    + T^-1[:, 1:] r, where the complement annihilates the uniform shift 1.
+    """
+    n = S.shape[0] // 3
+    T, T_inv = transform_matrix(n)
+    D, N = T[1:], T_inv[:, 1:]
+    X = np.vstack([D @ S[:n], S[n:2 * n], D @ S[2 * n:]])
+    return np.hstack([X[:, :n] @ N, X[:, n:-n], X[:, -n:] @ N])
+
+
+def _slow_limit_matrix(S: np.ndarray, params: IbrParams) -> np.ndarray:
+    """Slow reduced system [r_theta, v] of the complement S: zeta eliminated, v rows / tau_v."""
+    m = params.n - 1
+    A = _schur(_relative(S), m)
+    A[m:] /= params.tau_v
+    return A
+
+
+def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
+    """Cascade blocks of the closed loop around the flow linearized by ``lin``.
+
+    The bracket Jacobian at v = 0 is the loop in V coordinates (dV/dv = 1,
+    no leakage slope); beta is split out of R_vV, as ``_q_matrix`` and
+    ``reduced_rhs`` apply it. The offsets are the same elimination applied
+    to the constant terms of the linearized flow.
+    """
     L = laplacian(g)
-    K = consensus_gain_matrix(g, params.k)
-    invS = np.diag(1.0 / params.s_rated)
-    mS = np.diag(params.m_omega / params.s_rated)
-    Vs = np.diag(params.v_star)
-    KmI = K - np.eye(n)
-    tv = params.tau_v
-
-    # structure check: transformed angle/Laplacian matrices must have zero
-    # first column (besides the known-zero (1,1) entry)
-    for M in (lin.J_theta_P, lin.J_theta_Q, L):
-        first_col = (T @ M @ Tinv)[:, 0]
-        if np.linalg.norm(first_col) > 1e-9:
-            raise MgshareError("transformed matrix lost its zero first column")
-
-    R_theta = -Ir @ T @ mS @ lin.J_theta_P @ Tinv @ Ir.T
-    R_thetaV = -Ir @ T @ mS @ lin.J_V_P
-    R_vtheta = Vs @ KmI @ invS @ lin.J_theta_Q @ Tinv @ Ir.T
-    R_vV = Vs @ KmI @ invS @ lin.J_V_Q
-    R_vzeta = -Vs @ K @ L @ Tinv @ Ir.T
-    R_zetatheta = Ir @ (T @ L @ K @ invS @ lin.J_theta_Q @ Tinv @ Ir.T) / tv
-    R_zetaV = Ir @ (T @ L @ K @ invS @ lin.J_V_Q) / tv
-    R_zeta = -Ir @ (T @ L @ K @ L @ Tinv @ Ir.T) / tv
-    d_theta = Ir @ (omega_nom * (T @ one)) - Ir @ T @ mS @ lin.w_P
-    d_v = params.beta * params.v_star + Vs @ KmI @ invS @ lin.w_Q
-    d_zeta = Ir @ (T @ L @ K @ invS @ lin.w_Q) / tv
-    R_theta_av = -(one @ T.T) @ (T @ mS @ lin.J_theta_P @ Tinv @ Ir.T)
-    R_thetaV_av = -(one @ T.T) @ (T @ mS @ lin.J_V_P)
-    d_theta_av = float((one @ T.T) @ (omega_nom * (T @ one)) - (one @ T.T) @ (T @ mS @ lin.w_P))
-
-    eig_rz = np.linalg.eigvals(R_zeta)
-    if np.max(eig_rz.real) >= 0:
+    _check_angle_shift_invariance(lin, L)
+    p, n, m = params, lin.n, lin.n - 1
+    c = np.zeros(5 * n)
+    c[n:2 * n] = -p.m_omega / p.s_rated * lin.w_P
+    c[2 * n:3 * n] = p.v_star * (p.beta - lin.w_Q / p.s_rated)
+    c[3 * n:4 * n] = lin.w_Q / p.s_rated
+    J = brackets_jacobian("proposed", p, L, lin, np.zeros(n))
+    R = _relative(_eliminate_fast(np.column_stack([J, c])))
+    R[m + n:] /= p.tau_v
+    th, v, one, ze = slice(0, m), slice(m, m + n), m + n, slice(-m, None)
+    if np.max(np.linalg.eigvals(R[ze, ze]).real) >= 0:
         raise MgshareError("R_zeta is not negative definite; graph structure broken")
-
-    Rz_inv = np.linalg.inv(R_zeta)
-    R_vtheta_new = R_vtheta - R_vzeta @ Rz_inv @ R_zetatheta
-    R_vV_new = R_vV - R_vzeta @ Rz_inv @ R_zetaV
-    d_v_new = d_v - R_vzeta @ Rz_inv @ d_zeta
-
+    new = _schur(R, m)[v]
+    beta = p.beta * np.eye(n)
     return ReducedBlocks(
-        R_theta=R_theta, R_thetaV=R_thetaV,
-        R_vtheta=R_vtheta, R_vV=R_vV, R_vzeta=R_vzeta,
-        R_zetatheta=R_zetatheta, R_zetaV=R_zetaV, R_zeta=R_zeta,
-        d_theta=d_theta, d_v=d_v, d_zeta=d_zeta,
-        R_theta_av=R_theta_av, R_thetaV_av=R_thetaV_av, d_theta_av=d_theta_av,
-        R_vtheta_new=R_vtheta_new, R_vV_new=R_vV_new, d_v_new=d_v_new,
+        R_theta=R[th, th], R_thetaV=R[th, v],
+        R_vtheta=R[v, th], R_vV=R[v, v] + beta, R_vzeta=R[v, ze],
+        R_zetatheta=R[ze, th], R_zetaV=R[ze, v], R_zeta=R[ze, ze],
+        d_theta=R[th, one], d_v=R[v, one], d_zeta=R[ze, one],
+        R_vtheta_new=new[:, th], R_vV_new=new[:, v] + beta, d_v_new=new[:, one],
     )
 
 
@@ -370,19 +367,6 @@ def lyapunov_value(
     return float(quad + params.tau_v * np.sum(d * integral))
 
 
-def reduced_system_matrix(
-    blocks: ReducedBlocks, params: IbrParams, v_bar: np.ndarray
-) -> np.ndarray:
-    """Linearization of the slow reduced system at the equilibrium (2n-1 states)."""
-    n = blocks.n
-    H, drho_v = saturation_derivatives(params, v_bar)
-    A11 = blocks.R_theta
-    A12 = blocks.R_thetaV * H[None, :]
-    A21 = blocks.R_vtheta_new / params.tau_v
-    A22 = ((blocks.R_vV_new - params.beta * np.eye(n)) * H[None, :] - np.diag(drho_v)) / params.tau_v
-    return np.block([[A11, A12], [A21, A22]])
-
-
 def spectral_abscissa(A: np.ndarray, n_structural_zeros: int = 0) -> float:
     """Max real part of the eigenvalues after dropping known zero modes."""
     w = np.linalg.eigvals(A)
@@ -406,22 +390,20 @@ def epsilon_sweep(
 
     The (theta, v, zeta) system carries two structural zero eigenvalues
     (uniform angle and uniform dual shifts), which are excluded. ratio == 0
-    is the quasi-steady dual limit, evaluated on the slow reduced system
-    directly; only then are the cascade blocks assembled.
+    is the quasi-steady dual limit, the slow reduced system in relative
+    coordinates, which has none. Ratios must be nonnegative and finite.
     """
-    _check_angle_shift_invariance(lin)
-    n = lin.n
-    J = brackets_jacobian("proposed", params, laplacian(g), lin, v_bar)
-    slow = np.r_[0:n, 2 * n:3 * n, 4 * n:5 * n]     # theta, v, zeta
-    fast = np.r_[n:2 * n, 3 * n:4 * n]              # Omega, lambda
-    S = J[np.ix_(slow, slow)] - J[np.ix_(slow, fast)] @ np.linalg.solve(
-        J[np.ix_(fast, fast)], J[np.ix_(fast, slow)])
+    ratios = [float(r) for r in ratios]
+    if not all(0.0 <= r < np.inf for r in ratios):
+        raise ValueError(f"timescale ratios must be nonnegative and finite, got {ratios}")
+    L = laplacian(g)
+    _check_angle_shift_invariance(lin, L)
+    S = _eliminate_fast(brackets_jacobian("proposed", params, L, lin, v_bar))
     out = []
     for r in ratios:
         if r == 0:
-            A = reduced_system_matrix(assemble_blocks(lin, g, params), params, v_bar)
-            out.append((0.0, spectral_abscissa(A)))
+            out.append((0.0, spectral_abscissa(_slow_limit_matrix(S, params))))
         else:
-            tau = np.repeat([1.0, params.tau_v, r * params.tau_v], n)
-            out.append((float(r), spectral_abscissa(S / tau[:, None], n_structural_zeros=2)))
+            tau = np.repeat([1.0, params.tau_v, r * params.tau_v], lin.n)
+            out.append((r, spectral_abscissa(S / tau[:, None], n_structural_zeros=2)))
     return out

@@ -48,11 +48,12 @@ def test_steady_state_droop(capsys):
 
 
 def test_stability_report(capsys):
-    rc = main(["stability", "lv5", "--ratios", "0.1,0.01"])
+    rc = main(["stability", "lv5", "--ratios", "0.1,0.01,0"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "feasible" in out
-    assert out.count("stable") >= 2
+    assert out.count("stable") >= 3
+    assert "ratio tau_d/tau_v = 0 " in out
 
 
 def test_tune_report(capsys):
@@ -86,7 +87,11 @@ def test_bad_simulate_override_exits_2(tmp_path, capsys, flag, value):
 
 
 def test_bad_ratios_exits_2(capsys):
-    assert main(["stability", "lv5", "--ratios", "a,b"]) == 2
+    for ratios in ("a,b", "nan", "-0.1", "inf", "0.1,-inf"):
+        assert main(["stability", "lv5", "--ratios", ratios]) == 2, ratios
+        captured = capsys.readouterr()
+        assert "--ratios must be comma-separated nonnegative finite numbers" in captured.err
+        assert captured.out == ""
 
 
 def test_no_command_exits_2():

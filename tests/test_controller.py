@@ -46,6 +46,14 @@ def test_band_arrays_derived_once():
     assert p == p and "delta" not in repr(p)
 
 
+def test_params_value_equality(lv5):
+    p = lv5.params
+    assert p == replace(p)
+    assert p != p.with_limits(1.01, 1.05)
+    assert p != replace(p, s_rated=2.0 * p.s_rated)
+    assert (p == "lv5") is False and (p != "lv5") is True
+
+
 def test_voltage_output_midband_at_zero():
     p = make_params()
     assert np.allclose(ctrl.voltage_output(p, np.zeros(3)), 1.0)

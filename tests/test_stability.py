@@ -7,7 +7,7 @@ import pytest
 
 import mgshare as mg
 from mgshare import stability as st
-from mgshare.controller import ClosedLoop
+from mgshare.controller import ClosedLoop, brackets_jacobian
 from mgshare.errors import MgshareError
 from mgshare.network import jacobians
 
@@ -30,6 +30,55 @@ def test_transform_maps_ones_to_e1():
         e1[0] = 1.0
         assert np.allclose(T @ np.ones(n), e1, atol=1e-12)
         assert np.allclose(T @ Tinv, np.eye(n), atol=1e-12)
+
+
+def literal_blocks(lin, g, params):
+    """The cascade-block formulas written out with T, K = (I + kL)^-1 and inverses."""
+    n = lin.n
+    T, _ = st.transform_matrix(n)
+    Tinv = np.linalg.inv(T)
+    Ir = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
+    L = mg.laplacian(g)
+    K = mg.consensus_gain_matrix(g, params.k)
+    invS = np.diag(1.0 / params.s_rated)
+    mS = np.diag(params.m_omega / params.s_rated)
+    Vs = np.diag(params.v_star)
+    KmI = K - np.eye(n)
+    tv = params.tau_v
+    b = dict(
+        R_theta=-Ir @ T @ mS @ lin.J_theta_P @ Tinv @ Ir.T,
+        R_thetaV=-Ir @ T @ mS @ lin.J_V_P,
+        R_vtheta=Vs @ KmI @ invS @ lin.J_theta_Q @ Tinv @ Ir.T,
+        R_vV=Vs @ KmI @ invS @ lin.J_V_Q,
+        R_vzeta=-Vs @ K @ L @ Tinv @ Ir.T,
+        R_zetatheta=Ir @ (T @ L @ K @ invS @ lin.J_theta_Q @ Tinv @ Ir.T) / tv,
+        R_zetaV=Ir @ (T @ L @ K @ invS @ lin.J_V_Q) / tv,
+        R_zeta=-Ir @ (T @ L @ K @ L @ Tinv @ Ir.T) / tv,
+        d_theta=-Ir @ T @ mS @ lin.w_P,
+        d_v=params.beta * params.v_star + Vs @ KmI @ invS @ lin.w_Q,
+        d_zeta=Ir @ (T @ L @ K @ invS @ lin.w_Q) / tv,
+    )
+    Rz_inv = np.linalg.inv(b["R_zeta"])
+    b["R_vtheta_new"] = b["R_vtheta"] - b["R_vzeta"] @ Rz_inv @ b["R_zetatheta"]
+    b["R_vV_new"] = b["R_vV"] - b["R_vzeta"] @ Rz_inv @ b["R_zetaV"]
+    b["d_v_new"] = b["d_v"] - b["R_vzeta"] @ Rz_inv @ b["d_zeta"]
+    return b
+
+
+@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
+def test_blocks_match_literal_formulas(name):
+    """Blocks derived from the closed-loop Jacobian equal the written-out formulas."""
+    sc = mg.parse_scenario(name)
+    red = mg.kron_reduce(sc.network)
+    eq = mg.solve_equilibrium(red, sc.graph, sc.params, mode="proposed")
+    lin = jacobians(red, eq.theta, eq.V)
+    blocks = st.assemble_blocks(lin, sc.graph, sc.params)
+    ref = literal_blocks(lin, sc.graph, sc.params)
+    assert set(ref) == set(st.ReducedBlocks.__dataclass_fields__)
+    for f in ref:
+        got = getattr(blocks, f)
+        assert got.shape == ref[f].shape, f
+        assert np.abs(got - ref[f]).max() <= 1e-10 * np.abs(ref[f]).max(), f
 
 
 def test_block_shapes(lv5_blocks):
@@ -69,7 +118,6 @@ def contrived_blocks(n=4):
         R_theta=-I_m, R_thetaV=z_mn, R_vtheta=z_nm, R_vV=-np.eye(n),
         R_vzeta=z_nm, R_zetatheta=I_m * 0, R_zetaV=z_mn, R_zeta=-I_m,
         d_theta=np.zeros(m), d_v=np.zeros(n), d_zeta=np.zeros(m),
-        R_theta_av=I_m * 0, R_thetaV_av=z_mn, d_theta_av=0.0,
         R_vtheta_new=z_nm, R_vV_new=-np.eye(n), d_v_new=np.zeros(n),
     )
 
@@ -101,10 +149,13 @@ def test_boundary_layer(lv5_blocks):
     assert np.allclose(M, -np.eye(lv5_blocks.n - 1), atol=1e-9)
 
 
-def test_reduced_matrix_matches_rhs_fd(lv5, lv5_blocks, lv5_equilibrium):
-    """Linearized slow system equals finite differences of the nonlinear rhs."""
+def test_reduced_matrix_matches_rhs_fd(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):
+    """The sweep's ratio-0 matrix equals finite differences of the nonlinear rhs."""
     p = lv5.params
-    A = st.reduced_system_matrix(lv5_blocks, p, lv5_equilibrium.v)
+    J = brackets_jacobian("proposed", p, mg.laplacian(lv5.graph), lv5_lin, lv5_equilibrium.v)
+    A = st._slow_limit_matrix(st._eliminate_fast(J), p)
+    [(_, a0)] = st.epsilon_sweep(lv5_lin, lv5.graph, p, lv5_equilibrium.v, [0.0])
+    assert a0 == st.spectral_abscissa(A)
     rhs = st.reduced_rhs(lv5_blocks, p)
     m = 2 * lv5_blocks.n - 1
     T, _ = st.transform_matrix(lv5_blocks.n)
@@ -124,24 +175,29 @@ def test_sweep_stable_at_reference_ratio(lv5, lv5_lin, lv5_equilibrium):
     assert out[0][1] < 0
 
 
-def test_sweep_assembles_blocks_only_for_ratio_zero(lv5, lv5_lin, lv5_equilibrium, monkeypatch):
+def test_sweep_never_assembles_blocks(lv5, lv5_lin, lv5_equilibrium, monkeypatch):
     def no_blocks(*_args, **_kw):
-        raise AssertionError("assemble_blocks called for a nonzero ratio")
+        raise AssertionError("assemble_blocks called by the sweep")
 
-    args = (lv5.graph, lv5.params, lv5_equilibrium.v, [0.1, 0.01])
+    args = (lv5.graph, lv5.params, lv5_equilibrium.v, [0.1, 0.01, 0.0])
     with monkeypatch.context() as m:
         m.setattr(st, "assemble_blocks", no_blocks)
-        assert len(st.epsilon_sweep(lv5_lin, *args)) == 2
-    # the uniform-angle-shift check still guards the nonzero ratios
+        assert len(st.epsilon_sweep(lv5_lin, *args)) == 3
+    # the uniform-angle-shift check still guards every ratio
     bad = replace(lv5_lin, J_theta_P=lv5_lin.J_theta_P + 1e-3 * np.eye(lv5_lin.n))
     with pytest.raises(MgshareError, match="uniform-angle-shift"):
         st.epsilon_sweep(bad, *args)
 
 
-def test_sweep_converges_to_reduced_limit(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):
+@pytest.mark.parametrize("ratio", [-0.1, np.nan, np.inf, -np.inf])
+def test_sweep_rejects_bad_ratio(lv5, lv5_lin, lv5_equilibrium, ratio):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        st.epsilon_sweep(lv5_lin, lv5.graph, lv5.params, lv5_equilibrium.v, [0.1, ratio])
+
+
+def test_sweep_converges_to_reduced_limit(lv5, lv5_lin, lv5_equilibrium):
     """As tau_d/tau_v -> 0 the slow abscissa approaches the reduced system's."""
-    A_red = st.reduced_system_matrix(lv5_blocks, lv5.params, lv5_equilibrium.v)
-    a_red = st.spectral_abscissa(A_red, n_structural_zeros=0)
+    [(_, a_red)] = st.epsilon_sweep(lv5_lin, lv5.graph, lv5.params, lv5_equilibrium.v, [0.0])
     out = st.epsilon_sweep(lv5_lin, lv5.graph, lv5.params, lv5_equilibrium.v,
                            [0.1, 0.01, 0.001])
     gaps = [abs(a - a_red) for _, a in out]
