@@ -4,7 +4,15 @@ Simulation, steady-state analysis, stability certification, and gain
 tuning for a fleet of droop-controlled inverters running a distributed
 reactive-power-sharing controller whose voltage commands are confined to
 per-unit limit bands by construction.
+
+``import mgshare`` and scenario parsing need numpy only. The integrator
+(scipy) loads with the ``mgshare.simulate`` submodule, which this package
+imports on first use of ``simulate``, ``TimeSeries``,
+``detect_saturated_set`` or ``sharing_error``. ``mgshare.simulate`` is the
+submodule, and calling it runs the simulation: ``mgshare.simulate(scenario)``.
 """
+
+import importlib
 
 from .controller import IbrParams, integrator_rhs, kkt_residual, leakage, voltage_output
 from .errors import (
@@ -29,8 +37,7 @@ from .network import (
     power_flow,
     to_per_unit,
 )
-from .scenario_io import bundled_scenario_path, parse_scenario, serialize_scenario
-from .simulate import Event, Scenario, TimeSeries, detect_saturated_set, sharing_error, simulate
+from .scenario_io import Event, Scenario, bundled_scenario_path, parse_scenario, serialize_scenario
 from .stability import (
     LmiCertificate,
     ReducedBlocks,
@@ -61,3 +68,19 @@ __all__ = [
     "TuningSpec", "TunedParams", "tune", "validate",
     "__version__",
 ]
+
+_SIMULATE_NAMES = ("simulate", "TimeSeries", "detect_saturated_set", "sharing_error")
+
+
+def __getattr__(name):
+    if name not in _SIMULATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # importing the submodule binds the package attribute ``simulate`` to it
+    sim = importlib.import_module(".simulate", __name__)
+    value = sim if name == "simulate" else getattr(sim, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATE_NAMES))

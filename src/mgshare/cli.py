@@ -21,7 +21,6 @@ from . import stability, tuning
 from .errors import MgshareError, ScenarioFormatError
 from .network import jacobians, kron_reduce
 from .scenario_io import BUNDLED, parse_scenario
-from .simulate import detect_saturated_set, sharing_error, simulate
 from .steady_state import solve_equilibrium, verify_properties
 
 __all__ = ["main", "build_parser"]
@@ -91,6 +90,9 @@ def main(argv=None) -> int:
 
 def _cmd_simulate(args, scenario) -> int:
     from dataclasses import replace
+
+    # the integrator loads scipy; the analysis subcommands never need it
+    from .simulate import detect_saturated_set, sharing_error, simulate
 
     overrides = {}
     if args.t_end is not None:

@@ -1,4 +1,10 @@
-"""Scenario file parsing and serialization.
+"""Scenarios: the ``Event`` and ``Scenario`` types, file parsing and serialization.
+
+``Scenario`` bundles everything one simulation run needs (per-unit network,
+communication graph, controller parameters, timeline of ``Event``s, solver
+and output settings) and validates it on construction. These types and the
+parser depend on numpy only, so parsing a scenario never loads scipy; the
+integrator loads with ``mgshare.simulate``.
 
 The format is sectioned, line-oriented plain text chosen so the tables can
 be transcribed by hand from a specification sheet: ``[section]`` headers
@@ -15,6 +21,7 @@ placeholder network data to be replaced by the user).
 from __future__ import annotations
 
 import importlib.resources
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +30,9 @@ from .controller import IbrParams
 from .errors import ScenarioFormatError
 from .graph import CommGraph
 from .network import Bases, Connector, Line, Load, NetworkData, to_per_unit
-from .simulate import Event, Scenario
 
-__all__ = ["parse_scenario", "parse_scenario_text", "serialize_scenario",
-           "bundled_scenario_path", "BUNDLED"]
+__all__ = ["Event", "Scenario", "parse_scenario", "parse_scenario_text",
+           "serialize_scenario", "bundled_scenario_path", "BUNDLED"]
 
 BUNDLED = ("lv5", "mv9-template")
 
@@ -36,6 +42,73 @@ _SECTIONS = {
 }
 
 _GAIN_KEYS = {"m_omega", "m_v", "tau_omega", "tau_v", "tau_p", "tau_d", "beta", "k", "mode"}
+
+
+@dataclass(frozen=True)
+class Event:
+    """Timeline event; ``kind`` is 'activate', 'scale-load', or 'set-limits'.
+
+    ``scale-load`` carries (bus, factor) with factor relative to the nominal
+    load; ``set-limits`` carries (v_min, v_max) and an optional 1-based
+    ``ibr`` (None applies to all units).
+    """
+
+    time: float
+    kind: str
+    bus: int | None = None
+    factor: float | None = None
+    v_min: float | None = None
+    v_max: float | None = None
+    ibr: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("activate", "scale-load", "set-limits"):
+            raise ScenarioFormatError(f"unknown event kind {self.kind!r}")
+        if self.kind == "scale-load" and (self.bus is None or self.factor is None):
+            raise ScenarioFormatError("scale-load event needs bus and factor")
+        if self.kind == "set-limits" and (self.v_min is None or self.v_max is None):
+            raise ScenarioFormatError("set-limits event needs v_min and v_max")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything one simulation run needs."""
+
+    network: NetworkData          # per-unit
+    graph: CommGraph
+    params: IbrParams
+    t_end: float
+    events: tuple[Event, ...] = ()
+    initial_mode: str = "droop"
+    rel_tol: float = 1e-7
+    sample_ms: float = 10.0
+    initial_theta: np.ndarray | None = None
+    initial_state: np.ndarray | None = None   # full state for initial_mode
+    name: str = "scenario"
+    out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.initial_mode not in ("droop", "proposed"):
+            raise ScenarioFormatError(f"unknown mode {self.initial_mode!r}")
+        for name in ("t_end", "sample_ms", "rel_tol"):
+            if not (0 < getattr(self, name) < np.inf):
+                raise ScenarioFormatError(f"{name} must be positive and finite")
+        times = [e.time for e in self.events]
+        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+            raise ScenarioFormatError("event times must be strictly increasing")
+        if times and (times[0] < 0 or times[-1] > self.t_end):
+            raise ScenarioFormatError("event times must lie within [0, t_end]")
+        n = self.network.n_ibr
+        if self.graph.n != n or self.params.n != n:
+            raise ScenarioFormatError(
+                f"graph ({self.graph.n}) and params ({self.params.n}) must match "
+                f"the {n} inverters in the network"
+            )
+        for e in self.events:
+            if e.kind == "scale-load" and not (1 <= e.bus <= self.network.n_bus):
+                raise ScenarioFormatError(f"event at t={e.time}: unknown bus {e.bus}")
+            if e.kind == "set-limits" and e.ibr is not None and not (1 <= e.ibr <= n):
+                raise ScenarioFormatError(f"event at t={e.time}: unknown IBR {e.ibr}")
 
 
 def bundled_scenario_path(name: str) -> Path:

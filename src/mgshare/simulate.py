@@ -16,10 +16,19 @@ adaptive steps: it starts at 0, steps by ``sample_ms`` and ends at or before
 t_end. Each segment emits its block of samples at once, with one batched
 power-flow evaluation. Containment of the saturated voltages is asserted on
 every accepted integrator step, not just on output samples.
+
+This is the only module that imports scipy: ``solve_ivp`` is imported at
+the top, so the integrator loads with ``mgshare.simulate`` and never inside
+a timed first ``simulate()`` call. ``Event`` and ``Scenario`` live in
+``scenario_io`` and are re-exported here. The module itself is callable,
+``mgshare.simulate(scenario)``, because a direct ``import mgshare.simulate``
+binds the package attribute to the module.
 """
 
 from __future__ import annotations
 
+import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +37,9 @@ from scipy.integrate import solve_ivp
 from . import controller as ctrl
 from .controller import IbrParams
 from .errors import ScenarioFormatError, SimulationError
-from .graph import CommGraph, laplacian
-from .network import NetworkData, ReducedNetwork, kron_reduce, power_flow
+from .graph import laplacian
+from .network import ReducedNetwork, kron_reduce, power_flow
+from .scenario_io import Event, Scenario
 
 __all__ = [
     "Event",
@@ -45,73 +55,6 @@ CSV_HEADER = [
     "t", "ibr", "theta", "omega_dev", "f", "v", "lambda", "zeta",
     "V", "P", "Q", "P_ratio", "Q_ratio", "rho",
 ]
-
-
-@dataclass(frozen=True)
-class Event:
-    """Timeline event; ``kind`` is 'activate', 'scale-load', or 'set-limits'.
-
-    ``scale-load`` carries (bus, factor) with factor relative to the nominal
-    load; ``set-limits`` carries (v_min, v_max) and an optional 1-based
-    ``ibr`` (None applies to all units).
-    """
-
-    time: float
-    kind: str
-    bus: int | None = None
-    factor: float | None = None
-    v_min: float | None = None
-    v_max: float | None = None
-    ibr: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("activate", "scale-load", "set-limits"):
-            raise ScenarioFormatError(f"unknown event kind {self.kind!r}")
-        if self.kind == "scale-load" and (self.bus is None or self.factor is None):
-            raise ScenarioFormatError("scale-load event needs bus and factor")
-        if self.kind == "set-limits" and (self.v_min is None or self.v_max is None):
-            raise ScenarioFormatError("set-limits event needs v_min and v_max")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Everything one simulation run needs."""
-
-    network: NetworkData          # per-unit
-    graph: CommGraph
-    params: IbrParams
-    t_end: float
-    events: tuple[Event, ...] = ()
-    initial_mode: str = "droop"
-    rel_tol: float = 1e-7
-    sample_ms: float = 10.0
-    initial_theta: np.ndarray | None = None
-    initial_state: np.ndarray | None = None   # full state for initial_mode
-    name: str = "scenario"
-    out_dir: str = "out"
-
-    def __post_init__(self):
-        if self.initial_mode not in ("droop", "proposed"):
-            raise ScenarioFormatError(f"unknown mode {self.initial_mode!r}")
-        for name in ("t_end", "sample_ms", "rel_tol"):
-            if not (0 < getattr(self, name) < np.inf):
-                raise ScenarioFormatError(f"{name} must be positive and finite")
-        times = [e.time for e in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ScenarioFormatError("event times must be strictly increasing")
-        if times and (times[0] < 0 or times[-1] > self.t_end):
-            raise ScenarioFormatError("event times must lie within [0, t_end]")
-        n = self.network.n_ibr
-        if self.graph.n != n or self.params.n != n:
-            raise ScenarioFormatError(
-                f"graph ({self.graph.n}) and params ({self.params.n}) must match "
-                f"the {n} inverters in the network"
-            )
-        for e in self.events:
-            if e.kind == "scale-load" and not (1 <= e.bus <= self.network.n_bus):
-                raise ScenarioFormatError(f"event at t={e.time}: unknown bus {e.bus}")
-            if e.kind == "set-limits" and e.ibr is not None and not (1 <= e.ibr <= n):
-                raise ScenarioFormatError(f"event at t={e.time}: unknown IBR {e.ibr}")
 
 
 @dataclass
@@ -344,3 +287,15 @@ def sharing_error(ts: TimeSeries, t: float) -> np.ndarray:
     s = ts.index_at(t)
     q = ts.q_ratio[s]
     return np.abs(q - q.mean())
+
+
+class _CallableModule(types.ModuleType):
+    """``import mgshare.simulate`` rebinds the package attribute
+    ``mgshare.simulate`` to this module, so calling the module runs
+    ``simulate`` and ``mg.simulate(scenario)`` works in either import order."""
+
+    def __call__(self, s: Scenario) -> TimeSeries:
+        return simulate(s)
+
+
+sys.modules[__name__].__class__ = _CallableModule

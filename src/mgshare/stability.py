@@ -11,7 +11,7 @@ blocks, and the module checks:
   slow reduced dynamics, found by projected subgradient descent on the
   largest eigenvalue and always re-verified independently;
 * the boundary-layer (fast dual) dynamics via a Lyapunov equation on the
-  negative-definite block R_zeta;
+  Hurwitz block R_zeta, solved in its eigenbasis with numpy;
 * an empirical sweep of the spectral abscissa of the linearized
   (theta, v, zeta) system over the timescale ratio tau_d/tau_v (the
   analytic separation threshold is not computed). The complement is formed
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .controller import IbrParams, brackets_jacobian, leakage, voltage_output
 from .errors import MgshareError
@@ -302,18 +301,22 @@ def solve_lmi(
 def boundary_layer_check(blocks: ReducedBlocks):
     """Solve P_y R_zeta + R_zeta^T P_y = -I and report (P_y, alpha_f).
 
-    alpha_f is the smallest eigenvalue of -(P_y R_zeta + R_zeta^T P_y),
-    which is 1 under this normalization; failure means R_zeta is not
-    Hurwitz, contradicting graph connectivity.
+    One ``eig`` of R_zeta = V Lambda V^-1 gives both the Hurwitz check and
+    the solution: P_y = V^-H Y V^-1 with Y_ij = -(V^H V)_ij /
+    (conj(lambda_i) + lambda_j), numpy only. alpha_f is the smallest
+    eigenvalue of -(P_y R_zeta + R_zeta^T P_y), which is 1 under this
+    normalization; failure means R_zeta is not Hurwitz, contradicting graph
+    connectivity.
     """
-    m = blocks.R_zeta.shape[0]
-    if np.max(np.linalg.eigvals(blocks.R_zeta).real) >= 0:
+    R = blocks.R_zeta
+    lam, V = np.linalg.eig(R)
+    if lam.real.max() >= 0:
         raise MgshareError("R_zeta is not Hurwitz; Lyapunov equation has no PD solution")
-    P_y = solve_continuous_lyapunov(blocks.R_zeta.T, -np.eye(m))
+    W = np.linalg.inv(V)
+    Y = -(V.conj().T @ V) / (lam.conj()[:, None] + lam)
+    P_y = (W.conj().T @ Y @ W).real
     P_y = 0.5 * (P_y + P_y.T)
-    alpha_f = float(np.linalg.eigvalsh(
-        -(P_y @ blocks.R_zeta + blocks.R_zeta.T @ P_y)
-    ).min())
+    alpha_f = float(np.linalg.eigvalsh(-(P_y @ R + R.T @ P_y)).min())
     return P_y, alpha_f
 
 

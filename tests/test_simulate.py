@@ -1,6 +1,5 @@
 """Time-domain simulator: events, sampling, conservation, CSV output."""
 
-import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import mgshare as mg
+import mgshare.simulate as sim
 from mgshare.simulate import CSV_HEADER, _check_containment
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "timeline-lv5.npz"
@@ -50,7 +50,6 @@ def test_case1_matches_stored_reference(case1_timeseries):
 
 def test_case1_integration_cost(lv5, monkeypatch):
     """A stiff integrator needs a few thousand RHS calls; an explicit one needs ~230k."""
-    sim = sys.modules["mgshare.simulate"]
     solve_ivp = sim.solve_ivp
     nfev = []
 

@@ -65,13 +65,18 @@ def literal_blocks(lin, g, params):
     return b
 
 
-@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
-def test_blocks_match_literal_formulas(name):
-    """Blocks derived from the closed-loop Jacobian equal the written-out formulas."""
+def bundled_lin(name):
+    """(scenario, flow linearized at its proposed-mode equilibrium)."""
     sc = mg.parse_scenario(name)
     red = mg.kron_reduce(sc.network)
     eq = mg.solve_equilibrium(red, sc.graph, sc.params, mode="proposed")
-    lin = jacobians(red, eq.theta, eq.V)
+    return sc, jacobians(red, eq.theta, eq.V)
+
+
+@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
+def test_blocks_match_literal_formulas(name):
+    """Blocks derived from the closed-loop Jacobian equal the written-out formulas."""
+    sc, lin = bundled_lin(name)
     blocks = st.assemble_blocks(lin, sc.graph, sc.params)
     ref = literal_blocks(lin, sc.graph, sc.params)
     assert set(ref) == set(st.ReducedBlocks.__dataclass_fields__)
@@ -147,6 +152,47 @@ def test_boundary_layer(lv5_blocks):
     assert np.linalg.eigvalsh(P_y).min() > 0
     M = P_y @ lv5_blocks.R_zeta + lv5_blocks.R_zeta.T @ P_y
     assert np.allclose(M, -np.eye(lv5_blocks.n - 1), atol=1e-9)
+
+
+def random_hurwitz(rng, m):
+    """Gaussian matrix shifted left of the imaginary axis; its spectrum is mostly complex."""
+    A = rng.normal(size=(m, m))
+    return A - (np.linalg.eigvals(A).real.max() + rng.uniform(0.05, 1.0)) * np.eye(m)
+
+
+def assert_matches_scipy_lyapunov(R):
+    from scipy.linalg import solve_continuous_lyapunov
+
+    m = R.shape[0]
+    P_y, _ = st.boundary_layer_check(replace(contrived_blocks(m + 1), R_zeta=R))
+    ref = solve_continuous_lyapunov(R.T, -np.eye(m))
+    assert np.abs(P_y - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
+def test_boundary_layer_matches_scipy_on_bundled_blocks(name):
+    sc, lin = bundled_lin(name)
+    assert_matches_scipy_lyapunov(st.assemble_blocks(lin, sc.graph, sc.params).R_zeta)
+
+
+def test_boundary_layer_matches_scipy_on_random_hurwitz():
+    rng = np.random.default_rng(7)
+    complex_spectra = 0
+    for _ in range(200):
+        R = random_hurwitz(rng, int(rng.integers(1, 10)))
+        complex_spectra += bool(np.iscomplexobj(np.linalg.eigvals(R)))
+        assert_matches_scipy_lyapunov(R)
+    assert complex_spectra > 100
+
+
+@pytest.mark.parametrize("R", [
+    np.diag([-1.0, 0.5, -2.0]),
+    np.array([[0.1, 1.0], [-1.0, 0.1]]),      # complex pair, positive real part
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),      # on the imaginary axis
+])
+def test_boundary_layer_rejects_non_hurwitz(R):
+    with pytest.raises(MgshareError, match="not Hurwitz"):
+        st.boundary_layer_check(replace(contrived_blocks(R.shape[0] + 1), R_zeta=R))
 
 
 def test_reduced_matrix_matches_rhs_fd(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):
