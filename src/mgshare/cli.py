@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p)
     p.add_argument("--ratios", default="0.5,0.2,0.1,0.05,0.01",
                    help="comma-separated tau_d/tau_v ratios for the sweep")
-    p.add_argument("--seed", type=int, default=0, help="seed for LMI solver restarts")
 
     p = sub.add_parser("tune", help="select gains for the scenario's fleet and graph")
     add_scenario(p)
@@ -207,7 +206,7 @@ def _cmd_stability(args, scenario) -> int:
     lin = jacobians(red, eq.theta, eq.V)
     blocks = stability.assemble_blocks(lin, scenario.graph, params)
 
-    cert = stability.solve_lmi(blocks, params.beta, seed=args.seed)
+    cert = stability.solve_lmi(blocks, params.beta)
     print(f"LMI certificate           : {'feasible' if cert.feasible else 'INFEASIBLE'} "
           f"(margin {cert.margin:+.3e}, alpha_s {cert.alpha_s:.3e})")
     _, alpha_f = stability.boundary_layer_check(blocks)

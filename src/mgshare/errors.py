@@ -18,7 +18,7 @@ class ScenarioFormatError(MgshareError):
 
 
 class ConvergenceError(MgshareError):
-    """An iterative solve (Newton, subgradient) did not converge."""
+    """The equilibrium Newton solve did not converge."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -9,14 +9,17 @@ blocks, and the module checks:
 
 * an LMI certificate (P_theta > 0, D_v > 0 diagonal, Q + Q^T < 0) for the
   slow reduced dynamics, found by projected subgradient descent on the
-  largest eigenvalue and always re-verified independently;
+  largest eigenvalue from one deterministic start and always re-verified
+  independently;
 * the boundary-layer (fast dual) dynamics via a Lyapunov equation on the
   Hurwitz block R_zeta, solved in its eigenbasis with numpy;
 * an empirical sweep of the spectral abscissa of the linearized
   (theta, v, zeta) system over the timescale ratio tau_d/tau_v (the
   analytic separation threshold is not computed). The complement is formed
-  once; each nonzero ratio rescales its rows by [1, tau_v, ratio tau_v],
-  and ratio 0, the quasi-steady dual limit, eliminates zeta as well.
+  once in relative coordinates, where the uniform angle and dual shifts,
+  the two zero modes, are gone; each nonzero ratio rescales its rows by
+  [1, tau_v, ratio tau_v], and ratio 0, the quasi-steady dual limit,
+  eliminates zeta as well.
 """
 
 from __future__ import annotations
@@ -127,12 +130,19 @@ def _relative(S: np.ndarray) -> np.ndarray:
     return np.hstack([X[:, :n] @ N, X[:, n:-n], X[:, -n:] @ N])
 
 
-def _slow_limit_matrix(S: np.ndarray, params: IbrParams) -> np.ndarray:
-    """Slow reduced system [r_theta, v] of the complement S: zeta eliminated, v rows / tau_v."""
+def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndarray:
+    """Linearized [r_theta, v, r_zeta] dynamics of the relative complement R at tau_d = ratio tau_v.
+
+    Ratio 0 is the quasi-steady dual limit: r_zeta is eliminated, leaving the
+    slow reduced system [r_theta, v].
+    """
     m = params.n - 1
-    A = _schur(_relative(S), m)
-    A[m:] /= params.tau_v
-    return A
+    if ratio == 0:
+        A = _schur(R, m)
+        A[m:] /= params.tau_v
+        return A
+    tau = np.repeat([1.0, params.tau_v, ratio * params.tau_v], [m, params.n, m])
+    return R / tau[:, None]
 
 
 def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
@@ -155,7 +165,7 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
     R[m + n:] /= p.tau_v
     th, v, one, ze = slice(0, m), slice(m, m + n), m + n, slice(-m, None)
     if np.max(np.linalg.eigvals(R[ze, ze]).real) >= 0:
-        raise MgshareError("R_zeta is not negative definite; graph structure broken")
+        raise MgshareError("R_zeta is not Hurwitz; graph structure broken")
     new = _schur(R, m)[v]
     beta = p.beta * np.eye(n)
     return ReducedBlocks(
@@ -214,73 +224,52 @@ def _unpack(z: np.ndarray, m: int, n: int):
     return P, d
 
 
-def solve_lmi(
-    blocks: ReducedBlocks,
-    beta: float,
-    max_iter: int = 4000,
-    restarts: int = 5,
-    seed: int = 0,
-) -> LmiCertificate:
+MAX_ITER = 4000
+
+
+def solve_lmi(blocks: ReducedBlocks, beta: float) -> LmiCertificate:
     """Search for the certificate by projected subgradient on max eig(Q + Q^T).
 
-    The feasibility problem is tiny and convex; an infeasible outcome is
-    inconclusive (the condition is sufficient only), reported with the best
-    margin reached. Any feasible result self-verifies by construction.
+    The search starts deterministically from P_theta = I, D_v = I and runs at
+    most ``MAX_ITER`` Polyak steps. The feasibility problem is tiny and
+    convex; an infeasible outcome is inconclusive (the condition is
+    sufficient only), reported with the best margin reached. Any feasible
+    result self-verifies by construction.
     """
     n = blocks.n
     m = n - 1
     iu = np.triu_indices(m)
-    dim = iu[0].size + n
-    rng = np.random.default_rng(seed)
+    # off-diagonal entries of P appear twice in the symmetric matrix
+    coeff = np.where(iu[0] == iu[1], 1.0, 2.0)
+    R_vV = blocks.R_vV_new - beta * np.eye(n)
 
-    def margin_of(z):
-        P, d = _unpack(z, m, n)
-        Q = _q_matrix(blocks, beta, P, d)
-        S = Q + Q.T
-        w, U = np.linalg.eigh(S)
-        return w[-1], U[:, -1], P, d
-
-    def grad(z, u):
-        P, d = _unpack(z, m, n)
+    def grad(u):
         u1, u2 = u[:m], u[m:]
         # d/dP of u^T (Q+Q^T) u = 2 sym(u1 (R_theta u1 + R_thetaV u2)^T)
         gP = np.outer(u1, blocks.R_theta @ u1 + blocks.R_thetaV @ u2)
         gP = gP + gP.T
-        gd = 2.0 * u2 * (
-            blocks.R_vtheta_new @ u1 + (blocks.R_vV_new - beta * np.eye(n)) @ u2
-        )
-        g = np.empty(dim)
-        gsym = 0.5 * (gP + gP.T)
-        # off-diagonal entries of P appear twice in the symmetric matrix
-        coeff = np.where(iu[0] == iu[1], 1.0, 2.0)
-        g[: iu[0].size] = gsym[iu] * coeff
-        g[iu[0].size:] = gd
-        return g
+        gd = 2.0 * u2 * (blocks.R_vtheta_new @ u1 + R_vV @ u2)
+        return np.concatenate([gP[iu] * coeff, gd])
 
-    starts = [np.concatenate([np.eye(m)[iu], np.ones(n)])]
-    for _ in range(restarts - 1):
-        starts.append(np.abs(rng.normal(size=dim)) + 0.1)
-
+    z = np.concatenate([np.eye(m)[iu], np.ones(n)])
     best = None
-    for z in starts:
-        f_best_run = np.inf
-        for it in range(max_iter):
-            f, u, P, d = margin_of(z)
-            if best is None or f < best[0]:
-                best = (f, P, d)
-            f_best_run = min(f_best_run, f)
-            if f < -1e-6:
-                break
-            g = grad(z, u)
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            # Polyak-style step toward a slightly negative target level
-            step = (f - (f_best_run - 0.1 * abs(f_best_run) - 1e-3)) / gn**2
-            z = z - step * g
-            z = z / max(np.abs(z).max(), 1e-12)
-        if best is not None and best[0] < -1e-6:
+    for _ in range(MAX_ITER):
+        P, d = _unpack(z, m, n)
+        Q = _q_matrix(blocks, beta, P, d)
+        w, U = np.linalg.eigh(Q + Q.T)
+        f = w[-1]
+        if best is None or f < best[0]:
+            best = (f, P, d)
+        if f < -1e-6:
             break
+        g = grad(U[:, -1])
+        gn = np.linalg.norm(g)
+        if gn < 1e-14:
+            break
+        # Polyak-style step toward a slightly negative target level
+        step = (f - (best[0] - 0.1 * abs(best[0]) - 1e-3)) / gn**2
+        z = z - step * g
+        z = z / max(np.abs(z).max(), 1e-12)
 
     f, P, d = best
     # scale up so the projection floor 1e-6 is comfortably strict
@@ -370,16 +359,9 @@ def lyapunov_value(
     return float(quad + params.tau_v * np.sum(d * integral))
 
 
-def spectral_abscissa(A: np.ndarray, n_structural_zeros: int = 0) -> float:
-    """Max real part of the eigenvalues after dropping known zero modes."""
-    w = np.linalg.eigvals(A)
-    if n_structural_zeros:
-        order = np.argsort(np.abs(w))
-        drop = order[:n_structural_zeros]
-        if np.abs(w[drop]).max() > 1e-6:
-            raise MgshareError("expected structural zero eigenvalues are missing")
-        w = np.delete(w, drop)
-    return float(w.real.max())
+def spectral_abscissa(A: np.ndarray) -> float:
+    """Max real part of the eigenvalues of A."""
+    return float(np.linalg.eigvals(A).real.max())
 
 
 def epsilon_sweep(
@@ -391,22 +373,15 @@ def epsilon_sweep(
 ) -> list[tuple[float, float]]:
     """Spectral abscissa of the reduced closed loop per timescale ratio tau_d/tau_v.
 
-    The (theta, v, zeta) system carries two structural zero eigenvalues
-    (uniform angle and uniform dual shifts), which are excluded. ratio == 0
-    is the quasi-steady dual limit, the slow reduced system in relative
-    coordinates, which has none. Ratios must be nonnegative and finite.
+    The (theta, v, zeta) system is taken in relative coordinates, which drop
+    the uniform angle and uniform dual shifts, so it has no structural zero
+    eigenvalues. ratio == 0 is the quasi-steady dual limit, the slow reduced
+    system. Ratios must be nonnegative and finite.
     """
     ratios = [float(r) for r in ratios]
     if not all(0.0 <= r < np.inf for r in ratios):
         raise ValueError(f"timescale ratios must be nonnegative and finite, got {ratios}")
     L = laplacian(g)
     _check_angle_shift_invariance(lin, L)
-    S = _eliminate_fast(brackets_jacobian("proposed", params, L, lin, v_bar))
-    out = []
-    for r in ratios:
-        if r == 0:
-            out.append((0.0, spectral_abscissa(_slow_limit_matrix(S, params))))
-        else:
-            tau = np.repeat([1.0, params.tau_v, r * params.tau_v], lin.n)
-            out.append((r, spectral_abscissa(S / tau[:, None], n_structural_zeros=2)))
-    return out
+    R = _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, v_bar)))
+    return [(r, spectral_abscissa(_timescale_matrix(R, params, r))) for r in ratios]

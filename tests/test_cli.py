@@ -98,3 +98,11 @@ def test_no_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_stability_seed_option_removed(capsys):
+    """The LMI search is deterministic; --seed is an unknown option, not a no-op."""
+    with pytest.raises(SystemExit) as exc:
+        main(["stability", "lv5", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
