@@ -384,7 +384,25 @@ def _g(x: float) -> str:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Canonical text form; parse(serialize(x)) reproduces x."""
+    """Canonical text form; parse(serialize(x)) reproduces x.
+
+    Raises ``ScenarioFormatError`` for a scenario the format cannot express:
+    ``m_omega`` or ``m_v`` that differ between units (the format has one
+    shared value each), an ``initial_theta`` or ``initial_state``, or an
+    ``out_dir`` that is not a single token free of '#'.
+    """
+    p = s.params
+    for name in ("m_omega", "m_v"):
+        gain = getattr(p, name)
+        if np.any(gain != gain[0]):
+            raise ScenarioFormatError(f"cannot serialize per-unit {name} {gain.tolist()}: "
+                                      "the format has one value shared by all units")
+    for name in ("initial_theta", "initial_state"):
+        if getattr(s, name) is not None:
+            raise ScenarioFormatError(f"cannot serialize {name}: the format has no field for it")
+    if s.out_dir.split() != [s.out_dir] or "#" in s.out_dir:
+        raise ScenarioFormatError(f"cannot serialize out_dir {s.out_dir!r}: "
+                                  "it must be one token without '#'")
     b = s.network.bases
     out = [f"# {s.name}", "[bases]",
            f"s_base {_g(b.s_base)} VA",
@@ -404,7 +422,6 @@ def serialize_scenario(s: Scenario) -> str:
     for ld in s.network.loads:
         out.append(f"{ld.bus} {_g(ld.s)} {_g(ld.pf)}")
     out += ["", "[ibrs]"]
-    p = s.params
     for i in range(p.n):
         out.append(f"{i + 1} {_g(p.s_rated[i])} {_g(p.v_min[i])} {_g(p.v_max[i])}")
     out += ["", "[graph]"]

@@ -17,6 +17,18 @@ t_end. Each segment emits its block of samples at once, with one batched
 power-flow evaluation. Containment of the saturated voltages is asserted on
 every accepted integrator step, not just on output samples.
 
+``TimeSeries.to_csv`` renders every value as ``%.12g`` in numpy, a block of
+rows at a time. The fast path takes the decimal exponent from ``log10``,
+scales by one exactly representable power of ten and rounds to a 12-digit
+integer mantissa, whose digits come from a lookup table. A value goes
+through Python's ``format(x, ".12g")`` instead when it is not finite, when
+|x| lies outside [1e-11, 1e12) and is not zero, when the scaled mantissa
+falls outside [1e11, 1e12] (1e12 being the exact carry to the next
+exponent), or when the scaled product lies within 1e-3 of a rounding tie,
+where its own rounding error (at most 6.1e-5) could flip the result. Every
+value the fast path keeps therefore rounds as ``format`` rounds it, and the
+CSV is byte-identical to a per-value ``%.12g`` rendering.
+
 This is the only module that imports scipy: ``solve_ivp`` is imported at
 the top, so the integrator loads with ``mgshare.simulate`` and never inside
 a timed first ``simulate()`` call. ``Event`` and ``Scenario`` live in
@@ -92,15 +104,146 @@ class TimeSeries:
         return np.nonzero((self.t >= t0) & (self.t <= t1))[0]
 
     def to_csv(self, path):
-        """Long-format CSV, one row per (sample, inverter), 1-based inverter ids."""
+        """Long-format CSV, one row per (sample, inverter), 1-based inverter ids.
+
+        Every value is written as ``%.12g``: a numpy fast path renders
+        whole blocks of rows, and the few values it cannot round exactly
+        (see the module docstring) go through ``format(x, ".12g")``. The
+        file is the header line and one line per row, each ending in a
+        newline.
+        """
         S, n = self.theta.shape
-        cols = [np.repeat(self.t, n), np.tile(np.arange(1.0, n + 1), S)]
-        cols += [getattr(self, name).ravel() for name in (
-            "theta", "omega_dev", "f", "v", "lam", "zeta",
-            "V", "P", "Q", "p_ratio", "q_ratio", "rho",
-        )]
-        np.savetxt(path, np.column_stack(cols), fmt="%.12g", delimiter=",",
-                   header=",".join(CSV_HEADER), comments="")
+        channels = [np.ravel(getattr(self, name)) for name in _CSV_CHANNELS]
+        block = np.empty((_CSV_BLOCK_ROWS, 2 + len(channels)))
+        with open(path, "wb") as fh:
+            fh.write((",".join(CSV_HEADER) + "\n").encode())
+            for r0 in range(0, S * n, _CSV_BLOCK_ROWS):
+                rows = np.arange(r0, min(r0 + _CSV_BLOCK_ROWS, S * n))
+                X = block[:rows.size]
+                X[:, 0] = self.t[rows // n]
+                X[:, 1] = rows % n + 1
+                for k, c in enumerate(channels):
+                    X[:, 2 + k] = c[r0:r0 + rows.size]
+                fh.write(_csv_rows(X))
+
+
+# ---------------------------------------------------------------------------
+# CSV export: %.12g in numpy
+# ---------------------------------------------------------------------------
+
+_CSV_CHANNELS = ("theta", "omega_dev", "f", "v", "lam", "zeta",
+                 "V", "P", "Q", "p_ratio", "q_ratio", "rho")
+_CSV_BLOCK_ROWS = 1024
+
+# A value renders into a 24-byte field, three little-endian uint64 words;
+# zero bytes are pads, dropped before writing:
+#   byte 0       '-' when the sign bit is set
+#   bytes 1-5    "0.000"[:1 - e] in fixed form with e < 0
+#   bytes 6-18   the body: the 12 mantissa digits with '.' inserted, cut to length
+#   bytes 19-22  "e-05" ... "e+12" in exponent form
+#   byte 23      ',' or '\n'
+# The layout depends on the decimal exponent e in [-11, 12] only, so each part
+# is a table indexed by e + 11.
+
+
+def _low(nbytes: int) -> int:
+    """Mask of the low ``nbytes`` bytes of a 128-bit word."""
+    return (1 << 8 * nbytes) - 1
+
+
+def _words(v: int) -> tuple[int, int]:
+    """The low and high 64-bit halves of a 128-bit word."""
+    return v & (2**64 - 1), v >> 64
+
+
+def _layout_tables():
+    """The per-exponent tables of the field layout above, as uint64 arrays."""
+    keep, move, dot, prefix, suffix, length = [], [], [], [], [], []
+    for e in range(-11, 13):
+        fixed = -4 <= e < 12
+        q = (e + 1 if e >= 0 else 13) if fixed else 1    # the '.' goes before body byte q
+        lead = e + 1 if fixed else 1                     # digits written even when zero
+        keep.append(_words(_low(q)))
+        move.append(_words(_low(13) & ~_low(q + 1)))
+        dot.append(_words(ord(".") << 8 * q if q < 13 else 0))
+        zeros = b"0.000"[:1 - e] if fixed and e < 0 else b""
+        exponent = b"" if fixed else f"e{e:+03d}".encode()
+        prefix.append(int.from_bytes(b"\0" + zeros, "little"))
+        suffix.append(int.from_bytes(b"\0\0\0" + exponent, "little"))
+        for nd in range(13):                             # significant digits, 0 for x == 0
+            k = max(nd, lead)
+            length.append(_words(_low(k + (k > q))))    # a '.' with no digit after it is dropped
+    return tuple(np.array(t, np.uint64)
+                 for t in (*zip(*keep), *zip(*move), *zip(*dot), prefix, suffix, *zip(*length)))
+
+
+(_KEEP_LO, _KEEP_HI, _MOVE_LO, _MOVE_HI, _DOT_LO, _DOT_HI,
+ _PREFIX, _SUFFIX, _LEN_LO, _LEN_HI) = _layout_tables()
+# four mantissa digits per table word, the leading digit in the low byte
+_K4 = np.arange(10000, dtype=np.int16)
+_DIGITS4 = (_K4[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+_DIGITS4 = _DIGITS4.view("<u4")[:, 0].astype(np.uint64)
+# significant digits of a mantissa whose last nonzero 4-digit group is group 0, 1 or 2
+_SIG0 = (4 - sum(_K4 % p == 0 for p in (10, 100, 1000, 10000))).astype(np.int8)
+_SIG1 = np.where(_SIG0 > 0, _SIG0 + 4, 0).astype(np.int8)
+_SIG2 = np.where(_SIG0 > 0, _SIG0 + 8, 0).astype(np.int8)
+_POW10 = np.array([float(10**k) for k in range(22, -1, -1)])   # 10**(11 - e), exact, index e + 11
+_COMMA, _NEWLINE = (np.uint64(ord(c)) << np.uint64(56) for c in ",\n")
+
+
+def _g12_fields(x: np.ndarray) -> np.ndarray:
+    """Render float64 ``x`` as ``%.12g`` into (x.size, 3) words; byte 23 stays 0."""
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= 1e-11) & (a < 1e12)
+    a[~fast] = 1.0                                      # placeholder; overwritten below
+    # e: decimal exponent as a table index e + 11; M: the 12-digit integer mantissa
+    e = np.clip(np.floor(np.log10(a)), -11, 11).astype(np.intp) + 11
+    y = a * _POW10.take(e)
+    M = np.rint(y)
+    # y >= 1e11 (not M >= 1e11) rejects an exponent log10 placed one too high
+    fast &= (y >= 1e11) & (M <= 1e12) & (np.abs(y - np.floor(y) - 0.5) >= 1e-3)
+    fast |= zero
+    carry = M == 1e12
+    M[carry] = 1e11
+    e += carry
+    M[zero] = 0.0
+    e[zero] = 11
+    # three 4-digit groups of M (exact: M < 2**53), and its count of significant digits
+    g0 = np.floor(M / 1e8)
+    M -= g0 * 1e8
+    g1 = np.floor(M / 1e4)
+    M -= g1 * 1e4
+    g0, g1, g2 = g0.astype(np.intp), g1.astype(np.intp), M.astype(np.intp)
+    lo = _DIGITS4.take(g0) | (_DIGITS4.take(g1) << np.uint64(32))
+    hi = _DIGITS4.take(g2)
+    nd = np.maximum(np.maximum(_SIG0.take(g0), _SIG1.take(g1)), _SIG2.take(g2))
+    # insert '.' before body byte q: the digits from q on move up one byte
+    up_lo = lo << np.uint64(8)
+    up_hi = (hi << np.uint64(8)) | (lo >> np.uint64(56))
+    body_lo = (lo & _KEEP_LO.take(e)) | (up_lo & _MOVE_LO.take(e)) | _DOT_LO.take(e)
+    body_hi = (hi & _KEEP_HI.take(e)) | (up_hi & _MOVE_HI.take(e)) | _DOT_HI.take(e)
+    k = e * 13 + nd
+    body_lo &= _LEN_LO.take(k)
+    body_hi &= _LEN_HI.take(k)
+    F = np.empty((x.size, 3), "<u8")
+    F[:, 0] = _PREFIX.take(e) | (body_lo << np.uint64(48)) | np.signbit(x) * np.uint64(ord("-"))
+    F[:, 1] = (body_lo >> np.uint64(16)) | (body_hi << np.uint64(48))
+    F[:, 2] = (body_hi >> np.uint64(16)) | _SUFFIX.take(e)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([format(v, ".12g").encode() for v in x[slow].tolist()], "S24")
+        F[slow] = text.view("<u8").reshape(-1, 3)
+    return F
+
+
+def _csv_rows(X: np.ndarray) -> bytes:
+    """The rows of the float64 matrix ``X`` as CSV text, every value ``%.12g``."""
+    F = _g12_fields(X.ravel()).reshape(*X.shape, 3)
+    F[:, :-1, 2] |= _COMMA
+    F[:, -1, 2] |= _NEWLINE
+    b = F.view(np.uint8).ravel()
+    return b[b != 0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Scenario format: bundled data fidelity, round-trips, error reporting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,24 @@ def test_roundtrip_identity(lv5):
         assert np.array_equal(getattr(again.params, f), getattr(lv5.params, f))
     for f in ("tau_omega", "tau_v", "tau_p", "tau_d", "beta", "k"):
         assert getattr(again.params, f) == getattr(lv5.params, f)
+
+
+def _gains(lv5, **gains):
+    return replace(lv5, params=replace(lv5.params, **gains))
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda s: _gains(s, m_omega=1.57 * np.arange(1.0, 6.0)), "m_omega"),
+    (lambda s: _gains(s, m_v=[0.05, 0.05, 0.05, 0.05, 0.06]), "m_v"),
+    (lambda s: replace(s, initial_theta=np.zeros(5)), "initial_theta"),
+    (lambda s: replace(s, initial_state=np.zeros(20)), "initial_state"),
+    (lambda s: replace(s, out_dir="my out"), "out_dir"),
+    (lambda s: replace(s, out_dir="out#1"), "out_dir"),
+], ids=["m_omega", "m_v", "initial_theta", "initial_state", "out_dir-space", "out_dir-hash"])
+def test_serialize_rejects_what_the_format_cannot_express(lv5, change, match):
+    """Serialization raises rather than write a text that parses to a different scenario."""
+    with pytest.raises(ScenarioFormatError, match=match):
+        mg.serialize_scenario(change(lv5))
 
 
 def test_unknown_bundled_name():

@@ -6,12 +6,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgshare as mg
 import mgshare.simulate as sim
 from mgshare.simulate import CSV_HEADER, _check_containment
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "timeline-lv5.npz"
+CSV_CHANNELS = ("theta", "omega_dev", "f", "v", "lam", "zeta",
+                "V", "P", "Q", "p_ratio", "q_ratio", "rho")
 
 
 def test_sampling_grid(lv5):
@@ -169,14 +173,12 @@ def test_csv_output(tmp_path, case1_timeseries):
     ts = case1_timeseries
     path = tmp_path / "ts.csv"
     ts.to_csv(path)
-    channels = ("theta", "omega_dev", "f", "v", "lam", "zeta",
-                "V", "P", "Q", "p_ratio", "q_ratio", "rho")
     expected = [",".join(CSV_HEADER)]
     for s in range(ts.t.size):
         for i in range(ts.n):
             expected.append(",".join(
                 [format(float(ts.t[s]), ".12g"), str(i + 1)]
-                + [format(float(getattr(ts, c)[s, i]), ".12g") for c in channels]
+                + [format(float(getattr(ts, c)[s, i]), ".12g") for c in CSV_CHANNELS]
             ))
     assert len(expected) == 1 + 5001 * 5
     text = path.read_text()
@@ -185,6 +187,58 @@ def test_csv_output(tmp_path, case1_timeseries):
     assert len(got) == len(expected)
     bad = next((k for k, (a, b) in enumerate(zip(got, expected)) if a != b), None)
     assert bad is None, f"CSV line {bad + 1}: {got[bad]!r} != {expected[bad]!r}"
+
+
+def _csv_values(xs):
+    """Render xs through the CSV kernel as a one-column table, one value per line."""
+    return sim._csv_rows(np.asarray(xs, dtype=float).reshape(-1, 1)).decode().split("\n")[:-1]
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.floats(),                                      # NaN, +-inf, subnormals, signed zeros
+    st.integers(0, 2**64 - 1).map(_from_bits),        # random bit patterns
+    st.floats(1e-12, 1e13), st.floats(-1e13, -1e-12),   # the fast path and its edges
+), min_size=1, max_size=64))
+def test_csv_values_match_format_on_any_double(xs):
+    assert _csv_values(xs) == [format(x, ".12g") for x in xs]
+
+
+def test_csv_values_match_format_on_edge_cases():
+    xs = [0.0, 5e-324,
+          0.5, 2.5, 1.0000000000005, 123456789012.5, 999999999999.5,   # halfway values
+          9.99999999999995e-5, 99999999999.95,                         # carry to the next exponent
+          # decimal ties whose scaled product rounds to the other side of the tie
+          0.1577929935805, 8.830796520945, 5530.275689985, 8.271467107625e-11]
+    for k in range(-13, 14):
+        for base in (float(f"1e{k}") * f for f in (1 - 5e-13, 1.0, 1 + 5e-13)):
+            x = base
+            for _ in range(3):
+                x = np.nextafter(x, 0.0)
+            for _ in range(7):                        # three nextafter steps either side
+                xs.append(float(x))
+                x = np.nextafter(x, np.inf)
+    xs += [-x for x in xs]
+    assert _csv_values(xs) == [format(x, ".12g") for x in xs]
+
+
+@pytest.mark.parametrize("t_end, n_samples", [(1.0, 1001), (5e-4, 1)])
+def test_csv_matches_savetxt_oracle(tmp_path, lv5, t_end, n_samples):
+    """to_csv is byte-identical to np.savetxt(fmt="%.12g"), over blocks and for one sample."""
+    ts = mg.simulate(replace(lv5, t_end=t_end, sample_ms=1.0, events=()))
+    assert ts.t.size == n_samples
+    assert (n_samples * ts.n) % sim._CSV_BLOCK_ROWS != 0
+    cols = [np.repeat(ts.t, ts.n), np.tile(np.arange(1.0, ts.n + 1), ts.t.size)]
+    cols += [getattr(ts, c).ravel() for c in CSV_CHANNELS]
+    oracle = tmp_path / "oracle.csv"
+    np.savetxt(oracle, np.column_stack(cols), fmt="%.12g", delimiter=",",
+               header=",".join(CSV_HEADER), comments="")
+    ts.to_csv(tmp_path / "ts.csv")
+    assert (tmp_path / "ts.csv").read_bytes() == oracle.read_bytes()
 
 
 def test_event_validation():
