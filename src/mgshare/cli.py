@@ -177,7 +177,7 @@ def _cmd_steady_state(args, scenario) -> int:
     red = kron_reduce(scenario.network)
     eq = solve_equilibrium(red, scenario.graph, scenario.params, mode=args.mode)
     print(f"equilibrium ({args.mode}), residual {eq.residual:.2e}, "
-          f"{eq.iterations} Newton iterations, {eq.restarts} restarts")
+          f"{eq.iterations} Newton iterations")
     print(f"sync frequency deviation  : {eq.omega_syn_dev / (2 * np.pi):+.5f} Hz")
     print(f"V [p.u.]                  : {np.array2string(eq.V, precision=5)}")
     print(f"P ratio                   : {np.array2string(eq.P / scenario.params.s_rated, precision=5)}")

@@ -7,9 +7,9 @@ voltage-limit changes. The proposed-mode loop is stiff (the fast dual
 consensus mode, about k*lambda_max(L)/tau_p, sets an explicit method's step),
 and LSODA switches between Adams and BDF on its own. Angles
 evolve in a frame rotating at omega_nom, so theta is the deviation angle and
-the state stays bounded. Events restart the integration at their exact timestamps; a no-op
-event (e.g. scaling a load by its current factor) is skipped so it cannot
-perturb the trajectory.
+the state stays bounded. Each event ends one integration segment and starts
+the next at its exact timestamp; a no-op event (e.g. scaling a load by its
+current factor) is skipped so it cannot perturb the trajectory.
 
 Output is sampled by dense interpolation on a fixed grid, independent of the
 adaptive steps: it starts at 0, steps by ``sample_ms`` and ends at or before
@@ -294,7 +294,7 @@ def simulate(s: Scenario) -> TimeSeries:
     emitted = 0
     while t_now < s.t_end:
         # apply any due events, then drop upcoming no-ops so they cannot
-        # force an integrator restart
+        # split the integration segment
         while pending and (
             pending[0].time <= t_now
             or not _event_changes(pending[0], mode, params, load_scale)

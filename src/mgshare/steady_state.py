@@ -16,8 +16,9 @@ mode the leakage rho(v) v has a kink at |v| = 3 Delta, where the Jacobian
 jumps; a full step across it backtracks many times and stalls. So a
 step that would carry some unit's v across its kink is cut to land the
 first such unit on the kink (backtracking halves from there), and a cut
-step does not count as stagnation, which would trigger a random restart.
-``Equilibrium.iterations`` and ``Equilibrium.restarts`` report the cost.
+step does not count as stagnation. The solve is deterministic: stagnation,
+running out of iterations or a singular Jacobian raises
+``ConvergenceError``. ``Equilibrium.iterations`` reports the cost.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class Equilibrium:
     saturated: frozenset[int]     # 1-based unit ids with rho > 0
     residual: float
     iterations: int               # Newton steps (Jacobian solves)
-    restarts: int                 # random perturbations after stagnation
 
     @property
     def n(self) -> int:
@@ -63,55 +63,50 @@ class Equilibrium:
 
 
 def _newton(residual, jacobian, x0, step_limit=None, tol=1e-11, max_iter=60):
-    """Damped Newton with backtracking; returns (x, residual norm, iterations, restarts).
+    """Damped Newton with backtracking; returns (x, residual norm, iterations).
 
     Each trial point's residual is evaluated once: the accepted trial's
     residual and norm carry into the next iteration, and when backtracking
     runs out the last evaluated trial is accepted. ``step_limit(x, dx)``,
     if given, caps the first trial step below 1 (backtracking halves from
     there); an iteration whose step it cut is exempt from the stagnation
-    test. On stagnation the iterate is perturbed at random and Newton
-    restarts, at most three times. ``iterations`` counts Jacobian solves,
-    ``restarts`` the random perturbations.
+    test. Stagnation, ``max_iter`` Jacobian solves without convergence or a
+    singular Jacobian raise ``ConvergenceError``. ``iterations`` counts
+    Jacobian solves.
     """
-    rng = np.random.default_rng(0)
     x = np.asarray(x0, dtype=float).copy()
     F = residual(x)
     norm = float(np.linalg.norm(F, np.inf))
     iterations = 0
-    for restarts in range(4):
-        if restarts:
-            x = x + rng.normal(scale=1e-4, size=x.shape)
-            F = residual(x)
-            norm = float(np.linalg.norm(F, np.inf))
-        last_norm = np.inf
-        for _ in range(max_iter):
-            if norm < tol:
-                return x, norm, iterations, restarts
-            J = jacobian(x)
-            iterations += 1
-            try:
-                dx = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                raise ConvergenceError("singular Jacobian in equilibrium solve",
-                                       residual=norm) from None
-            step = 1.0 if step_limit is None else step_limit(x, dx)
-            cut = step < 1.0
-            while True:
-                x_new = x + step * dx
-                F_new = residual(x_new)
-                norm_new = float(np.linalg.norm(F_new, np.inf))
-                if norm_new < norm or step < 2e-6:    # at most 20 trials from step 1
-                    break
-                step *= 0.5
-            x, F, norm = x_new, F_new, norm_new
-            if norm > 0.999 * last_norm and not cut:
-                break  # stagnating; retry perturbed
-            last_norm = norm
+    last_norm = np.inf
+    for _ in range(max_iter):
         if norm < tol:
-            return x, norm, iterations, restarts
+            return x, norm, iterations
+        J = jacobian(x)
+        iterations += 1
+        try:
+            dx = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError("singular Jacobian in equilibrium solve",
+                                   residual=norm) from None
+        step = 1.0 if step_limit is None else step_limit(x, dx)
+        cut = step < 1.0
+        while True:
+            x_new = x + step * dx
+            F_new = residual(x_new)
+            norm_new = float(np.linalg.norm(F_new, np.inf))
+            if norm_new < norm or step < 2e-6:    # at most 20 trials from step 1
+                break
+            step *= 0.5
+        x, F, norm = x_new, F_new, norm_new
+        if norm > 0.999 * last_norm and not cut:
+            break  # stagnating
+        last_norm = norm
+    if norm < tol:
+        return x, norm, iterations
     raise ConvergenceError(
-        f"Newton did not converge (last residual {norm:.3e})", residual=norm
+        f"Newton did not converge after {iterations} iterations "
+        f"(last residual {norm:.3e})", residual=norm
     )
 
 
@@ -168,8 +163,8 @@ def solve_equilibrium(
         return step
 
     x0 = np.zeros(model.dim - n) if initial_guess is None else np.asarray(initial_guess, float)
-    x, norm, iterations, restarts = _newton(residual, jacobian, x0,
-                                            step_limit=kink_step if proposed else None)
+    x, norm, iterations = _newton(residual, jacobian, x0,
+                                  step_limit=kink_step if proposed else None)
     x = E @ x
     theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
     V = model.voltage(v)
@@ -191,7 +186,6 @@ def solve_equilibrium(
         saturated=frozenset(int(i) + 1 for i in np.nonzero(rho > 0)[0]),
         residual=float(norm),
         iterations=iterations,
-        restarts=restarts,
     )
 
 

@@ -26,6 +26,13 @@ def lv5_equilibrium(lv5, lv5_reduced):
 
 
 @pytest.fixture(scope="session")
+def lv5_overloaded(lv5):
+    """lv5 with every load's apparent power x4: no operating point in either mode."""
+    loads = tuple(replace(load, s=4.0 * load.s) for load in lv5.network.loads)
+    return replace(lv5, network=replace(lv5.network, loads=loads))
+
+
+@pytest.fixture(scope="session")
 def case1_timeseries(lv5):
     """Full Case-1 timeline: activate at 10 s, -80% load at bus 5 at 25 s, restore at 40 s."""
     t0 = time.perf_counter()

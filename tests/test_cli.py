@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from mgshare import serialize_scenario
 from mgshare.cli import main
 from mgshare.simulate import CSV_HEADER
 
@@ -38,8 +39,15 @@ def test_steady_state_proposed(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "equilibrium (proposed)" in out
-    assert "Newton iterations, 0 restarts" in out.splitlines()[0]
+    assert out.splitlines()[0].endswith(" Newton iterations")
     assert "overall                   : PASS" in out
+
+
+def test_steady_state_no_operating_point_exits_1(lv5_overloaded, tmp_path, capsys):
+    path = tmp_path / "overloaded.scn"
+    path.write_text(serialize_scenario(lv5_overloaded))
+    assert main(["steady-state", str(path)]) == 1
+    assert "error: Newton did not converge" in capsys.readouterr().err
 
 
 def test_steady_state_droop(capsys):

@@ -34,7 +34,8 @@ def test_analysis_runs_with_scipy_blocked():
         blocks = st.assemble_blocks(jacobians(red, eq.theta, eq.V), sc.graph, sc.params)
         assert st.solve_lmi(blocks, sc.params.beta).feasible
         st.boundary_layer_check(blocks)
-        assert cli.main(["steady-state", "lv5"]) == 0
+        for cmd in ("steady-state", "stability", "tune"):
+            assert cli.main([cmd, "lv5"]) == 0, cmd
     """)
 
 

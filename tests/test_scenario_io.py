@@ -44,16 +44,20 @@ def test_mv9_template_parses():
 
 
 def test_roundtrip_identity(lv5):
-    text = mg.serialize_scenario(lv5)
-    again = sio.parse_scenario_text(text, name=lv5.name)
-    assert again.network == lv5.network
-    assert again.events == lv5.events
-    assert again.t_end == lv5.t_end and again.rel_tol == lv5.rel_tol
-    assert np.array_equal(again.graph.adjacency, lv5.graph.adjacency)
-    for f in ("s_rated", "m_omega", "m_v", "v_min", "v_max"):
-        assert np.array_equal(getattr(again.params, f), getattr(lv5.params, f))
-    for f in ("tau_omega", "tau_v", "tau_p", "tau_d", "beta", "k"):
-        assert getattr(again.params, f) == getattr(lv5.params, f)
+    limits = replace(lv5, events=lv5.events + (
+        sio.Event(time=45.0, kind="set-limits", v_min=0.96, v_max=1.04),
+        sio.Event(time=48.0, kind="set-limits", v_min=0.97, v_max=1.03, ibr=2),
+    ))
+    for sc in (lv5, limits):
+        again = sio.parse_scenario_text(mg.serialize_scenario(sc), name=sc.name)
+        assert again.network == sc.network
+        assert again.events == sc.events
+        assert again.t_end == sc.t_end and again.rel_tol == sc.rel_tol
+        assert np.array_equal(again.graph.adjacency, sc.graph.adjacency)
+        for f in ("s_rated", "m_omega", "m_v", "v_min", "v_max"):
+            assert np.array_equal(getattr(again.params, f), getattr(sc.params, f))
+        for f in ("tau_omega", "tau_v", "tau_p", "tau_d", "beta", "k"):
+            assert getattr(again.params, f) == getattr(sc.params, f)
 
 
 def _gains(lv5, **gains):
