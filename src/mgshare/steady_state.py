@@ -16,7 +16,8 @@ mode the leakage rho(v) v has a kink at |v| = 3 Delta, where the Jacobian
 jumps; a full step across it backtracks many times and stalls. So a
 step that would carry some unit's v across its kink is cut to land the
 first such unit on the kink (backtracking halves from there), and a cut
-step does not count as stagnation. The solve is deterministic: stagnation,
+step does not count as stagnation unless more than 2n cut steps in a row,
+the number of kinks, make no progress. The solve is deterministic: stagnation,
 running out of iterations or a singular Jacobian raises
 ``ConvergenceError``. ``Equilibrium.iterations`` reports the cost.
 """
@@ -62,7 +63,7 @@ class Equilibrium:
         return self.theta.shape[0]
 
 
-def _newton(residual, jacobian, x0, step_limit=None, tol=1e-11, max_iter=60):
+def _newton(residual, jacobian, x0, step_limit=None, max_stalled_cuts=0, tol=1e-11, max_iter=60):
     """Damped Newton with backtracking; returns (x, residual norm, iterations).
 
     Each trial point's residual is evaluated once: the accepted trial's
@@ -70,15 +71,16 @@ def _newton(residual, jacobian, x0, step_limit=None, tol=1e-11, max_iter=60):
     runs out the last evaluated trial is accepted. ``step_limit(x, dx)``,
     if given, caps the first trial step below 1 (backtracking halves from
     there); an iteration whose step it cut is exempt from the stagnation
-    test. Stagnation, ``max_iter`` Jacobian solves without convergence or a
-    singular Jacobian raise ``ConvergenceError``. ``iterations`` counts
-    Jacobian solves.
+    test, up to ``max_stalled_cuts`` such iterations in a row. Stagnation,
+    ``max_iter`` Jacobian solves without convergence or a singular Jacobian
+    raise ``ConvergenceError``. ``iterations`` counts Jacobian solves.
     """
     x = np.asarray(x0, dtype=float).copy()
     F = residual(x)
     norm = float(np.linalg.norm(F, np.inf))
     iterations = 0
     last_norm = np.inf
+    stalled = 0
     for _ in range(max_iter):
         if norm < tol:
             return x, norm, iterations
@@ -99,7 +101,8 @@ def _newton(residual, jacobian, x0, step_limit=None, tol=1e-11, max_iter=60):
                 break
             step *= 0.5
         x, F, norm = x_new, F_new, norm_new
-        if norm > 0.999 * last_norm and not cut:
+        stalled = stalled + 1 if norm > 0.999 * last_norm else 0
+        if stalled and (not cut or stalled > max_stalled_cuts):
             break  # stagnating
         last_norm = norm
     if norm < tol:
@@ -163,8 +166,8 @@ def solve_equilibrium(
         return step
 
     x0 = np.zeros(model.dim - n) if initial_guess is None else np.asarray(initial_guess, float)
-    x, norm, iterations = _newton(residual, jacobian, x0,
-                                  step_limit=kink_step if proposed else None)
+    x, norm, iterations = _newton(residual, jacobian, x0, step_limit=kink_step if proposed else None,
+                                  max_stalled_cuts=2 * n)
     x = E @ x
     theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
     V = model.voltage(v)

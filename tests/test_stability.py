@@ -10,6 +10,7 @@ from mgshare import stability as st
 from mgshare.controller import ClosedLoop, brackets_jacobian
 from mgshare.errors import MgshareError
 from mgshare.network import jacobians
+from mgshare.scenario_io import parse_scenario_text
 
 
 @pytest.fixture(scope="module")
@@ -135,20 +136,34 @@ def test_lmi_contrived_case_fast():
     assert time.time() - t0 < 10.0
 
 
-def test_lmi_infeasible_case_reported():
+def test_lmi_infeasible_case_reported(monkeypatch):
     """Flip the voltage block unstable: solver must not claim feasibility."""
     b = contrived_blocks()
     bad = st.ReducedBlocks(**{
         **{f: getattr(b, f) for f in b.__dataclass_fields__},
         "R_vV_new": +np.eye(4),
     })
+    eig_calls = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        eig_calls.append(1)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
     cert = st.solve_lmi(bad, beta=0.01)
     assert not cert.feasible
+    # R_vV_new - beta I = 0.99 I gives u < 0: no Riccati candidate is tried,
+    # and the identity pair is what is reported
+    assert not eig_calls
+    assert np.array_equal(cert.P_theta, np.eye(3))
+    assert np.array_equal(cert.D_v, np.eye(4))
+    assert cert.margin > 0
 
 
-def test_lmi_subgradient_certifies_where_identity_fails():
-    """A loaded lv5 point with a narrow band: the identity start is infeasible,
-    and the subgradient steps reach a certificate that verifies."""
+def test_lmi_riccati_certifies_where_identity_fails():
+    """A loaded lv5 point with a narrow band: the identity pair is infeasible,
+    and the M-matrix D_v with the Riccati P_theta is a certificate that verifies."""
     sc = mg.parse_scenario("lv5")
     n = sc.params.n
     params = sc.params.with_limits(np.full(n, 0.947), np.full(n, 1.042))
@@ -160,6 +175,49 @@ def test_lmi_subgradient_certifies_where_identity_fails():
     cert = st.solve_lmi(blocks, params.beta)
     assert cert.feasible
     assert cert.verify(blocks, params.beta)
+    assert cert.margin <= -1e-2
+
+
+def chorded_ring_text(n, rng):
+    """lv5-style fleet: a ring of lines plus a chord from every third bus to the
+    opposite side, loads 0.5-1.0 pu, ratings 1.1-1.4x the local load, a
+    communication ring and the lv5 gains."""
+    edges = [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(i, (i - 1 + n // 2) % n + 1) for i in range(1, n + 1, 3)]
+    load = rng.uniform(0.5, 1.0, n)
+    rating = load * rng.uniform(1.1, 1.4, n)
+
+    def rows(*cols):
+        return "\n".join(" ".join(f"{c:.4g}" for c in row) for row in zip(*cols))
+
+    bus = np.arange(1, n + 1)
+    a, b = np.array(edges).T
+    return "\n".join([
+        "[bases]", "s_base 100e3 VA", "v_base 220 V", "f_nom 50 Hz",
+        "[buses]", "\n".join(f"{i} load" for i in bus),
+        "[lines] unit=ohm",
+        rows(a, b, rng.uniform(0.15, 0.22, a.size), rng.uniform(0.19, 0.32, a.size)),
+        "[connectors] unit=ohm",
+        rows(bus, bus, rng.uniform(0.03, 0.10, n), rng.uniform(0.09, 0.25, n)),
+        "[loads] unit=pu", rows(bus, load, rng.uniform(0.85, 0.92, n)),
+        "[ibrs]", rows(bus, rating, np.full(n, 0.95), np.full(n, 1.05)),
+        "[graph]", rows(bus, bus % n + 1),
+        "[controller-gains]", "mode proposed", "m_omega 1.57", "m_v 0.05",
+        "tau_omega 0.1", "tau_v 1", "tau_p 0.01", "tau_d 0.1", "beta 0.01", "k 7.24",
+        "[simulation]", "t_end 20", "rel_tol 1e-7", "sample_ms 10",
+    ])
+
+
+def test_lmi_certifies_chorded_fleet():
+    """A 40-unit chorded ring certifies with a margin well clear of round-off."""
+    sc = parse_scenario_text(chorded_ring_text(40, np.random.default_rng(0)))
+    red = mg.kron_reduce(sc.network)
+    eq = mg.solve_equilibrium(red, sc.graph, sc.params, mode="proposed")
+    blocks = st.assemble_blocks(jacobians(red, eq.theta, eq.V), sc.graph, sc.params)
+    cert = st.solve_lmi(blocks, sc.params.beta)
+    assert cert.feasible
+    assert cert.verify(blocks, sc.params.beta)
+    assert cert.margin <= -1e-3
 
 
 def test_boundary_layer(lv5_blocks):

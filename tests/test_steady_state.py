@@ -160,7 +160,8 @@ def test_start_on_kink_converges(lv5, lv5_reduced, lv5_equilibrium):
 
 @pytest.mark.parametrize("mode", ["proposed", "droop"])
 def test_overload_raises_without_retrying(lv5_overloaded, mode, monkeypatch):
-    """Newton fails within max_iter Jacobian solves, with the residual it reached."""
+    """Newton fails within max_iter Jacobian solves, with the residual it reached;
+    in proposed mode, kink-cut steps that stall end the solve long before that."""
     solves = []
     brackets_jac = ctrl.ClosedLoop.brackets_jac
 
@@ -173,4 +174,4 @@ def test_overload_raises_without_retrying(lv5_overloaded, mode, monkeypatch):
     with pytest.raises(mg.ConvergenceError, match="Newton did not converge") as info:
         mg.solve_equilibrium(mg.kron_reduce(sc.network), sc.graph, sc.params, mode=mode)
     assert info.value.residual > 1e-11
-    assert 0 < len(solves) <= 60
+    assert 0 < len(solves) <= (20 if mode == "proposed" else 60)
