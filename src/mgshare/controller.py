@@ -11,16 +11,19 @@ Two voltage-control modes exist:
   Q_i/S_i toward a common setpoint lambda.
 
 Both modes share the droop frequency channel. ``ClosedLoop`` writes the
-whole loop down once: its pre-tau brackets, the right-hand side
-brackets / tau, and the analytic Jacobian built from the power-flow
-derivatives by ``brackets_jacobian``. The simulator integrates it, the
-equilibrium solver selects gauge-fixed rows and columns from it, and the
-timescale sweep eliminates its fast states.
+whole loop down once, as brackets(x) = M x + K [P; Q] - s(v): M and K are
+constant per mode, parameters and Laplacian, (P, Q) is the power flow at
+(theta, V(v)), and s(v) = beta Delta tanh(v/Delta) + rho(v) v sits on the v
+rows in proposed mode (droop has V = 1 + v and no s). The right-hand side
+is brackets / tau; its Jacobian, from the same M and K, is built by
+``brackets_jacobian``. The simulator integrates it, the equilibrium solver
+selects gauge-fixed rows and columns from it, and the timescale sweep
+eliminates its fast states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,10 +100,7 @@ class IbrParams:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    def __eq__(self, other):
-        return isinstance(other, IbrParams) and all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self) if f.compare)
+    __eq__ = network.value_eq
 
     @property
     def n(self) -> int:
@@ -184,11 +184,13 @@ class ClosedLoop:
     net: network.ReducedNetwork
     L: np.ndarray
     tau: np.ndarray = field(init=False)
+    M: np.ndarray = field(init=False, repr=False)
+    K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("droop", "proposed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         p = self.params
+        for name, a in zip("MK", _affine_part(self.mode, p, self.L)):
+            object.__setattr__(self, name, a)
         taus = (1.0, p.tau_omega, p.tau_v, p.tau_p, p.tau_d)
         object.__setattr__(self, "tau", np.repeat(taus[: 3 if self.mode == "droop" else 5], p.n))
 
@@ -201,34 +203,64 @@ class ClosedLoop:
         return 1.0 + v if self.mode == "droop" else voltage_output(self.params, v)
 
     def brackets(self, x) -> np.ndarray:
-        p = self.params
-        n = p.n
-        theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
-        P, Q = network.power_flow(self.net, theta, self.voltage(v))
-        out = np.empty(self.dim)
-        out[:n] = Omega
-        out[n:2 * n] = -Omega - p.m_omega * P / p.s_rated
-        if self.mode == "droop":
-            out[2 * n:] = -v - p.m_v * Q / p.s_rated
-            return out
-        lam, zeta = x[3 * n:4 * n], x[4 * n:]
-        L_lam = self.L @ lam
-        out[2 * n:3 * n] = integrator_rhs(p, v, lam, Q)
-        out[3 * n:4 * n] = Q / p.s_rated - lam - self.L @ zeta - p.k * L_lam
-        out[4 * n:] = L_lam
+        n = self.params.n
+        v = x[2 * n:3 * n]
+        P, Q = network.power_flow(self.net, x[:n], self.voltage(v))
+        out = self.M @ x + self.K @ np.concatenate([P, Q])
+        if self.mode == "proposed":
+            p = self.params
+            out[2 * n:3 * n] -= p.beta * p.delta * np.tanh(v / p.delta) + leakage(p, v) * v
         return out
 
     def brackets_jac(self, x) -> np.ndarray:
         n = self.params.n
         v = x[2 * n:3 * n]
         lin = network.jacobians(self.net, x[:n], self.voltage(v))
-        return brackets_jacobian(self.mode, self.params, self.L, lin, v)
+        return _jacobian(self.mode, self.params, self.M, self.K, lin, v)
 
     def rhs(self, _t, x) -> np.ndarray:
         return self.brackets(x) / self.tau
 
     def jac(self, _t, x) -> np.ndarray:
         return self.brackets_jac(x) / self.tau[:, None]
+
+
+def _affine_part(mode: str, p: IbrParams, L) -> tuple[np.ndarray, np.ndarray]:
+    """(M, K) of ``brackets`` = M x + K [P; Q] - s(v) for the state layout of ``mode``."""
+    if mode not in ("droop", "proposed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n = p.n
+    b = 3 if mode == "droop" else 5
+    M = np.zeros((b, n, b, n))     # [row block, unit, column block, unit]
+    K = np.zeros((b, n, 2, n))     # column blocks P, Q
+    I = np.eye(n)
+    M[0, :, 1], M[1, :, 1] = I, -I
+    K[1, :, 0] = -np.diag(p.m_omega / p.s_rated)
+    if mode == "droop":
+        M[2, :, 2] = -I
+        K[2, :, 1] = -np.diag(p.m_v / p.s_rated)
+    else:
+        M[2, :, 3] = np.diag(p.v_star)
+        K[2, :, 1] = -np.diag(p.v_star / p.s_rated)
+        M[3, :, 3] = -I - p.k * L
+        M[3, :, 4] = -L
+        K[3, :, 1] = np.diag(1.0 / p.s_rated)
+        M[4, :, 3] = L
+    return M.reshape(b * n, b * n), K.reshape(b * n, 2 * n)
+
+
+def _jacobian(mode: str, p: IbrParams, M, K, lin: network.LinearizedModel, v) -> np.ndarray:
+    """M, plus K times the flow derivatives in the theta and v columns, minus ds/dv."""
+    n = p.n
+    vc = slice(2 * n, 3 * n)
+    J = M.copy()
+    J[:, :n] += K @ np.concatenate([lin.J_theta_P, lin.J_theta_Q])
+    H = 1.0
+    if mode == "proposed":
+        H, drho_v = saturation_derivatives(p, v)
+        J[vc, vc] -= np.diag(p.beta * H + drho_v)
+    J[:, vc] += K @ np.concatenate([lin.J_V_P, lin.J_V_Q]) * H
+    return J
 
 
 def brackets_jacobian(mode: str, p: IbrParams, L, lin: network.LinearizedModel, v) -> np.ndarray:
@@ -238,33 +270,4 @@ def brackets_jacobian(mode: str, p: IbrParams, L, lin: network.LinearizedModel, 
     result does not depend on Omega, lambda or zeta. Rows and columns follow
     the ``ClosedLoop`` state layout of ``mode``.
     """
-    n = p.n
-    th, om, vc, la, ze = (slice(b * n, (b + 1) * n) for b in range(5))
-    d = np.arange(n)
-    J = np.zeros((3 * n, 3 * n) if mode == "droop" else (5 * n, 5 * n))
-    J[d, n + d] = 1.0
-    J[n + d, n + d] = -1.0
-    m_s = (p.m_omega / p.s_rated)[:, None]
-    J[om, th] = -m_s * lin.J_theta_P
-    if mode == "droop":
-        mv_s = (p.m_v / p.s_rated)[:, None]
-        J[om, vc] = -m_s * lin.J_V_P
-        J[vc, th] = -mv_s * lin.J_theta_Q
-        J[vc, vc] = -mv_s * lin.J_V_Q
-        J[2 * n + d, 2 * n + d] -= 1.0
-        return J
-    H, drho_v = saturation_derivatives(p, v)
-    inv_s = (1.0 / p.s_rated)[:, None]
-    vs_s = (p.v_star / p.s_rated)[:, None]
-    J[om, vc] = -m_s * lin.J_V_P * H
-    J[vc, th] = -vs_s * lin.J_theta_Q
-    J[vc, vc] = -vs_s * lin.J_V_Q * H
-    J[2 * n + d, 2 * n + d] -= p.beta * H + drho_v
-    J[2 * n + d, 3 * n + d] = p.v_star
-    J[la, th] = inv_s * lin.J_theta_Q
-    J[la, vc] = inv_s * lin.J_V_Q * H
-    J[la, la] = -p.k * L
-    J[3 * n + d, 3 * n + d] -= 1.0
-    J[la, ze] = -L
-    J[ze, la] = L
-    return J
+    return _jacobian(mode, p, *_affine_part(mode, p, L), lin, v)

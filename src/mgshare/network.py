@@ -2,21 +2,22 @@
 
 Assembles the full nodal admittance matrix from bus/line/load tables,
 Kron-reduces it onto the inverter internal buses, and evaluates the
-nonlinear power flow
+nonlinear power flow in phasor form, S = P + jQ = E conj(I) with
+E = V e^{j theta}, I = Y E and Y = G + jB, together with its analytic
+Jacobians in complex matrix notation (Zimmerman, MATPOWER Technical Note 2):
 
-    P_i = sum_j V_i V_j (G_ij cos(th_ij) + B_ij sin(th_ij))
-    Q_i = sum_j V_i V_j (G_ij sin(th_ij) - B_ij cos(th_ij))
+    dS/dtheta = j diag(E) conj(diag(I) - Y diag(E))
+    dS/dV     = diag(E) conj(Y diag(e^{j theta})) + conj(diag(I)) diag(e^{j theta})
 
-together with its analytic Jacobians. Loads are modeled as constant
-admittances sized to draw the declared apparent power at the stated lagging
-power factor when the bus sits at nominal voltage; this is what makes the
-reduced (G, B) description exact.
+Loads are modeled as constant admittances sized to draw the declared apparent
+power at the stated lagging power factor when the bus sits at nominal
+voltage; this is what makes the reduced admittance description exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,6 +36,12 @@ __all__ = [
     "power_flow",
     "jacobians",
 ]
+
+
+def value_eq(a, b) -> bool:
+    """``__eq__`` of a dataclass with array fields: same type, compared fields equal by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -185,10 +192,11 @@ def to_per_unit(data: NetworkData) -> NetworkData:
 
 @dataclass(frozen=True)
 class ReducedNetwork:
-    """Kron-reduced admittance seen from the inverter internal buses (p.u.)."""
+    """Kron-reduced admittance G + jB seen from the inverter internal buses (p.u.)."""
 
     G: np.ndarray
     B: np.ndarray
+    Y: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -200,10 +208,12 @@ class ReducedNetwork:
         # passivity sanity: conductance part must not be negative definite
         if np.linalg.eigvalsh(0.5 * (G + G.T)).min() < -1e-9:
             raise NetworkDataError("reduced conductance has a negative eigenvalue")
-        G.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "B", B)
+        Y = G + 1j * B
+        for name, a in (("G", G), ("B", B), ("Y", Y)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    __eq__ = value_eq
 
     @property
     def n(self) -> int:
@@ -276,22 +286,15 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     """Evaluate (P, Q) injections at the reduced buses; pure algebra, no iteration.
 
     ``theta`` and ``V`` share one shape (..., n); leading axes are a batch of
-    independent operating points, evaluated at once.
+    independent operating points, evaluated at once and each exactly as a
+    call of its own.
     """
-    theta = np.asarray(theta, dtype=float)
-    V = np.asarray(V, dtype=float)
+    theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
     if theta.shape[-1:] != (net.n,) or V.shape != theta.shape:
         raise ValueError(f"theta and V must share one shape (..., {net.n})")
-    MP, MQ = _flow_kernels(net, theta)
-    Vc = V[..., None]
-    return V * (MP @ Vc)[..., 0], V * (MQ @ Vc)[..., 0]
-
-
-def _flow_kernels(net: ReducedNetwork, theta: np.ndarray):
-    """(MP, MQ) with P = V * (MP @ V) and Q = V * (MQ @ V), batched over leading axes."""
-    dth = theta[..., :, None] - theta[..., None, :]
-    cos, sin = np.cos(dth), np.sin(dth)
-    return net.G * cos + net.B * sin, net.G * sin - net.B * cos
+    E = V * np.exp(1j * theta)
+    S = E * np.conj((net.Y @ E[..., None])[..., 0])
+    return S.real, S.imag
 
 
 @dataclass(frozen=True)
@@ -311,6 +314,8 @@ class LinearizedModel:
     theta0: np.ndarray
     V0: np.ndarray
 
+    __eq__ = value_eq
+
     @property
     def n(self) -> int:
         return self.w_P.shape[0]
@@ -322,24 +327,16 @@ class LinearizedModel:
 
 
 def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> LinearizedModel:
-    """Analytic partial derivatives of the power flow at (theta0, V0)."""
-    theta0 = np.asarray(theta0, dtype=float)
-    V0 = np.asarray(V0, dtype=float)
-    MP, MQ = _flow_kernels(net, theta0)
-    MPV, MQV = MP @ V0, MQ @ V0
-    VV = np.outer(V0, V0)
-
-    Jt_P = VV * MQ
-    np.fill_diagonal(Jt_P, 0.0)
-    np.fill_diagonal(Jt_P, -Jt_P.sum(axis=1))
-
-    Jt_Q = -VV * MP
-    np.fill_diagonal(Jt_Q, 0.0)
-    np.fill_diagonal(Jt_Q, -Jt_Q.sum(axis=1))
-
-    Jv_P = V0[:, None] * MP + np.diag(MPV)
-    Jv_Q = V0[:, None] * MQ + np.diag(MQV)
-
-    w_P = V0 * MPV - Jt_P @ theta0 - Jv_P @ V0
-    w_Q = V0 * MQV - Jt_Q @ theta0 - Jv_Q @ V0
-    return LinearizedModel(Jt_P, Jv_P, Jt_Q, Jv_Q, w_P, w_Q, theta0, V0)
+    """Analytic partial derivatives of the power flow at one point (theta0, V0)."""
+    theta0, V0 = np.asarray(theta0, dtype=float), np.asarray(V0, dtype=float)
+    if theta0.shape != (net.n,) or V0.shape != (net.n,):
+        raise ValueError(f"theta and V must both have shape ({net.n},)")
+    U = np.exp(1j * theta0)
+    E = V0 * U
+    I = net.Y @ E
+    S = E * np.conj(I)
+    dS_dtheta = 1j * E[:, None] * np.conj(np.diag(I) - net.Y * E)
+    dS_dV = E[:, None] * np.conj(net.Y * U) + np.diag(np.conj(I) * U)
+    w = S - dS_dtheta @ theta0 - dS_dV @ V0
+    return LinearizedModel(dS_dtheta.real, dS_dV.real, dS_dtheta.imag, dS_dV.imag,
+                           w.real, w.imag, theta0, V0)

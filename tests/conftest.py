@@ -3,6 +3,7 @@
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mgshare as mg
@@ -18,6 +19,13 @@ def lv5():
 @pytest.fixture(scope="session")
 def lv5_reduced(lv5):
     return mg.kron_reduce(lv5.network)
+
+
+@pytest.fixture(scope="session")
+def ring3_reduced():
+    """Reduced network of a uniform 3-bus line ring with a small shunt at every bus."""
+    lap = mg.laplacian(mg.CommGraph.ring(3))
+    return mg.ReducedNetwork(G=2.0 * lap + 0.5 * np.eye(3), B=-8.0 * lap - 0.2 * np.eye(3))
 
 
 @pytest.fixture(scope="session")

@@ -98,15 +98,9 @@ def test_leakage_kink_oracle():
     assert ctrl.leakage(p, np.array([5.5 * d]))[0] == pytest.approx(2.5)
 
 
-def ring_network(n=3):
-    """Reduced network of a uniform line ring with a small shunt at every bus."""
-    lap = mg.laplacian(mg.CommGraph.ring(n))
-    return mg.ReducedNetwork(G=2.0 * lap + 0.5 * np.eye(n), B=-8.0 * lap - 0.2 * np.eye(n))
-
-
-def test_droop_rhs_oracle():
+def test_droop_rhs_oracle(ring3_reduced):
     p = make_params()
-    red = ring_network()
+    red = ring3_reduced
     theta = np.array([0.02, 0.0, -0.01])
     Omega = np.array([0.1, 0.0, -0.2])
     v = np.array([0.01, 0.0, -0.01])
@@ -133,11 +127,11 @@ def test_integrator_rhs_components():
     assert out[0] == pytest.approx(expect, abs=1e-12)
 
 
-def test_primal_dual_rhs_oracle():
+def test_primal_dual_rhs_oracle(ring3_reduced):
     g = mg.CommGraph.ring(3)
     L = mg.laplacian(g)
     p = make_params(k=2.0)
-    red = ring_network()
+    red = ring3_reduced
     theta = np.array([0.02, 0.0, -0.01])
     v = np.array([0.01, 0.0, -0.01])
     lam = np.array([0.3, 0.5, 0.1])
@@ -184,6 +178,24 @@ def test_closed_loop_jac_matches_central_differences(lv5, lv5_reduced, lv5_equil
                 dx[k] = h
                 fd[:, k] = (model.rhs(0.0, x + dx) - model.rhs(0.0, x - dx)) / (2 * h)
             assert np.abs(fd - J).max() <= 1e-6 * np.abs(J).max(), mode
+
+
+def test_free_brackets_jacobian_is_the_model_jacobian(lv5, lv5_reduced):
+    """``brackets_jacobian`` at the state's linearization equals ``brackets_jac`` bitwise."""
+    p = lv5.params
+    n = p.n
+    L = mg.laplacian(lv5.graph)
+    rng = np.random.default_rng(19)
+    for mode in ("droop", "proposed"):
+        model = ctrl.ClosedLoop(mode, p, lv5_reduced, L)
+        for _ in range(3):
+            x = rng.normal(0.0, 0.05, model.dim)
+            x[2 * n:3 * n] = p.delta * rng.uniform(-5.0, 5.0, n)
+            v = x[2 * n:3 * n]
+            lin = mg.jacobians(lv5_reduced, x[:n], model.voltage(v))
+            J = ctrl.brackets_jacobian(mode, p, L, lin, v)
+            assert J.shape == (model.dim, model.dim)
+            assert np.array_equal(J, model.brackets_jac(x)), mode
 
 
 def test_kkt_zero_iff_consensus():

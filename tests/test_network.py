@@ -1,5 +1,7 @@
 """Electrical network: per-unit conversion, Kron reduction, power flow, Jacobians."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,88 @@ def test_linearized_predict_exact_at_point(lv5_reduced):
     Pp, Qp = lin.predict(theta, V)
     assert np.allclose(Pp, P, atol=1e-12)
     assert np.allclose(Qp, Q, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# phasor form against the trigonometric formulas
+# ---------------------------------------------------------------------------
+
+def trig_flow_kernels(net, theta):
+    """(MP, MQ) with P = V * (MP @ V), Q = V * (MQ @ V); batched over leading axes."""
+    dth = theta[..., :, None] - theta[..., None, :]
+    cos, sin = np.cos(dth), np.sin(dth)
+    return net.G * cos + net.B * sin, net.G * sin - net.B * cos
+
+
+def trig_power_flow(net, theta, V):
+    MP, MQ = trig_flow_kernels(net, theta)
+    return V * (MP @ V[..., None])[..., 0], V * (MQ @ V[..., None])[..., 0]
+
+
+def trig_jacobians(net, theta0, V0):
+    """The six LinearizedModel arrays from the P_i = sum_j V_i V_j (...) formulas."""
+    MP, MQ = trig_flow_kernels(net, theta0)
+    MPV, MQV = MP @ V0, MQ @ V0
+    VV = np.outer(V0, V0)
+    Jt_P = VV * MQ
+    np.fill_diagonal(Jt_P, 0.0)
+    np.fill_diagonal(Jt_P, -Jt_P.sum(axis=1))
+    Jt_Q = -VV * MP
+    np.fill_diagonal(Jt_Q, 0.0)
+    np.fill_diagonal(Jt_Q, -Jt_Q.sum(axis=1))
+    Jv_P = V0[:, None] * MP + np.diag(MPV)
+    Jv_Q = V0[:, None] * MQ + np.diag(MQV)
+    w_P = V0 * MPV - Jt_P @ theta0 - Jv_P @ V0
+    w_Q = V0 * MQV - Jt_Q @ theta0 - Jv_Q @ V0
+    return {"J_theta_P": Jt_P, "J_V_P": Jv_P, "J_theta_Q": Jt_Q, "J_V_Q": Jv_Q,
+            "w_P": w_P, "w_Q": w_Q}
+
+
+def assert_close_relative(a, b, rtol=1e-12):
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+@pytest.fixture(params=["lv5", "mv9-template", "ring3"])
+def any_reduced(request):
+    if request.param == "ring3":
+        return request.getfixturevalue("ring3_reduced")
+    return mg.kron_reduce(mg.parse_scenario(request.param).network)
+
+
+def test_phasor_form_matches_trig_oracle(any_reduced):
+    """power_flow, single and batched, and every jacobians array within 1e-12 relative."""
+    net = any_reduced
+    rng = np.random.default_rng(3)
+    thetas = rng.normal(0, 0.2, (8, net.n))
+    Vs = 1 + rng.normal(0, 0.05, (8, net.n))
+    for P, P_ref in zip(mg.power_flow(net, thetas, Vs), trig_power_flow(net, thetas, Vs)):
+        assert_close_relative(P, P_ref)
+    for theta, V in zip(thetas, Vs):
+        for P, P_ref in zip(mg.power_flow(net, theta, V), trig_power_flow(net, theta, V)):
+            assert_close_relative(P, P_ref)
+        lin = jacobians(net, theta, V)
+        for name, ref in trig_jacobians(net, theta, V).items():
+            assert_close_relative(getattr(lin, name), ref)
+
+
+def test_jacobians_reject_anything_but_two_vectors(lv5_reduced):
+    theta, V = np.zeros(5), np.ones(5)
+    for bad in ((np.zeros((3, 5)), np.ones((3, 5))), (theta[:4], V[:4]), (theta, V[:4]),
+                (theta, np.ones((1, 5))), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="theta and V"):
+            jacobians(lv5_reduced, *bad)
+
+
+def test_reduced_network_and_linearization_value_equality(lv5, lv5_reduced):
+    red = mg.kron_reduce(lv5.network)
+    assert red is not lv5_reduced and red == lv5_reduced and replace(red) == red
+    assert red != mg.kron_reduce(lv5.network, np.full(5, 0.5))
+    assert (red == "lv5") is False and "Y=" not in repr(red)
+    assert np.array_equal(red.Y, red.G + 1j * red.B)
+    with pytest.raises(ValueError):
+        red.Y[0, 0] = 0.0
+    theta = np.linspace(0.0, 0.04, 5)
+    lin = jacobians(red, theta, np.ones(5))
+    assert lin == jacobians(lv5_reduced, theta.copy(), np.ones(5))
+    assert lin != jacobians(red, theta, np.full(5, 1.01))
+    assert lin != replace(lin, w_P=lin.w_P + 1e-15)
