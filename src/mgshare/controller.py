@@ -17,8 +17,8 @@ constant per mode, parameters and Laplacian, (P, Q) is the power flow at
 rows in proposed mode (droop has V = 1 + v and no s). The right-hand side
 is brackets / tau; its Jacobian, from the same M and K, is built by
 ``brackets_jacobian``. The simulator integrates it, the equilibrium solver
-selects gauge-fixed rows and columns from it, and the timescale sweep
-eliminates its fast states.
+evaluates it on the consensus states and folds its rows to one per
+unknown, and the timescale sweep eliminates its fast states.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import network
-from .graph import CommGraph, laplacian
+from .graph import CommGraph, laplacian, value_eq
 
 __all__ = [
     "IbrParams",
@@ -100,7 +100,7 @@ class IbrParams:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    __eq__ = network.value_eq
+    __eq__ = value_eq
 
     @property
     def n(self) -> int:

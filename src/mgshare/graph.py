@@ -7,13 +7,19 @@ consensus gain matrix K = (I + k L)^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DisconnectedGraphError
 
 __all__ = ["CommGraph", "laplacian", "algebraic_connectivity", "consensus_gain_matrix"]
+
+
+def value_eq(a, b) -> bool:
+    """``__eq__`` of a dataclass with array fields: same type, compared fields equal by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class CommGraph:
             raise DisconnectedGraphError(
                 "communication graph is disconnected; consensus is impossible"
             )
+
+    __eq__ = value_eq
 
     @property
     def n(self) -> int:

@@ -17,11 +17,12 @@ voltage; this is what makes the reduced admittance description exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NetworkDataError
+from .graph import _connected, value_eq
 
 __all__ = [
     "Bases",
@@ -36,12 +37,6 @@ __all__ = [
     "power_flow",
     "jacobians",
 ]
-
-
-def value_eq(a, b) -> bool:
-    """``__eq__`` of a dataclass with array fields: same type, compared fields equal by value."""
-    return type(a) is type(b) and all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,11 @@ class NetworkData:
                 raise NetworkDataError(f"power factor at bus {ld.bus} not in (0,1]")
             if ld.s < 0:
                 raise NetworkDataError(f"negative load at bus {ld.bus}")
-        if not self._electrically_connected():
+        a = np.zeros((self.n_bus + self.n_ibr,) * 2)    # main buses, then internal buses
+        ends = [(ln.from_bus, ln.to_bus) for ln in self.lines]
+        for i, j in ends + [(c.bus, self.n_bus + c.ibr) for c in self.connectors]:
+            a[i - 1, j - 1] = a[j - 1, i - 1] = 1.0
+        if not _connected(a):
             raise NetworkDataError("electrical graph (buses+lines+connectors) is disconnected")
 
     def _check_bus(self, b: int, kind: str):
@@ -146,27 +145,6 @@ class NetworkData:
             raise NetworkDataError(f"negative resistance on {what}")
         if r == 0 and x == 0:
             raise NetworkDataError(f"{what} has zero impedance")
-
-    def _electrically_connected(self) -> bool:
-        # nodes: main buses 0..n_bus-1, then internal buses
-        n = self.n_bus + self.n_ibr
-        adj = [[] for _ in range(n)]
-        for ln in self.lines:
-            adj[ln.from_bus - 1].append(ln.to_bus - 1)
-            adj[ln.to_bus - 1].append(ln.from_bus - 1)
-        for c in self.connectors:
-            k = self.n_bus + c.ibr - 1
-            adj[c.bus - 1].append(k)
-            adj[k].append(c.bus - 1)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            for j in adj[stack.pop()]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        return all(seen)
 
     @property
     def n_ibr(self) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .controller import IbrParams
 from .errors import ScenarioFormatError
-from .graph import CommGraph
+from .graph import CommGraph, value_eq
 from .network import Bases, Connector, Line, Load, NetworkData, to_per_unit
 
 __all__ = ["Event", "Scenario", "parse_scenario", "parse_scenario_text",
@@ -86,6 +86,8 @@ class Scenario:
     initial_state: np.ndarray | None = None   # full state for initial_mode
     name: str = "scenario"
     out_dir: str = "out"
+
+    __eq__ = value_eq
 
     def __post_init__(self):
         if self.initial_mode not in ("droop", "proposed"):

@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .controller import IbrParams, brackets_jacobian, leakage, voltage_output
+from .controller import IbrParams, _affine_part, _jacobian, brackets_jacobian, leakage, voltage_output
 from .errors import MgshareError
 from .graph import CommGraph, laplacian
 from .network import LinearizedModel
@@ -151,17 +151,17 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
 
     The bracket Jacobian at v = 0 is the loop in V coordinates (dV/dv = 1,
     no leakage slope); beta is split out of R_vV, as ``_q_matrix`` and
-    ``reduced_rhs`` apply it. The offsets are the same elimination applied
-    to the constant terms of the linearized flow.
+    ``reduced_rhs`` apply it. The offsets go through the same elimination:
+    the model's flow coupling K applied to the constant terms [w_P; w_Q] of
+    the linearized flow, plus beta V_star on the v rows (V coordinates).
     """
     L = laplacian(g)
     _check_angle_shift_invariance(lin, L)
     p, n, m = params, lin.n, lin.n - 1
-    c = np.zeros(5 * n)
-    c[n:2 * n] = -p.m_omega / p.s_rated * lin.w_P
-    c[2 * n:3 * n] = p.v_star * (p.beta - lin.w_Q / p.s_rated)
-    c[3 * n:4 * n] = lin.w_Q / p.s_rated
-    J = brackets_jacobian("proposed", p, L, lin, np.zeros(n))
+    M, K = _affine_part("proposed", p, L)
+    J = _jacobian("proposed", p, M, K, lin, np.zeros(n))
+    c = K @ np.concatenate([lin.w_P, lin.w_Q])
+    c[2 * n:3 * n] += p.beta * p.v_star
     R = _relative(_eliminate_fast(np.column_stack([J, c])))
     R[m + n:] /= p.tau_v
     th, v, one, ze = slice(0, m), slice(m, m + n), m + n, slice(-m, None)

@@ -1,9 +1,11 @@
 """Direct equilibrium solve of the closed loop and steady-state property checks.
 
-The equilibrium system is degenerate along two directions: uniform angle
-shifts and uniform shifts of the dual variable. Both gauges are fixed here
-(theta_1 = 0, sum of zeta pinned), leaving a square Newton system. The
-solved state satisfies, among others:
+At an equilibrium the dual sits at consensus, lambda = c 1, and zeta
+enters only the lambda rows. Newton therefore solves for the primal
+unknowns [theta_2..theta_n, Omega_common, v] plus, in proposed mode, the
+common dual value c: 2n + 1 unknowns (2n in droop), with theta_1 = 0 fixing
+the angle gauge. zeta follows after the solve from one linear system with
+its sum pinned. The solved state satisfies, among others:
 
 * a common synchronization frequency, Omega_bar = (omega_syn - omega_nom) 1;
 * lambda_bar = alpha_Q 1 with alpha_Q the mean utilization ratio;
@@ -121,41 +123,44 @@ def solve_equilibrium(
     mode: str = "proposed",
     zeta_sum: float = 0.0,
 ) -> Equilibrium:
-    """Newton solve of the steady-state equations with both gauges fixed.
+    """Newton solve of the steady-state equations in the primal unknowns.
 
-    The unknowns are [theta_rel (n-1), Omega_common, v, lam, zeta]
-    (proposed) or [theta_rel, Omega_common, v] (droop); ``initial_guess``
-    packs them likewise and defaults to a flat start. The residual is
-    ``ClosedLoop.brackets`` without the theta rows and, in proposed mode,
-    with the last (redundant) zeta row replaced by the zeta-sum gauge.
+    The unknowns are y = [theta_rel (n-1), Omega_common, v, c] (proposed)
+    or [theta_rel, Omega_common, v] (droop); ``initial_guess`` packs them
+    likewise and defaults to a flat start. The state is E y: theta_1 = 0,
+    Omega = Omega_common 1, lambda = c 1 and zeta = 0. The residual is
+    ``ClosedLoop.brackets`` at E y folded to one row per unknown: the
+    Omega and v rows, and the mean of the lambda rows, mean(Q/S) - c. The
+    zeta rows, L lambda = 0, hold at lambda = c 1 and are dropped. After
+    the solve zeta solves L zeta = Q/S - lambda with sum(zeta) = zeta_sum.
+    ``Equilibrium.residual`` is the infinity norm of the folded residual.
     """
     n = params.n
     model = ctrl.ClosedLoop(mode, params, net, laplacian(g))
     proposed = mode == "proposed"
-    # model state = E @ unknowns, with theta_1 = 0 and Omega = Omega_common 1
-    E = np.zeros((model.dim, model.dim - n))
+    m = 2 * n + proposed
+    # state = E y; fold keeps the Omega and v rows and averages the lambda
+    # rows (the c column and the averaged row are empty slices in droop)
+    E = np.zeros((model.dim, m))
     E[1:n, : n - 1] = np.eye(n - 1)
     E[n:2 * n, n - 1] = 1.0
-    E[2 * n:, n:] = np.eye(model.dim - 2 * n)
+    E[2 * n:3 * n, n:2 * n] = np.eye(n)
+    E[3 * n:4 * n, 2 * n:] = 1.0
+    fold = np.zeros((m, model.dim - n))
+    fold[:2 * n, :2 * n] = np.eye(2 * n)
+    fold[2 * n:, 2 * n:3 * n] = 1.0 / n
 
-    def residual(x):
-        F = model.brackets(E @ x)[n:]
-        if proposed:
-            F[-1] = x[-n:].sum() - zeta_sum
-        return F
+    def residual(y):
+        return fold @ model.brackets(E @ y)[n:]
 
-    def jacobian(x):
-        J = model.brackets_jac(E @ x)[n:] @ E
-        if proposed:
-            J[-1] = 0.0
-            J[-1, -n:] = 1.0
-        return J
+    def jacobian(y):
+        return fold @ model.brackets_jac(E @ y)[n:] @ E
 
-    def kink_step(x, dx):
+    def kink_step(y, dy):
         # first trial step at which some unit's v reaches +/-3 Delta (the
         # leakage kink); a unit within round-off of its kink does not limit
         # it, so a landing is not repeated
-        v, dv = x[n:2 * n], dx[n:2 * n]
+        v, dv = y[n:2 * n], dy[n:2 * n]
         step = 1.0
         for kink in (3.0 * params.delta, -3.0 * params.delta):
             gap = kink - v
@@ -165,21 +170,28 @@ def solve_equilibrium(
                 step = min(step, float(np.min(gap[cross] / dv[cross])))
         return step
 
-    x0 = np.zeros(model.dim - n) if initial_guess is None else np.asarray(initial_guess, float)
-    x, norm, iterations = _newton(residual, jacobian, x0, step_limit=kink_step if proposed else None,
+    y0 = np.zeros(m) if initial_guess is None else np.asarray(initial_guess, float)
+    if y0.shape != (m,):
+        layout = "theta_rel, Omega_common, v" + (", c" if proposed else "")
+        raise ValueError(f"initial_guess must be [{layout}] of length {m}, got shape {y0.shape}")
+    y, norm, iterations = _newton(residual, jacobian, y0, step_limit=kink_step if proposed else None,
                                   max_stalled_cuts=2 * n)
-    x = E @ x
+    x = E @ y
     theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
     V = model.voltage(v)
     P, Q = power_flow(net, theta, V)
-    rho = ctrl.leakage(params, v) if proposed else np.zeros(n)
+    rho, lam, zeta = np.zeros(n), np.zeros(n), np.zeros(n)
+    if proposed:
+        rho, lam = ctrl.leakage(params, v), x[3 * n:4 * n]
+        # (L + 1 1^T/n) zeta = Q/S - lambda + zeta_sum/n: L zeta = Q/S - lambda, 1^T zeta = zeta_sum
+        zeta = np.linalg.solve(model.L + 1.0 / n, Q / params.s_rated - lam + zeta_sum / n)
     return Equilibrium(
         mode=mode,
         theta=theta,
         Omega=Omega,
         v=v,
-        lam=x[3 * n:4 * n] if proposed else np.zeros(n),
-        zeta=x[4 * n:] if proposed else np.zeros(n),
+        lam=lam,
+        zeta=zeta,
         V=V,
         P=P,
         Q=Q,

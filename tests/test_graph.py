@@ -53,6 +53,14 @@ def test_disconnected_rejected():
         CommGraph(A)
 
 
+def test_value_equality():
+    g = CommGraph.ring(3)
+    assert g == CommGraph.ring(3) and g == CommGraph(g.adjacency.copy())
+    assert g != CommGraph.ring(4) and g != CommGraph.ring(3, weight=2.0)
+    assert g != CommGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert (g == "ring") is False and (g != "ring") is True
+
+
 def test_asymmetric_rejected():
     A = np.zeros((3, 3))
     A[0, 1] = 1.0

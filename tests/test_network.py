@@ -107,6 +107,19 @@ def test_isolated_island_rejected():
         )
 
 
+def test_disconnected_electrical_network_rejected():
+    """Two islands, each with its own inverter and load: every bus is reachable
+    from some inverter, but not from every other one."""
+    b = mg.Bases(1.0, 1.0, 50.0)
+    with pytest.raises(mg.NetworkDataError, match="electrical graph .* is disconnected"):
+        mg.NetworkData(
+            bases=b, n_bus=4,
+            lines=(mg.Line(1, 2, 0.01, 0.05), mg.Line(3, 4, 0.01, 0.05)),
+            connectors=(mg.Connector(1, 1, 0.0, 0.1), mg.Connector(2, 3, 0.0, 0.1)),
+            loads=(mg.Load(2, 0.5, 0.9), mg.Load(4, 0.5, 0.9)), impedance_unit="pu", load_unit="pu",
+        )
+
+
 # ---------------------------------------------------------------------------
 # power flow and Jacobians
 # ---------------------------------------------------------------------------

@@ -50,14 +50,18 @@ def test_roundtrip_identity(lv5):
     ))
     for sc in (lv5, limits):
         again = sio.parse_scenario_text(mg.serialize_scenario(sc), name=sc.name)
-        assert again.network == sc.network
-        assert again.events == sc.events
-        assert again.t_end == sc.t_end and again.rel_tol == sc.rel_tol
-        assert np.array_equal(again.graph.adjacency, sc.graph.adjacency)
-        for f in ("s_rated", "m_omega", "m_v", "v_min", "v_max"):
-            assert np.array_equal(getattr(again.params, f), getattr(sc.params, f))
-        for f in ("tau_omega", "tau_v", "tau_p", "tau_d", "beta", "k"):
-            assert getattr(again.params, f) == getattr(sc.params, f)
+        assert again == sc
+
+
+def test_scenario_value_equality(lv5):
+    """Scenarios, and the graphs and arrays inside them, compare by value."""
+    assert mg.parse_scenario("lv5") == mg.parse_scenario("lv5")
+    assert mg.parse_scenario("lv5") != mg.parse_scenario("mv9-template")
+    theta = replace(lv5, initial_theta=np.linspace(0.0, 0.04, 5))
+    assert theta == replace(lv5, initial_theta=np.linspace(0.0, 0.04, 5))
+    assert theta != lv5 and theta != replace(theta, initial_theta=np.zeros(5))
+    assert lv5 != replace(lv5, graph=mg.CommGraph.ring(5, weight=2.0))
+    assert (lv5 == "lv5") is False
 
 
 def _gains(lv5, **gains):

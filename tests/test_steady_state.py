@@ -62,6 +62,7 @@ def test_zeta_sum_pinning(lv5, lv5_reduced):
     eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params,
                               mode="proposed", zeta_sum=2.5)
     assert eq.zeta.sum() == pytest.approx(2.5, abs=1e-9)
+    _check_solution(eq, lv5_reduced, lv5.graph, lv5.params, zeta_sum=2.5)
     # physical outputs are invariant to the conserved quantity's value
     eq0 = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, mode="proposed")
     assert np.abs(eq.V - eq0.V).max() <= 1e-8
@@ -110,11 +111,18 @@ def test_newton_never_reevaluates_a_state(lv5, lv5_reduced, monkeypatch):
     assert len(seen) == len(set(seen))
 
 
-def _check_solution(eq, params):
+def _check_solution(eq, red, graph, params, zeta_sum=0.0):
+    """The properties, plus the full closed loop and the KKT system at the assembled state."""
     report = mg.verify_properties(eq, params)
     assert report.all_pass, "\n".join(report.lines())
     assert np.abs(eq.lam - eq.alpha_Q).max() <= 1e-8
     assert eq.residual < 1e-11
+    model = ctrl.ClosedLoop(eq.mode, params, red, laplacian(graph))
+    f = model.rhs(0.0, np.concatenate([eq.theta, eq.Omega, eq.v, eq.lam, eq.zeta]))
+    assert np.abs(f[eq.n:]).max() <= 1e-9
+    for part in ctrl.kkt_residual(graph, params.k, eq.lam, eq.zeta, eq.Q / params.s_rated):
+        assert np.abs(part).max() <= 1e-9
+    assert eq.zeta.sum() == pytest.approx(zeta_sum, abs=1e-9)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -130,7 +138,7 @@ def test_operating_points_solve(lv5, scale, shift_lo, shift_hi):
                            p.v_max + np.array(shift_hi) * p.delta)
     red = mg.kron_reduce(lv5.network, np.array(scale))
     eq = mg.solve_equilibrium(red, lv5.graph, params, mode="proposed")
-    _check_solution(eq, params)
+    _check_solution(eq, red, lv5.graph, params)
 
 
 def test_saturated_point_past_kink(lv5):
@@ -138,7 +146,7 @@ def test_saturated_point_past_kink(lv5):
     params = lv5.params.with_limits(0.948, 1.042)
     red = mg.kron_reduce(lv5.network, np.array([0.76, 0.53, 1.13, 0.54, 0.44]))
     eq = mg.solve_equilibrium(red, lv5.graph, params, mode="proposed")
-    _check_solution(eq, params)
+    _check_solution(eq, red, lv5.graph, params)
     assert eq.saturated  # units that end past their kink, |v| > 3 Delta
 
 
@@ -149,13 +157,25 @@ def test_start_on_kink_converges(lv5, lv5_reduced, lv5_equilibrium):
     kink = 3.0 * lv5.params.delta
     iterations = []
     for start in (kink, np.nextafter(kink, 0.0), np.nextafter(kink, np.inf)):
-        x0 = np.zeros(4 * n)              # [theta_rel, Omega, v, lam, zeta]
+        x0 = np.zeros(2 * n + 1)          # [theta_rel, Omega_common, v, c]
         x0[n:2 * n] = start * np.sign(lv5_equilibrium.v)
         eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, initial_guess=x0)
-        _check_solution(eq, lv5.params)
+        _check_solution(eq, lv5_reduced, lv5.graph, lv5.params)
         assert np.abs(eq.V - lv5_equilibrium.V).max() <= 1e-8
         iterations.append(eq.iterations)
     assert max(iterations[1:]) <= iterations[0], iterations
+
+
+@pytest.mark.parametrize("mode, length", [("proposed", 11), ("droop", 10)])
+def test_initial_guess_length_checked(lv5, lv5_reduced, mode, length):
+    """The guess is [theta_rel, Omega_common, v] plus c in proposed mode: 2n + 1 or 2n."""
+    for bad in (length - 1, length + 1, 4 * lv5.params.n):
+        with pytest.raises(ValueError, match=f"initial_guess must be .* of length {length}"):
+            mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params,
+                                 initial_guess=np.zeros(bad), mode=mode)
+    eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params,
+                              initial_guess=np.zeros(length), mode=mode)
+    assert eq.residual < 1e-11
 
 
 @pytest.mark.parametrize("mode", ["proposed", "droop"])
