@@ -44,7 +44,7 @@ __all__ = [
 ATANH_CLIP = 0.999  # used when re-initializing v from a measured voltage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IbrParams:
     """Ratings, limits, and shared gains for a fleet of n inverters.
 
@@ -101,6 +101,7 @@ class IbrParams:
             object.__setattr__(self, name, a)
 
     __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:

@@ -22,7 +22,7 @@ def value_eq(a, b) -> bool:
         np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
     """Connected, undirected, weighted communication topology.
 
@@ -53,6 +53,7 @@ class CommGraph:
             )
 
     __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:

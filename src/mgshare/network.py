@@ -168,7 +168,7 @@ def to_per_unit(data: NetworkData) -> NetworkData:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedNetwork:
     """Kron-reduced admittance G + jB seen from the inverter internal buses (p.u.)."""
 
@@ -181,7 +181,7 @@ class ReducedNetwork:
         B = np.asarray(self.B, dtype=float)
         if G.shape != B.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise NetworkDataError("G and B must be equal-size square matrices")
-        if not (np.allclose(G, G.T, atol=1e-9) and np.allclose(B, B.T, atol=1e-9)):
+        if any(np.abs(a - a.T).max() > 1e-9 * max(1.0, np.abs(a).max()) for a in (G, B)):
             raise NetworkDataError("reduced admittance must be symmetric (reciprocal network)")
         # passivity sanity: conductance part must not be negative definite
         if np.linalg.eigvalsh(0.5 * (G + G.T)).min() < -1e-9:
@@ -192,6 +192,7 @@ class ReducedNetwork:
             object.__setattr__(self, name, a)
 
     __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:
@@ -264,8 +265,10 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     """Evaluate (P, Q) injections at the reduced buses; pure algebra, no iteration.
 
     ``theta`` and ``V`` share one shape (..., n); leading axes are a batch of
-    independent operating points, evaluated at once and each exactly as a
-    call of its own.
+    independent operating points, evaluated at once. P equals that of a call
+    per point; Q may differ from it in the last place, because numpy rounds
+    the imaginary part of the complex product E conj(I) differently in long
+    and short arrays.
     """
     theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
     if theta.shape[-1:] != (net.n,) or V.shape != theta.shape:
@@ -275,7 +278,7 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     return S.real, S.imag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearizedModel:
     """First-order power flow model P = Jt_P th + Jv_P V + w_P (likewise Q).
 
@@ -293,6 +296,7 @@ class LinearizedModel:
     V0: np.ndarray
 
     __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:

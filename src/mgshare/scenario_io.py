@@ -70,7 +70,7 @@ class Event:
             raise ScenarioFormatError("set-limits event needs v_min and v_max")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Everything one simulation run needs."""
 
@@ -88,6 +88,7 @@ class Scenario:
     out_dir: str = "out"
 
     __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     def __post_init__(self):
         if self.initial_mode not in ("droop", "proposed"):

@@ -13,9 +13,12 @@ current factor) is skipped so it cannot perturb the trajectory.
 
 Output is sampled by dense interpolation on a fixed grid, independent of the
 adaptive steps: it starts at 0, steps by ``sample_ms`` and ends at or before
-t_end. Each segment emits its block of samples at once, with one batched
-power-flow evaluation. Containment of the saturated voltages is asserted on
-every accepted integrator step, not just on output samples.
+t_end. The ``TimeSeries`` arrays are allocated once, before the first
+segment, and every sample is written into them in place: the dense output is
+evaluated in chunks of samples, and each segment makes one batched
+power-flow call on its stored angles and voltages. Containment of the
+saturated voltages is asserted on every accepted integrator step, not just
+on output samples.
 
 ``TimeSeries.to_csv`` renders every value as ``%.12g`` in numpy, a block of
 rows at a time. The fast path takes the decimal exponent from ``log10``,
@@ -250,6 +253,11 @@ def _csv_rows(X: np.ndarray) -> bytes:
 # simulation driver
 # ---------------------------------------------------------------------------
 
+# (n_samples, n) channels of a TimeSeries, allocated once per run
+_STATE_CHANNELS = _CSV_CHANNELS + ("v_min", "v_max")
+_SAMPLE_CHUNK = 4096     # samples per dense-output evaluation
+
+
 def simulate(s: Scenario) -> TimeSeries:
     """Run the scenario and return the sampled trajectory."""
     n = s.network.n_ibr
@@ -286,8 +294,11 @@ def simulate(s: Scenario) -> TimeSeries:
         theta0 = np.zeros(n) if s.initial_theta is None else np.asarray(s.initial_theta, float)
         x = np.concatenate([theta0, np.zeros(2 * n if mode == "droop" else 4 * n)])
 
-    blocks: list[dict[str, np.ndarray]] = []
-    segment_starts = [0.0]
+    ts = TimeSeries(
+        t=t_grid, mode=np.zeros(n_samples, dtype=int),
+        **{name: np.empty((n_samples, n)) for name in _STATE_CHANNELS},
+        segment_starts=[0.0],
+    )
 
     pending = list(s.events)
     t_now = 0.0
@@ -306,7 +317,7 @@ def simulate(s: Scenario) -> TimeSeries:
                 ev, mode, params, load_scale, x, reduced()
             )
             if ev.time > 0:
-                segment_starts.append(ev.time)
+                ts.segment_starts.append(ev.time)
         t_next = min((e.time for e in pending), default=s.t_end)
         red = reduced()
         model = ctrl.ClosedLoop(mode, params, red, L)
@@ -324,18 +335,13 @@ def simulate(s: Scenario) -> TimeSeries:
         # samples in [t_now, t_next), plus the final point at t_end
         last = t_next >= s.t_end
         hi = n_samples if last else int(np.searchsorted(t_grid, t_next - 1e-12, "right"))
-        seg_t = t_grid[emitted:hi]
-        if seg_t.size:
-            blocks.append(_channels(model, sol.sol(seg_t).T, s.network.bases.f_nom))
+        if hi > emitted:
+            _channels(ts, slice(emitted, hi), model, sol.sol, s.network.bases.f_nom)
             emitted = hi
         x = sol.y[:, -1]
         t_now = t_next
 
-    return TimeSeries(
-        t=t_grid,
-        **{key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]},
-        segment_starts=segment_starts,
-    )
+    return ts
 
 
 def _event_limits(ev: Event, params: IbrParams):
@@ -397,26 +403,33 @@ def _check_containment(mode, params, sol):
         )
 
 
-def _channels(model: ctrl.ClosedLoop, X: np.ndarray, f_nom: float) -> dict[str, np.ndarray]:
-    """TimeSeries channels, each (S, n), for a block of S sampled states X (S x dim)."""
+def _channels(ts: TimeSeries, rows: slice, model: ctrl.ClosedLoop, dense, f_nom: float):
+    """Write the samples ``rows`` of one segment into ``ts`` in place.
+
+    The dense output ``dense`` is evaluated ``_SAMPLE_CHUNK`` samples at a
+    time; the power flow takes the segment's stored theta and V in one call.
+    """
     p = model.params
     n = p.n
-    S = X.shape[0]
-    theta, Omega, v = X[:, :n], X[:, n:2 * n], X[:, 2 * n:3 * n]
-    V = model.voltage(v)
-    P, Q = power_flow(model.net, theta, V)
-    if model.mode == "droop":
-        lam = zeta = rho = np.zeros((S, n))
-    else:
-        lam, zeta, rho = X[:, 3 * n:4 * n], X[:, 4 * n:], ctrl.leakage(p, v)
-    return {
-        "mode": np.full(S, int(model.mode == "proposed")),
-        "theta": theta, "omega_dev": Omega, "f": f_nom + Omega / (2.0 * np.pi),
-        "v": v, "lam": lam, "zeta": zeta, "V": V, "P": P, "Q": Q,
-        "p_ratio": P / p.s_rated, "q_ratio": Q / p.s_rated, "rho": rho,
-        "v_min": np.broadcast_to(p.v_min, (S, n)),
-        "v_max": np.broadcast_to(p.v_max, (S, n)),
-    }
+    proposed = model.mode == "proposed"
+    ts.mode[rows] = int(proposed)
+    ts.v_min[rows] = p.v_min
+    ts.v_max[rows] = p.v_max
+    for start in range(rows.start, rows.stop, _SAMPLE_CHUNK):
+        c = slice(start, min(start + _SAMPLE_CHUNK, rows.stop))
+        X = dense(ts.t[c]).T
+        ts.theta[c], ts.omega_dev[c], ts.v[c] = X[:, :n], X[:, n:2 * n], X[:, 2 * n:3 * n]
+        ts.f[c] = f_nom + ts.omega_dev[c] / (2.0 * np.pi)
+        ts.V[c] = model.voltage(ts.v[c])
+        if proposed:
+            ts.lam[c], ts.zeta[c] = X[:, 3 * n:4 * n], X[:, 4 * n:]
+            ts.rho[c] = ctrl.leakage(p, ts.v[c])
+        else:
+            ts.lam[c] = ts.zeta[c] = ts.rho[c] = 0.0
+    del X    # the last chunk is not alive next to the flow's temporaries
+    P, Q = power_flow(model.net, ts.theta[rows], ts.V[rows])
+    ts.P[rows], ts.Q[rows] = P, Q
+    ts.p_ratio[rows], ts.q_ratio[rows] = P / p.s_rated, Q / p.s_rated
 
 
 def detect_saturated_set(ts: TimeSeries, t: float) -> set[int]:

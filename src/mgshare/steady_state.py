@@ -19,7 +19,9 @@ jumps; a full step across it backtracks many times and stalls. So a
 step that would carry some unit's v across its kink is cut to land the
 first such unit on the kink (backtracking halves from there), and a cut
 step does not count as stagnation unless more than 2n cut steps in a row,
-the number of kinks, make no progress. The solve is deterministic: stagnation,
+the number of kinks, make no progress. A full Newton step never counts as
+stagnation: past a kink the residual can stay flat for a step while v moves
+a long way towards the solution. The solve is deterministic: stagnation,
 running out of iterations or a singular Jacobian raises
 ``ConvergenceError``. ``Equilibrium.iterations`` reports the cost.
 """
@@ -72,10 +74,13 @@ def _newton(residual, jacobian, x0, step_limit=None, max_stalled_cuts=0, tol=1e-
     residual and norm carry into the next iteration, and when backtracking
     runs out the last evaluated trial is accepted. ``step_limit(x, dx)``,
     if given, caps the first trial step below 1 (backtracking halves from
-    there); an iteration whose step it cut is exempt from the stagnation
-    test, up to ``max_stalled_cuts`` such iterations in a row. Stagnation,
-    ``max_iter`` Jacobian solves without convergence or a singular Jacobian
-    raise ``ConvergenceError``. ``iterations`` counts Jacobian solves.
+    there). An iteration stagnates when its step was cut or backtracked
+    (below 1) and the norm fell by less than 0.1%; a full step never does,
+    however little it gains. A stagnating step that ``step_limit`` cut is
+    tolerated up to ``max_stalled_cuts`` such iterations in a row; any other
+    stagnation stops the solve. Stagnation, ``max_iter`` Jacobian solves
+    without convergence or a singular Jacobian raise ``ConvergenceError``.
+    ``iterations`` counts Jacobian solves.
     """
     x = np.asarray(x0, dtype=float).copy()
     F = residual(x)
@@ -103,7 +108,8 @@ def _newton(residual, jacobian, x0, step_limit=None, max_stalled_cuts=0, tol=1e-
                 break
             step *= 0.5
         x, F, norm = x_new, F_new, norm_new
-        stalled = stalled + 1 if norm > 0.999 * last_norm else 0
+        # a full step is never stagnation: Newton may cross a flat stretch
+        stalled = stalled + 1 if norm > 0.999 * last_norm and step < 1.0 else 0
         if stalled and (not cut or stalled > max_stalled_cuts):
             break  # stagnating
         last_norm = norm

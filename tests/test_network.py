@@ -88,6 +88,17 @@ def test_reduced_symmetry_and_passivity(lv5_reduced):
     assert np.linalg.eigvalsh(red.G).min() >= -1e-9
 
 
+def test_asymmetric_reduced_network_rejected(lv5_reduced):
+    """A relative asymmetry of 5e-6 in G or B is not reciprocal; round-off is."""
+    for name in ("G", "B"):
+        a = getattr(lv5_reduced, name).copy()
+        a[0, 1] *= 1 + 5e-6
+        with pytest.raises(mg.NetworkDataError, match="symmetric"):
+            replace(lv5_reduced, **{name: a})
+        a[0, 1] = np.nextafter(a[1, 0], np.inf)
+        replace(lv5_reduced, **{name: a})
+
+
 def test_load_admittance_draws_rated_power():
     y = load_admittance(0.9, 0.85)
     s = np.conj(y) * 1.0  # S = V^2 conj(y) at V = 1
@@ -127,8 +138,8 @@ def test_disconnected_electrical_network_rejected():
 def test_power_flow_against_nodal_oracle(lv5, lv5_reduced):
     """Reduced-network injections must match a direct complex nodal solve.
 
-    A batch of operating points, shape (S, n), gives exactly the row-by-row
-    results; theta and V of different shapes are rejected.
+    A short batch of operating points, shape (S, n), gives exactly the
+    row-by-row results; theta and V of different shapes are rejected.
     """
     net = lv5.network
     n = net.n_ibr
@@ -152,6 +163,18 @@ def test_power_flow_against_nodal_oracle(lv5, lv5_reduced):
     for theta, V in ((thetas, Vs[0]), (thetas[0], Vs), (thetas[:, :-1], Vs[:, :-1])):
         with pytest.raises(ValueError):
             mg.power_flow(lv5_reduced, theta, V)
+
+
+def test_long_batch_power_flow_within_one_ulp(lv5_reduced):
+    """A long batch gives P exactly as row-by-row calls and Q to within one ulp:
+    numpy rounds the complex product differently in long and short arrays."""
+    rng = np.random.default_rng(2)
+    thetas = rng.normal(0, 0.05, (4000, 5))
+    Vs = 1 + rng.normal(0, 0.03, (4000, 5))
+    P, Q = mg.power_flow(lv5_reduced, thetas, Vs)
+    rows = [mg.power_flow(lv5_reduced, theta, V) for theta, V in zip(thetas, Vs)]
+    assert np.array_equal(P, np.array([r[0] for r in rows]))
+    np.testing.assert_array_max_ulp(Q, np.array([r[1] for r in rows]), maxulp=1)
 
 
 def test_jacobian_rotational_invariance(lv5_reduced):

@@ -64,6 +64,15 @@ def test_scenario_value_equality(lv5):
     assert (lv5 == "lv5") is False
 
 
+def test_value_compared_types_are_unhashable(lv5):
+    """Types that compare arrays by value refuse hash() by their own name."""
+    red = mg.kron_reduce(lv5.network)
+    lin = mg.jacobians(red, np.zeros(5), np.ones(5))
+    for obj in (lv5.graph, lv5.params, red, lin, lv5):
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(obj).__name__}'"):
+            hash(obj)
+
+
 def _gains(lv5, **gains):
     return replace(lv5, params=replace(lv5.params, **gains))
 

@@ -1,5 +1,6 @@
 """Time-domain simulator: events, sampling, conservation, CSV output."""
 
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,6 +33,27 @@ def test_sampling_grid(lv5):
         assert ts.t[-1] <= t_end + 1e-12
         assert np.allclose(np.diff(ts.t), sample_ms / 1000)
         assert ts.V.shape == (ts.t.size, lv5.params.n)
+
+
+@pytest.mark.parametrize("events", [
+    (),
+    (mg.Event(time=5.0, kind="scale-load", bus=2, factor=0.5),
+     mg.Event(time=12.0, kind="scale-load", bus=4, factor=1.1)),
+    (mg.Event(time=5.0, kind="activate"),),
+], ids=["no-events", "load-steps", "activate"])
+def test_simulate_holds_one_copy_of_the_trajectory(lv5, events):
+    """Samples are written in place: the peak traced memory of a run stays
+    within 1.5x the arrays of the TimeSeries it returns."""
+    sc = replace(lv5, t_end=20.0, sample_ms=1.0, events=events)
+    tracemalloc.start()
+    try:
+        ts = mg.simulate(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in vars(ts).values() if isinstance(a, np.ndarray))
+    assert ts.t.size == 20001
+    assert peak <= 1.5 * held, peak / held
 
 
 def test_mode_switches_at_activation(case1_timeseries):

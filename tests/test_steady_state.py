@@ -150,6 +150,26 @@ def test_saturated_point_past_kink(lv5):
     assert eq.saturated  # units that end past their kink, |v| > 3 Delta
 
 
+@pytest.mark.parametrize("scale, v_min, v_max", [
+    ((0.4056821388919341, 1.045529183999304, 0.5124513345125516, 0.9801483370210704,
+      0.5046503978818597), 0.9479650617435497, 1.041638750619336),
+    ((0.25551210845077627, 1.138132927039621, 0.5414031092987657, 0.30783526271845735,
+      0.6756795452687041), 0.9495545938560275, 1.0450453723082804),
+    ((0.3385951853985297, 0.32253426587014594, 0.5039700521458028, 1.0567053503219377,
+      0.615860353717318), 0.9499658298324496, 1.0450937711552912),
+    ((0.6964721866974264, 0.9354764816142895, 0.3274277193212252, 1.0152242362841384,
+      0.5985145949131978), 0.9562605339772509, 1.0547370360489965),
+])
+def test_full_step_with_flat_residual_is_not_stagnation(lv5, scale, v_min, v_max):
+    """Two units settle just past their kinks; on the way a full, uncut Newton
+    step moves v far while the residual norm falls by less than 0.1%."""
+    params = lv5.params.with_limits(v_min, v_max)
+    red = mg.kron_reduce(lv5.network, np.array(scale))
+    eq = mg.solve_equilibrium(red, lv5.graph, params, mode="proposed")
+    _check_solution(eq, red, lv5.graph, params)
+    assert len(eq.saturated) == 2
+
+
 def test_start_on_kink_converges(lv5, lv5_reduced, lv5_equilibrium):
     """Every unit's v starts on its kink (exactly, or one ulp inside or outside it),
     on the side of its solution; round-off off the kink does not cut steps."""
