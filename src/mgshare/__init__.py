@@ -14,7 +14,7 @@ submodule, and calling it runs the simulation: ``mgshare.simulate(scenario)``.
 
 import importlib
 
-from .controller import IbrParams, integrator_rhs, kkt_residual, leakage, voltage_output
+from .controller import IbrParams, kkt_residual, leakage, voltage_output
 from .errors import (
     ConvergenceError,
     DisconnectedGraphError,
@@ -23,7 +23,7 @@ from .errors import (
     ScenarioFormatError,
     SimulationError,
 )
-from .graph import CommGraph, algebraic_connectivity, consensus_gain_matrix, laplacian
+from .graph import CommGraph, algebraic_connectivity, laplacian
 from .network import (
     Bases,
     Connector,
@@ -53,10 +53,10 @@ from .tuning import TunedParams, TuningSpec, tune, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "IbrParams", "integrator_rhs", "kkt_residual", "leakage", "voltage_output",
+    "IbrParams", "kkt_residual", "leakage", "voltage_output",
     "MgshareError", "DisconnectedGraphError", "NetworkDataError",
     "ScenarioFormatError", "ConvergenceError", "SimulationError",
-    "CommGraph", "laplacian", "algebraic_connectivity", "consensus_gain_matrix",
+    "CommGraph", "laplacian", "algebraic_connectivity",
     "Bases", "Line", "Connector", "Load", "NetworkData", "ReducedNetwork",
     "LinearizedModel", "to_per_unit", "kron_reduce", "power_flow", "jacobians",
     "parse_scenario", "serialize_scenario", "bundled_scenario_path",

@@ -35,7 +35,6 @@ __all__ = [
     "voltage_output",
     "leakage",
     "saturation_derivatives",
-    "integrator_rhs",
     "kkt_residual",
     "ClosedLoop",
     "brackets_jacobian",
@@ -140,19 +139,6 @@ def saturation_derivatives(p: IbrParams, v):
     v = np.asarray(v, dtype=float)
     u = np.abs(v) / p.delta
     return 1.0 / np.cosh(v / p.delta) ** 2, np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
-
-
-def integrator_rhs(p: IbrParams, v, lam, Q) -> np.ndarray:
-    """Pre-tau_v bracket of the leaky integral channel.
-
-    V_star (lam - Q/S) - beta Delta tanh(v/Delta) - rho(v) v.
-    """
-    v = np.asarray(v, dtype=float)
-    return (
-        p.v_star * (np.asarray(lam, dtype=float) - np.asarray(Q, dtype=float) / p.s_rated)
-        - p.beta * p.delta * np.tanh(v / p.delta)
-        - leakage(p, v) * v
-    )
 
 
 def kkt_residual(g: CommGraph, k: float, lam, zeta, q_ratio):

@@ -1,8 +1,7 @@
 """Undirected weighted communication graph between inverter units.
 
 Provides the Laplacian algebra used by the distributed optimizer and the
-stability machinery: L = D - A, the algebraic connectivity sigma_2, and the
-consensus gain matrix K = (I + k L)^-1.
+stability machinery: L = D - A and the algebraic connectivity sigma_2.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 
-__all__ = ["CommGraph", "laplacian", "algebraic_connectivity", "consensus_gain_matrix"]
+__all__ = ["CommGraph", "laplacian", "algebraic_connectivity"]
 
 
 def value_eq(a, b) -> bool:
@@ -113,10 +112,3 @@ def algebraic_connectivity(g: CommGraph) -> float:
     w = np.linalg.eigvalsh(laplacian(g))
     return float(w[1])
 
-
-def consensus_gain_matrix(g: CommGraph, k: float) -> np.ndarray:
-    """K = (I + k L)^-1; symmetric positive definite with K @ 1 = 1."""
-    if k < 0:
-        raise ValueError("consensus gain k must be nonnegative")
-    n = g.n
-    return np.linalg.inv(np.eye(n) + k * laplacian(g))

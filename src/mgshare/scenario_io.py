@@ -131,9 +131,10 @@ def parse_scenario(path) -> Scenario:
 
 
 def _tokenize(text: str):
-    """Yield (lineno, section, unit, tokens)."""
+    """Yield (lineno, section, unit, tokens); each section header may appear once."""
     section = None
     unit = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -153,6 +154,9 @@ def _tokenize(text: str):
                     )
             if section not in _SECTIONS:
                 raise ScenarioFormatError(f"line {lineno}: unknown section [{section}]")
+            if section in seen:
+                raise ScenarioFormatError(f"line {lineno}: repeated section [{section}]")
+            seen.add(section)
             continue
         if section is None:
             raise ScenarioFormatError(f"line {lineno}: data before any section header")
@@ -188,12 +192,9 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     events: list[Event] = []
     sim: dict[str, float] = {}
     out_dir = "out"
-    seen_sections: list[str] = []
     semantic: list[str] = []
 
     for lineno, section, unit, toks in _tokenize(text):
-        if section not in seen_sections:
-            seen_sections.append(section)
         if section == "bases":
             if len(toks) < 2:
                 raise ScenarioFormatError(f"line {lineno}: bases entries are 'key value [unit]'")
@@ -205,7 +206,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                 )
             buses.append((_int(toks[0], lineno, "bus id"), toks[1]))
         elif section == "lines":
-            line_unit = unit or line_unit or "ohm"
+            line_unit = unit or "ohm"
             if len(toks) != 4:
                 raise ScenarioFormatError(f"line {lineno}: line rows are 'from to r x'")
             lines.append(Line(
@@ -213,7 +214,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                 _num(toks[2], lineno, "r"), _num(toks[3], lineno, "x"),
             ))
         elif section == "connectors":
-            conn_unit = unit or conn_unit or "ohm"
+            conn_unit = unit or "ohm"
             if len(toks) != 4:
                 raise ScenarioFormatError(f"line {lineno}: connector rows are 'ibr bus r x'")
             connectors.append(Connector(
@@ -221,7 +222,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                 _num(toks[2], lineno, "r"), _num(toks[3], lineno, "x"),
             ))
         elif section == "loads":
-            load_unit = unit or load_unit or "pu"
+            load_unit = unit or "pu"
             if len(toks) != 3:
                 raise ScenarioFormatError(f"line {lineno}: load rows are 'bus s pf'")
             loads.append(Load(
@@ -259,9 +260,6 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
             if len(toks) != 2 or toks[0] != "dir":
                 raise ScenarioFormatError(f"line {lineno}: outputs entries are 'dir path'")
             out_dir = toks[1]
-
-    if seen_sections.count("graph") > 1:
-        raise ScenarioFormatError("exactly one [graph] section is required")
 
     for key in ("s_base", "v_base", "f_nom"):
         if key not in bases_kv:

@@ -4,8 +4,10 @@ Every matrix here comes from the one closed-loop model,
 ``controller.brackets_jacobian``. Its Schur complement over the fast states
 (Omega, lambda) is the linearized (theta, v, zeta) system, i.e. the limit
 tau_omega, tau_p -> 0. Projecting theta and zeta onto n-1 difference
-coordinates through the averaging/difference transform T gives the cascade
-blocks, and the module checks:
+coordinates through the averaging/difference transform T removes the
+uniform angle and dual shifts, the two zero modes. ``_complement`` builds
+this relative complement in one place: at v = 0 for the cascade blocks,
+and at the equilibrium v for the sweep. The module checks:
 
 * an LMI certificate (P_theta > 0, D_v > 0 diagonal, Q + Q^T < 0) for the
   slow reduced dynamics, taken from closed-form candidates without a
@@ -15,11 +17,9 @@ blocks, and the module checks:
   Hurwitz block R_zeta, solved in its eigenbasis with numpy;
 * an empirical sweep of the spectral abscissa of the linearized
   (theta, v, zeta) system over the timescale ratio tau_d/tau_v (the
-  analytic separation threshold is not computed). The complement is formed
-  once in relative coordinates, where the uniform angle and dual shifts,
-  the two zero modes, are gone; each nonzero ratio rescales its rows by
-  [1, tau_v, ratio tau_v], and ratio 0, the quasi-steady dual limit,
-  eliminates zeta as well.
+  analytic separation threshold is not computed). Each nonzero ratio
+  rescales the complement's rows by [1, tau_v, ratio tau_v], and ratio 0,
+  the quasi-steady dual limit, eliminates zeta as well.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .controller import IbrParams, _affine_part, _jacobian, brackets_jacobian, leakage, voltage_output
+from .controller import IbrParams, brackets_jacobian
 from .errors import MgshareError
 from .graph import CommGraph, laplacian
 from .network import LinearizedModel
@@ -42,8 +42,6 @@ __all__ = [
     "solve_lmi",
     "boundary_layer_check",
     "epsilon_sweep",
-    "reduced_rhs",
-    "lyapunov_value",
     "spectral_abscissa",
 ]
 
@@ -68,8 +66,8 @@ class ReducedBlocks:
 
     Shapes: R_theta, R_zetatheta, R_zeta are (n-1, n-1); R_vV is (n, n);
     R_thetaV, R_zetaV are (n-1, n); R_vtheta, R_vzeta are (n, n-1).
-    ``R_vtheta_new`` / ``R_vV_new`` / ``d_v_new`` fold the quasi-steady dual
-    back into the voltage channel. tau_v is baked into the zeta-row blocks.
+    ``R_vtheta_new`` / ``R_vV_new`` fold the quasi-steady dual back into the
+    voltage channel. tau_v is baked into the zeta-row blocks.
     """
 
     R_theta: np.ndarray
@@ -80,12 +78,8 @@ class ReducedBlocks:
     R_zetatheta: np.ndarray
     R_zetaV: np.ndarray
     R_zeta: np.ndarray
-    d_theta: np.ndarray
-    d_v: np.ndarray
-    d_zeta: np.ndarray
     R_vtheta_new: np.ndarray
     R_vV_new: np.ndarray
-    d_v_new: np.ndarray
 
     @property
     def n(self) -> int:
@@ -102,24 +96,19 @@ def _check_angle_shift_invariance(lin: LinearizedModel, L: np.ndarray):
 
 
 def _schur(M: np.ndarray, k: int) -> np.ndarray:
-    """Schur complement of M over its last k rows and columns; extra columns ride along."""
+    """Schur complement of M over its last k rows and columns."""
     return M[:-k, :-k] - M[:-k, -k:] @ np.linalg.solve(M[-k:, -k:], M[-k:, :-k])
 
 
 def _eliminate_fast(J: np.ndarray) -> np.ndarray:
-    """Complement of a proposed-mode bracket Jacobian over (Omega, lambda).
-
-    Rows follow [theta, v, zeta] and columns [theta, v, extra, zeta], where
-    the extra columns are those of ``J`` beyond its 5n.
-    """
+    """Complement of a proposed-mode bracket Jacobian over (Omega, lambda), in [theta, v, zeta] order."""
     n = J.shape[0] // 5
     order = np.arange(5 * n).reshape(5, n)[[0, 2, 4, 1, 3]].ravel()
-    cols = np.concatenate([order[:2 * n], np.arange(5 * n, J.shape[1]), order[2 * n:]])
-    return _schur(J[np.ix_(order, cols)], 2 * n)
+    return _schur(J[np.ix_(order, order)], 2 * n)
 
 
 def _relative(S: np.ndarray) -> np.ndarray:
-    """Rows [r_theta, v, r_zeta] and columns [r_theta, v, extra, r_zeta] of S.
+    """Rows and columns [r_theta, v, r_zeta] of S.
 
     r = T[1:] x holds the n-1 neighbour differences of x, and x = 1 x_av
     + T^-1[:, 1:] r, where the complement annihilates the uniform shift 1.
@@ -128,7 +117,17 @@ def _relative(S: np.ndarray) -> np.ndarray:
     T, T_inv = transform_matrix(n)
     D, N = T[1:], T_inv[:, 1:]
     X = np.vstack([D @ S[:n], S[n:2 * n], D @ S[2 * n:]])
-    return np.hstack([X[:, :n] @ N, X[:, n:-n], X[:, -n:] @ N])
+    return np.hstack([X[:, :n] @ N, X[:, n:2 * n], X[:, 2 * n:] @ N])
+
+
+def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams, v) -> np.ndarray:
+    """Relative complement of the proposed-mode bracket Jacobian at the voltage state v.
+
+    ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
+    """
+    L = laplacian(g)
+    _check_angle_shift_invariance(lin, L)
+    return _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, v)))
 
 
 def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndarray:
@@ -149,22 +148,13 @@ def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndar
 def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
     """Cascade blocks of the closed loop around the flow linearized by ``lin``.
 
-    The bracket Jacobian at v = 0 is the loop in V coordinates (dV/dv = 1,
-    no leakage slope); beta is split out of R_vV, as ``_q_matrix`` and
-    ``reduced_rhs`` apply it. The offsets go through the same elimination:
-    the model's flow coupling K applied to the constant terms [w_P; w_Q] of
-    the linearized flow, plus beta V_star on the v rows (V coordinates).
+    The relative complement at v = 0 is the loop in V coordinates (dV/dv = 1,
+    no leakage slope); beta is split out of R_vV, as ``_q_matrix`` applies it.
     """
-    L = laplacian(g)
-    _check_angle_shift_invariance(lin, L)
     p, n, m = params, lin.n, lin.n - 1
-    M, K = _affine_part("proposed", p, L)
-    J = _jacobian("proposed", p, M, K, lin, np.zeros(n))
-    c = K @ np.concatenate([lin.w_P, lin.w_Q])
-    c[2 * n:3 * n] += p.beta * p.v_star
-    R = _relative(_eliminate_fast(np.column_stack([J, c])))
+    R = _complement(lin, g, p, np.zeros(n))
     R[m + n:] /= p.tau_v
-    th, v, one, ze = slice(0, m), slice(m, m + n), m + n, slice(-m, None)
+    th, v, ze = slice(0, m), slice(m, m + n), slice(-m, None)
     if np.max(np.linalg.eigvals(R[ze, ze]).real) >= 0:
         raise MgshareError("R_zeta is not Hurwitz; graph structure broken")
     new = _schur(R, m)[v]
@@ -173,8 +163,7 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
         R_theta=R[th, th], R_thetaV=R[th, v],
         R_vtheta=R[v, th], R_vV=R[v, v] + beta, R_vzeta=R[v, ze],
         R_zetatheta=R[ze, th], R_zetaV=R[ze, v], R_zeta=R[ze, ze],
-        d_theta=R[th, one], d_v=R[v, one], d_zeta=R[ze, one],
-        R_vtheta_new=new[:, th], R_vV_new=new[:, v] + beta, d_v_new=new[:, one],
+        R_vtheta_new=new[:, th], R_vV_new=new[:, v] + beta,
     )
 
 
@@ -301,54 +290,8 @@ def boundary_layer_check(blocks: ReducedBlocks):
 
 
 # ---------------------------------------------------------------------------
-# reduced dynamics, Lyapunov value, eigenvalue sweep
+# eigenvalue sweep
 # ---------------------------------------------------------------------------
-
-def reduced_rhs(blocks: ReducedBlocks, params: IbrParams):
-    """Right-hand side of the slow reduced system, state [r_theta, v]."""
-    m = blocks.n - 1
-
-    def rhs(_t, x):
-        r = x[:m]
-        v = x[m:]
-        V = voltage_output(params, v)
-        rho = leakage(params, v)
-        dr = blocks.R_theta @ r + blocks.R_thetaV @ V + blocks.d_theta
-        dv = (
-            blocks.R_vtheta_new @ r
-            + (blocks.R_vV_new - params.beta * np.eye(blocks.n)) @ V
-            - rho * v
-            + blocks.d_v_new
-        ) / params.tau_v
-        return np.concatenate([dr, dv])
-
-    return rhs
-
-
-def lyapunov_value(
-    cert: LmiCertificate,
-    params: IbrParams,
-    r_theta: np.ndarray,
-    v: np.ndarray,
-    r_theta_bar: np.ndarray,
-    v_bar: np.ndarray,
-) -> float:
-    """Slow-subsystem Lyapunov function, integral term in closed form.
-
-    The integral of the shifted tanh uses the log-cosh antiderivative, so
-    the non-increase test along trajectories is exact up to round-off.
-    """
-    rt = r_theta - r_theta_bar
-    quad = 0.5 * rt @ cert.P_theta @ rt
-    d = np.diag(cert.D_v)
-    delta = params.delta
-    vt = v - v_bar
-    integral = (
-        delta**2 * (np.log(np.cosh(v / delta)) - np.log(np.cosh(v_bar / delta)))
-        - delta * vt * np.tanh(v_bar / delta)
-    )
-    return float(quad + params.tau_v * np.sum(d * integral))
-
 
 def spectral_abscissa(A: np.ndarray) -> float:
     """Max real part of the eigenvalues of A."""
@@ -372,7 +315,5 @@ def epsilon_sweep(
     ratios = [float(r) for r in ratios]
     if not all(0.0 <= r < np.inf for r in ratios):
         raise ValueError(f"timescale ratios must be nonnegative and finite, got {ratios}")
-    L = laplacian(g)
-    _check_angle_shift_invariance(lin, L)
-    R = _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, v_bar)))
+    R = _complement(lin, g, params, v_bar)
     return [(r, spectral_abscissa(_timescale_matrix(R, params, r))) for r in ratios]

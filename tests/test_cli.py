@@ -55,8 +55,9 @@ def test_steady_state_droop(capsys):
     assert "equilibrium (droop)" in capsys.readouterr().out
 
 
-def test_stability_report(capsys):
-    rc = main(["stability", "lv5", "--ratios", "0.1,0.01,0"])
+@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
+def test_stability_report(capsys, name):
+    rc = main(["stability", name, "--ratios", "0.1,0.01,0"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "feasible" in out

@@ -112,19 +112,21 @@ def test_droop_rhs_oracle(ring3_reduced):
     assert np.allclose(b[6:], -v - 0.05 * Q)
 
 
-def test_integrator_rhs_components():
-    p = make_params(n=1)
+def test_integrator_rhs_components(ring3_reduced):
+    """v rows of the proposed brackets: V_star (lam - Q/S) - beta Delta tanh(v/Delta) - rho(v) v."""
+    p = make_params()
     d = p.delta[0]
-    # unsaturated: leakage term absent
-    v = np.array([d])
-    out = ctrl.integrator_rhs(p, v, np.array([0.4]), np.array([0.3]))
-    expect = 1.0 * (0.4 - 0.3) - 0.01 * d * np.tanh(1.0)
-    assert out[0] == pytest.approx(expect, abs=1e-12)
-    # saturated: rho * v now active
-    v = np.array([5.0 * d])
-    out = ctrl.integrator_rhs(p, v, np.array([0.4]), np.array([0.3]))
-    expect = 1.0 * (0.4 - 0.3) - 0.01 * d * np.tanh(5.0) - 2.0 * 5.0 * d
-    assert out[0] == pytest.approx(expect, abs=1e-12)
+    model = ctrl.ClosedLoop("proposed", p, ring3_reduced, mg.laplacian(mg.CommGraph.ring(3)))
+    theta = np.array([0.02, 0.0, -0.01])
+    # unit 0 unsaturated (leakage term absent); unit 1 saturated, rho = 2
+    v = np.array([d, 5.0 * d, 0.0])
+    lam = np.full(3, 0.4)
+    b = model.brackets(np.concatenate([theta, np.zeros(3), v, lam, np.zeros(3)]))
+    _, Q = mg.power_flow(ring3_reduced, theta, ctrl.voltage_output(p, v))
+    expect = 1.0 * (0.4 - Q[0]) - 0.01 * d * np.tanh(1.0)
+    assert b[6] == pytest.approx(expect, abs=1e-12)
+    expect = 1.0 * (0.4 - Q[1]) - 0.01 * d * np.tanh(5.0) - 2.0 * 5.0 * d
+    assert b[7] == pytest.approx(expect, abs=1e-12)
 
 
 def test_primal_dual_rhs_oracle(ring3_reduced):
@@ -139,7 +141,8 @@ def test_primal_dual_rhs_oracle(ring3_reduced):
     model = ctrl.ClosedLoop("proposed", p, red, L)
     b = model.brackets(np.concatenate([theta, np.zeros(3), v, lam, zeta]))
     _, Q = mg.power_flow(red, theta, ctrl.voltage_output(p, v))
-    assert np.allclose(b[6:9], ctrl.integrator_rhs(p, v, lam, Q))
+    assert np.allclose(b[6:9], p.v_star * (lam - Q / p.s_rated)
+                       - p.beta * p.delta * np.tanh(v / p.delta) - ctrl.leakage(p, v) * v)
     assert np.allclose(b[9:12], Q / p.s_rated - lam - L @ zeta - 2.0 * (L @ lam))
     assert np.allclose(b[12:], L @ lam)
 

@@ -9,7 +9,6 @@ from mgshare import (
     CommGraph,
     DisconnectedGraphError,
     algebraic_connectivity,
-    consensus_gain_matrix,
     laplacian,
 )
 
@@ -32,17 +31,6 @@ def test_two_node_connectivity():
     g = CommGraph.from_edges(2, [(0, 1)])
     # path graph K2: sigma2 = 2 (eigenvalues 0, 2)
     assert algebraic_connectivity(g) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_consensus_gain_rows_sum_to_one():
-    g = CommGraph.ring(5)
-    K = consensus_gain_matrix(g, 7.24)
-    assert np.allclose(K @ np.ones(5), np.ones(5), atol=1e-12)
-
-
-def test_consensus_gain_zero_k_identity():
-    g = CommGraph.ring(4)
-    assert np.allclose(consensus_gain_matrix(g, 0.0), np.eye(4))
 
 
 def test_disconnected_rejected():

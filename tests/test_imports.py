@@ -1,6 +1,8 @@
 """Import footprint: analysis and parsing run without scipy; the integrator loads with simulate."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -79,3 +81,15 @@ def test_lazy_names_listed_and_shared():
     assert set(mg.__all__) <= set(dir(mg))
     assert mg.simulate.Scenario is mg.Scenario and mg.simulate.Event is mg.Event
     assert mg.sharing_error is mg.simulate.sharing_error
+
+
+
+def test_every_all_entry_resolves():
+    """No module lists a name it does not define; the deleted model copies stay gone."""
+    gone = {"reduced_rhs", "lyapunov_value", "integrator_rhs", "consensus_gain_matrix"}
+    modules = [mg] + [importlib.import_module(f"mgshare.{m.name}")
+                      for m in pkgutil.iter_modules(mg.__path__)]
+    for module in modules:
+        listed = getattr(module, "__all__", ())
+        assert [n for n in listed if not hasattr(module, n)] == [], module.__name__
+        assert not gone & set(listed), module.__name__

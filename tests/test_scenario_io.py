@@ -106,6 +106,23 @@ def test_unknown_section():
         sio.parse_scenario_text("[nonsense]\nx 1\n")
 
 
+@pytest.mark.parametrize("old, new, section", [
+    # a second [graph] would add a sixth edge to the ring
+    ("[controller-gains]", "[graph]\n1 3\n\n[controller-gains]", "graph"),
+    # line 1 in per unit, then the other rows in ohm: the ohm section would
+    # divide the per-unit row by z_base again
+    ("[lines] unit=ohm\n# from to r x\n1 2 0.20 0.30\n",
+     "[lines] unit=pu\n1 2 0.413 0.620\n[lines] unit=ohm\n", "lines"),
+], ids=["graph", "lines"])
+def test_repeated_section_rejected(old, new, section):
+    text = sio.bundled_scenario_path("lv5").read_text()
+    assert text.count(old) == 1
+    lines = text.replace(old, new).splitlines()
+    lineno = max(i for i, ln in enumerate(lines, 1) if ln.startswith(f"[{section}]"))
+    with pytest.raises(ScenarioFormatError, match=rf"line {lineno}: repeated section \[{section}\]"):
+        sio.parse_scenario_text("\n".join(lines))
+
+
 def test_data_before_section():
     with pytest.raises(ScenarioFormatError, match="before any section"):
         sio.parse_scenario_text("1 2 3\n")

@@ -7,7 +7,7 @@ import pytest
 
 import mgshare as mg
 from mgshare import stability as st
-from mgshare.controller import ClosedLoop, brackets_jacobian
+from mgshare.controller import ClosedLoop, brackets_jacobian, leakage, voltage_output
 from mgshare.errors import MgshareError
 from mgshare.network import jacobians
 from mgshare.scenario_io import parse_scenario_text
@@ -34,13 +34,18 @@ def test_transform_maps_ones_to_e1():
 
 
 def literal_blocks(lin, g, params):
-    """The cascade-block formulas written out with T, K = (I + kL)^-1 and inverses."""
+    """The cascade-block formulas written out with T, K = (I + kL)^-1 and inverses.
+
+    Besides the blocks it returns the offsets of the linearized flow's
+    constant terms [w_P; w_Q]: d_theta, d_v, d_zeta and the quasi-steady
+    d_v_new, which ``reduced_rhs`` below adds.
+    """
     n = lin.n
     T, _ = st.transform_matrix(n)
     Tinv = np.linalg.inv(T)
     Ir = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
     L = mg.laplacian(g)
-    K = mg.consensus_gain_matrix(g, params.k)
+    K = np.linalg.inv(np.eye(n) + params.k * L)
     invS = np.diag(1.0 / params.s_rated)
     mS = np.diag(params.m_omega / params.s_rated)
     Vs = np.diag(params.v_star)
@@ -66,6 +71,47 @@ def literal_blocks(lin, g, params):
     return b
 
 
+OFFSETS = {"d_theta", "d_v", "d_zeta", "d_v_new"}
+
+
+def reduced_rhs(b, params):
+    """Right-hand side of the slow reduced system, state [r_theta, v], from ``literal_blocks``."""
+    m = params.n - 1
+
+    def rhs(_t, x):
+        r = x[:m]
+        v = x[m:]
+        V = voltage_output(params, v)
+        dr = b["R_theta"] @ r + b["R_thetaV"] @ V + b["d_theta"]
+        dv = (
+            b["R_vtheta_new"] @ r
+            + (b["R_vV_new"] - params.beta * np.eye(params.n)) @ V
+            - leakage(params, v) * v
+            + b["d_v_new"]
+        ) / params.tau_v
+        return np.concatenate([dr, dv])
+
+    return rhs
+
+
+def lyapunov_value(cert, params, r_theta, v, r_theta_bar, v_bar):
+    """Slow-subsystem Lyapunov function, integral term in closed form.
+
+    The integral of the shifted tanh uses the log-cosh antiderivative, so
+    the non-increase test along trajectories is exact up to round-off.
+    """
+    rt = r_theta - r_theta_bar
+    quad = 0.5 * rt @ cert.P_theta @ rt
+    d = np.diag(cert.D_v)
+    delta = params.delta
+    vt = v - v_bar
+    integral = (
+        delta**2 * (np.log(np.cosh(v / delta)) - np.log(np.cosh(v_bar / delta)))
+        - delta * vt * np.tanh(v_bar / delta)
+    )
+    return float(quad + params.tau_v * np.sum(d * integral))
+
+
 def bundled_lin(name):
     """(scenario, flow linearized at its proposed-mode equilibrium, that equilibrium)."""
     sc = mg.parse_scenario(name)
@@ -80,8 +126,8 @@ def test_blocks_match_literal_formulas(name):
     sc, lin, _ = bundled_lin(name)
     blocks = st.assemble_blocks(lin, sc.graph, sc.params)
     ref = literal_blocks(lin, sc.graph, sc.params)
-    assert set(ref) == set(st.ReducedBlocks.__dataclass_fields__)
-    for f in ref:
+    assert set(ref) - OFFSETS == set(st.ReducedBlocks.__dataclass_fields__)
+    for f in set(ref) - OFFSETS:
         got = getattr(blocks, f)
         assert got.shape == ref[f].shape, f
         assert np.abs(got - ref[f]).max() <= 1e-10 * np.abs(ref[f]).max(), f
@@ -123,8 +169,7 @@ def contrived_blocks(n=4):
     return st.ReducedBlocks(
         R_theta=-I_m, R_thetaV=z_mn, R_vtheta=z_nm, R_vV=-np.eye(n),
         R_vzeta=z_nm, R_zetatheta=I_m * 0, R_zetaV=z_mn, R_zeta=-I_m,
-        d_theta=np.zeros(m), d_v=np.zeros(n), d_zeta=np.zeros(m),
-        R_vtheta_new=z_nm, R_vV_new=-np.eye(n), d_v_new=np.zeros(n),
+        R_vtheta_new=z_nm, R_vV_new=-np.eye(n),
     )
 
 
@@ -269,16 +314,16 @@ def test_boundary_layer_rejects_non_hurwitz(R):
         st.boundary_layer_check(replace(contrived_blocks(R.shape[0] + 1), R_zeta=R))
 
 
-def test_reduced_matrix_matches_rhs_fd(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):
+def test_reduced_matrix_matches_rhs_fd(lv5, lv5_lin, lv5_equilibrium):
     """The sweep's ratio-0 matrix equals finite differences of the nonlinear rhs."""
     p = lv5.params
     J = brackets_jacobian("proposed", p, mg.laplacian(lv5.graph), lv5_lin, lv5_equilibrium.v)
     A = st._timescale_matrix(st._relative(st._eliminate_fast(J)), p, 0.0)
     [(_, a0)] = st.epsilon_sweep(lv5_lin, lv5.graph, p, lv5_equilibrium.v, [0.0])
     assert a0 == st.spectral_abscissa(A)
-    rhs = st.reduced_rhs(lv5_blocks, p)
-    m = 2 * lv5_blocks.n - 1
-    T, _ = st.transform_matrix(lv5_blocks.n)
+    rhs = reduced_rhs(literal_blocks(lv5_lin, lv5.graph, p), p)
+    m = 2 * p.n - 1
+    T, _ = st.transform_matrix(p.n)
     r_bar = (T @ lv5_equilibrium.theta)[1:]
     x0 = np.concatenate([r_bar, lv5_equilibrium.v])
     h = 1e-7
@@ -307,6 +352,8 @@ def test_sweep_never_assembles_blocks(lv5, lv5_lin, lv5_equilibrium, monkeypatch
     bad = replace(lv5_lin, J_theta_P=lv5_lin.J_theta_P + 1e-3 * np.eye(lv5_lin.n))
     with pytest.raises(MgshareError, match="uniform-angle-shift"):
         st.epsilon_sweep(bad, *args)
+    with pytest.raises(MgshareError, match="uniform-angle-shift"):
+        st.assemble_blocks(bad, lv5.graph, lv5.params)
 
 
 @pytest.mark.parametrize("ratio", [-0.1, np.nan, np.inf, -np.inf])
@@ -363,7 +410,7 @@ def test_sweep_is_singular_limit_of_full_model(lv5, lv5_reduced, lv5_lin, lv5_eq
     assert abs(a_full - a_sweep) <= 1e-5
 
 
-def test_lyapunov_decreases_along_reduced_flow(lv5, lv5_blocks, lv5_equilibrium):
+def test_lyapunov_decreases_along_reduced_flow(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):
     """The certified function decays along the nonlinear reduced trajectory."""
     from scipy.integrate import solve_ivp
 
@@ -376,10 +423,10 @@ def test_lyapunov_decreases_along_reduced_flow(lv5, lv5_blocks, lv5_equilibrium)
     rng = np.random.default_rng(5)
     x0 = np.concatenate([r_bar + rng.normal(0, 1e-3, 4),
                          v_bar + rng.normal(0, 1e-3, 5)])
-    sol = solve_ivp(st.reduced_rhs(lv5_blocks, p), (0, 5.0), x0,
+    sol = solve_ivp(reduced_rhs(literal_blocks(lv5_lin, lv5.graph, p), p), (0, 5.0), x0,
                     rtol=1e-9, atol=1e-12, dense_output=True)
     ts = np.linspace(0, 5.0, 30)
-    vals = [st.lyapunov_value(cert, p, x[:4], x[4:], r_bar, v_bar)
+    vals = [lyapunov_value(cert, p, x[:4], x[4:], r_bar, v_bar)
             for x in sol.sol(ts).T]
     vals = np.array(vals)
     assert vals[0] > 0
