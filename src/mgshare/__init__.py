@@ -39,13 +39,14 @@ from .network import (
 )
 from .scenario_io import Event, Scenario, bundled_scenario_path, parse_scenario, serialize_scenario
 from .stability import (
+    Analysis,
     LmiCertificate,
     ReducedBlocks,
+    analyze,
     assemble_blocks,
     boundary_layer_check,
     epsilon_sweep,
     solve_lmi,
-    spectral_abscissa,
 )
 from .steady_state import Equilibrium, PropertyReport, solve_equilibrium, verify_properties
 from .tuning import TunedParams, TuningSpec, tune, validate
@@ -63,7 +64,7 @@ __all__ = [
     "Event", "Scenario", "TimeSeries", "simulate", "detect_saturated_set",
     "sharing_error",
     "ReducedBlocks", "assemble_blocks", "LmiCertificate", "solve_lmi",
-    "boundary_layer_check", "epsilon_sweep", "spectral_abscissa",
+    "boundary_layer_check", "epsilon_sweep", "Analysis", "analyze",
     "Equilibrium", "solve_equilibrium", "PropertyReport", "verify_properties",
     "TuningSpec", "TunedParams", "tune", "validate",
     "__version__",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import stability, tuning
 from .errors import MgshareError, ScenarioFormatError
-from .network import jacobians, kron_reduce
+from .network import kron_reduce
 from .scenario_io import BUNDLED, parse_scenario
 from .steady_state import solve_equilibrium, verify_properties
 
@@ -192,28 +192,22 @@ def _cmd_steady_state(args, scenario) -> int:
 
 
 def _cmd_stability(args, scenario) -> int:
+    red = kron_reduce(scenario.network)
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-        if not all(0.0 <= r < np.inf for r in ratios):
-            raise ValueError
+        result = stability.analyze(red, scenario.graph, scenario.params, ratios)
+    except np.linalg.LinAlgError:
+        raise
     except ValueError:
         print("error: --ratios must be comma-separated nonnegative finite numbers, "
               f"got {args.ratios!r}", file=sys.stderr)
         return 2
-    red = kron_reduce(scenario.network)
-    params = scenario.params
-    eq = solve_equilibrium(red, scenario.graph, params, mode="proposed")
-    lin = jacobians(red, eq.theta, eq.V)
-    blocks = stability.assemble_blocks(lin, scenario.graph, params)
-
-    cert = stability.solve_lmi(blocks, params.beta)
+    cert = result.certificate
     print(f"LMI certificate           : {'feasible' if cert.feasible else 'INFEASIBLE'} "
           f"(margin {cert.margin:+.3e}, alpha_s {cert.alpha_s:.3e})")
-    _, alpha_f = stability.boundary_layer_check(blocks)
-    print(f"boundary layer            : alpha_f = {alpha_f:.3f}")
-    sweep = stability.epsilon_sweep(lin, scenario.graph, params, eq.v, ratios)
+    print(f"boundary layer            : alpha_f = {result.alpha_f:.3f}")
     ok = True
-    for ratio, absc in sweep:
+    for ratio, absc in result.sweep:
         stable = absc < 0
         ok &= stable
         print(f"ratio tau_d/tau_v = {ratio:<6g} spectral abscissa = {absc:+.5f}  "

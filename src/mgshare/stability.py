@@ -6,15 +6,19 @@ Every matrix here comes from the one closed-loop model,
 tau_omega, tau_p -> 0. Projecting theta and zeta onto n-1 difference
 coordinates through the averaging/difference transform T removes the
 uniform angle and dual shifts, the two zero modes. ``_complement`` builds
-this relative complement in one place: at v = 0 for the cascade blocks,
-and at the equilibrium v for the sweep. The module checks:
+this relative complement R once per operating point, at v = 0, for the
+cascade blocks. The sweep's complement at the equilibrium v is R with its v
+columns scaled by sech^2(v/Delta) and d(rho(v) v)/dv subtracted on the v
+diagonal, exactly: M has no v columns, column scaling commutes with the
+Schur complement over (Omega, lambda), and T leaves v alone. ``analyze``
+runs the whole pass for one operating point. The module checks:
 
 * an LMI certificate (P_theta > 0, D_v > 0 diagonal, Q + Q^T < 0) for the
   slow reduced dynamics, taken from closed-form candidates without a
   search: the identity pair, then an M-matrix D_v with P_theta from one
   Riccati equation; a candidate counts only once re-verified independently;
 * the boundary-layer (fast dual) dynamics via a Lyapunov equation on the
-  Hurwitz block R_zeta, solved in its eigenbasis with numpy;
+  block R_zeta, solved in its eigenbasis, whose ``eig`` checks it is Hurwitz;
 * an empirical sweep of the spectral abscissa of the linearized
   (theta, v, zeta) system over the timescale ratio tau_d/tau_v (the
   analytic separation threshold is not computed). Each nonzero ratio
@@ -29,10 +33,11 @@ from itertools import chain
 
 import numpy as np
 
-from .controller import IbrParams, brackets_jacobian
+from .controller import IbrParams, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
 from .graph import CommGraph, laplacian
-from .network import LinearizedModel
+from .network import LinearizedModel, ReducedNetwork, jacobians
+from .steady_state import Equilibrium, solve_equilibrium
 
 __all__ = [
     "transform_matrix",
@@ -42,7 +47,8 @@ __all__ = [
     "solve_lmi",
     "boundary_layer_check",
     "epsilon_sweep",
-    "spectral_abscissa",
+    "Analysis",
+    "analyze",
 ]
 
 
@@ -120,14 +126,21 @@ def _relative(S: np.ndarray) -> np.ndarray:
     return np.hstack([X[:, :n] @ N, X[:, n:2 * n], X[:, 2 * n:] @ N])
 
 
-def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams, v) -> np.ndarray:
-    """Relative complement of the proposed-mode bracket Jacobian at the voltage state v.
+def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.ndarray:
+    """Relative complement of the proposed-mode bracket Jacobian at v = 0.
 
     ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
     """
     L = laplacian(g)
     _check_angle_shift_invariance(lin, L)
-    return _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, v)))
+    return _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, np.zeros(lin.n))))
+
+
+def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:
+    """The relative complement at the voltage state v, derived from R, the one at v = 0."""
+    H, drho_v = saturation_derivatives(params, v)
+    ones, zeros = np.ones(params.n - 1), np.zeros(params.n - 1)
+    return R * np.concatenate([ones, H, ones]) - np.diag(np.concatenate([zeros, drho_v, zeros]))
 
 
 def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndarray:
@@ -145,18 +158,11 @@ def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndar
     return R / tau[:, None]
 
 
-def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
-    """Cascade blocks of the closed loop around the flow linearized by ``lin``.
-
-    The relative complement at v = 0 is the loop in V coordinates (dV/dv = 1,
-    no leakage slope); beta is split out of R_vV, as ``_q_matrix`` applies it.
-    """
-    p, n, m = params, lin.n, lin.n - 1
-    R = _complement(lin, g, p, np.zeros(n))
-    R[m + n:] /= p.tau_v
+def _blocks(R: np.ndarray, p: IbrParams) -> ReducedBlocks:
+    """Cascade blocks read off the relative complement R at v = 0."""
+    n, m = p.n, p.n - 1
+    R = np.concatenate([R[:m + n], R[m + n:] / p.tau_v])
     th, v, ze = slice(0, m), slice(m, m + n), slice(-m, None)
-    if np.max(np.linalg.eigvals(R[ze, ze]).real) >= 0:
-        raise MgshareError("R_zeta is not Hurwitz; graph structure broken")
     new = _schur(R, m)[v]
     beta = p.beta * np.eye(n)
     return ReducedBlocks(
@@ -165,6 +171,16 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
         R_zetatheta=R[ze, th], R_zetaV=R[ze, v], R_zeta=R[ze, ze],
         R_vtheta_new=new[:, th], R_vV_new=new[:, v] + beta,
     )
+
+
+def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
+    """Cascade blocks of the closed loop around the flow linearized by ``lin``.
+
+    The relative complement at v = 0 is the loop in V coordinates (dV/dv = 1,
+    no leakage slope); beta is split out of R_vV, as ``_q_matrix`` applies it.
+    That R_zeta is Hurwitz is left to ``boundary_layer_check``.
+    """
+    return _blocks(_complement(lin, g, params), params)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +309,20 @@ def boundary_layer_check(blocks: ReducedBlocks):
 # eigenvalue sweep
 # ---------------------------------------------------------------------------
 
-def spectral_abscissa(A: np.ndarray) -> float:
-    """Max real part of the eigenvalues of A."""
-    return float(np.linalg.eigvals(A).real.max())
+def _ratios(ratios) -> list[float]:
+    """The timescale ratios as floats; raises ValueError unless each is nonnegative and finite."""
+    ratios = [float(r) for r in ratios]
+    if not all(0.0 <= r < np.inf for r in ratios):
+        raise ValueError(f"timescale ratios must be nonnegative and finite, got {ratios}")
+    return ratios
+
+
+def _sweep(R: np.ndarray, params: IbrParams, ratios: list[float]) -> list[tuple[float, float]]:
+    """(ratio, spectral abscissa) per ratio of R; the nonzero ratios share one stacked ``eigvals``."""
+    A = [_timescale_matrix(R, params, r) for r in ratios]
+    stacked = [a for r, a in zip(ratios, A) if r]
+    w = iter(np.linalg.eigvals(np.stack(stacked)).real.max(axis=1) if stacked else ())
+    return [(r, float(next(w) if r else np.linalg.eigvals(a).real.max())) for r, a in zip(ratios, A)]
 
 
 def epsilon_sweep(
@@ -312,8 +339,34 @@ def epsilon_sweep(
     eigenvalues. ratio == 0 is the quasi-steady dual limit, the slow reduced
     system. Ratios must be nonnegative and finite.
     """
-    ratios = [float(r) for r in ratios]
-    if not all(0.0 <= r < np.inf for r in ratios):
-        raise ValueError(f"timescale ratios must be nonnegative and finite, got {ratios}")
-    R = _complement(lin, g, params, v_bar)
-    return [(r, spectral_abscissa(_timescale_matrix(R, params, r))) for r in ratios]
+    ratios = _ratios(ratios)
+    return _sweep(_at_voltage(_complement(lin, g, params), params, v_bar), params, ratios)
+
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """One operating point's stability pass; ``sweep`` holds (ratio, abscissa) pairs."""
+
+    equilibrium: Equilibrium
+    lin: LinearizedModel
+    blocks: ReducedBlocks
+    certificate: LmiCertificate
+    P_y: np.ndarray
+    alpha_f: float
+    sweep: list[tuple[float, float]]
+
+
+def analyze(net: ReducedNetwork, g: CommGraph, params: IbrParams, ratios) -> Analysis:
+    """Solve the proposed-mode equilibrium on ``net`` and run the stability pass there.
+
+    Bad ratios raise ValueError before the Newton solve; a non-Hurwitz
+    R_zeta raises MgshareError.
+    """
+    ratios = _ratios(ratios)
+    eq = solve_equilibrium(net, g, params, mode="proposed")
+    lin = jacobians(net, eq.theta, eq.V)
+    R = _complement(lin, g, params)
+    blocks = _blocks(R, params)
+    P_y, alpha_f = boundary_layer_check(blocks)
+    return Analysis(eq, lin, blocks, solve_lmi(blocks, params.beta), P_y, alpha_f,
+                    _sweep(_at_voltage(R, params, eq.v), params, ratios))

@@ -36,6 +36,8 @@ def test_analysis_runs_with_scipy_blocked():
         blocks = st.assemble_blocks(jacobians(red, eq.theta, eq.V), sc.graph, sc.params)
         assert st.solve_lmi(blocks, sc.params.beta).feasible
         st.boundary_layer_check(blocks)
+        result = st.analyze(red, sc.graph, sc.params, [0.1, 0.0])
+        assert result.certificate.feasible and all(a < 0 for _, a in result.sweep)
         for cmd in ("steady-state", "stability", "tune"):
             assert cli.main([cmd, "lv5"]) == 0, cmd
     """)
@@ -86,7 +88,8 @@ def test_lazy_names_listed_and_shared():
 
 def test_every_all_entry_resolves():
     """No module lists a name it does not define; the deleted model copies stay gone."""
-    gone = {"reduced_rhs", "lyapunov_value", "integrator_rhs", "consensus_gain_matrix"}
+    gone = {"reduced_rhs", "lyapunov_value", "integrator_rhs", "consensus_gain_matrix",
+            "spectral_abscissa"}
     modules = [mg] + [importlib.import_module(f"mgshare.{m.name}")
                       for m in pkgutil.iter_modules(mg.__path__)]
     for module in modules:

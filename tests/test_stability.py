@@ -1,6 +1,6 @@
 """Stability analysis: transform, cascade blocks, LMI, boundary layer, sweep."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,15 +13,22 @@ from mgshare.network import jacobians
 from mgshare.scenario_io import parse_scenario_text
 
 
-@pytest.fixture(scope="module")
-def lv5_blocks(lv5, lv5_reduced, lv5_equilibrium):
-    lin = jacobians(lv5_reduced, lv5_equilibrium.theta, lv5_equilibrium.V)
-    return st.assemble_blocks(lin, lv5.graph, lv5.params)
+SWEEP_RATIOS = [0.5, 0.2, 0.1, 0.05, 0.01, 0.0]
 
 
 @pytest.fixture(scope="module")
-def lv5_lin(lv5_reduced, lv5_equilibrium):
-    return jacobians(lv5_reduced, lv5_equilibrium.theta, lv5_equilibrium.V)
+def lv5_analysis(lv5, lv5_reduced):
+    return st.analyze(lv5_reduced, lv5.graph, lv5.params, SWEEP_RATIOS)
+
+
+@pytest.fixture(scope="module")
+def lv5_blocks(lv5_analysis):
+    return lv5_analysis.blocks
+
+
+@pytest.fixture(scope="module")
+def lv5_lin(lv5_analysis):
+    return lv5_analysis.lin
 
 
 def test_transform_maps_ones_to_e1():
@@ -115,9 +122,56 @@ def lyapunov_value(cert, params, r_theta, v, r_theta_bar, v_bar):
 def bundled_lin(name):
     """(scenario, flow linearized at its proposed-mode equilibrium, that equilibrium)."""
     sc = mg.parse_scenario(name)
+    result = st.analyze(mg.kron_reduce(sc.network), sc.graph, sc.params, [])
+    return sc, result.lin, result.equilibrium
+
+
+@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
+def test_analyze_matches_separate_chain(name):
+    """One analysis pass gives bitwise what the separate public calls give."""
+    sc = mg.parse_scenario(name)
+    p = sc.params
     red = mg.kron_reduce(sc.network)
-    eq = mg.solve_equilibrium(red, sc.graph, sc.params, mode="proposed")
-    return sc, jacobians(red, eq.theta, eq.V), eq
+    result = st.analyze(red, sc.graph, p, SWEEP_RATIOS)
+    eq = mg.solve_equilibrium(red, sc.graph, p, mode="proposed")
+    lin = jacobians(red, eq.theta, eq.V)
+    blocks = st.assemble_blocks(lin, sc.graph, p)
+    P_y, alpha_f = st.boundary_layer_check(blocks)
+    assert result.lin == lin
+    for got, ref in [(result.equilibrium, eq), (result.blocks, blocks),
+                     (result.certificate, st.solve_lmi(blocks, p.beta))]:
+        for f in fields(ref):
+            assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
+    assert np.array_equal(result.P_y, P_y) and result.alpha_f == alpha_f
+    assert result.sweep == st.epsilon_sweep(lin, sc.graph, p, eq.v, SWEEP_RATIOS)
+
+
+@pytest.mark.parametrize("name", ["lv5", "mv9-template"])
+def test_derived_complement_matches_direct_build(name):
+    """The sweep's complement, derived from the one at v = 0, equals the
+    complement of the bracket Jacobian built at the equilibrium v."""
+    sc, lin, eq = bundled_lin(name)
+    p = sc.params
+    # lv5 has two units past the leakage kink, so d(rho v)/dv is exercised
+    assert np.any(leakage(p, eq.v) > 0) == (name == "lv5")
+    J = brackets_jacobian("proposed", p, mg.laplacian(sc.graph), lin, eq.v)
+    direct = st._relative(st._eliminate_fast(J))
+    derived = st._at_voltage(st._complement(lin, sc.graph, p), p, eq.v)
+    assert np.abs(derived - direct).max() <= 1e-15 * np.abs(direct).max()
+
+
+def test_analyze_rejects_non_hurwitz_zeta(lv5, lv5_reduced, monkeypatch):
+    """The boundary layer's eig is the one Hurwitz check, and analyze always runs it."""
+    complement = st._complement
+
+    def flipped(lin, g, params):
+        R = complement(lin, g, params)
+        R[-(params.n - 1):, -(params.n - 1):] *= -1.0
+        return R
+
+    monkeypatch.setattr(st, "_complement", flipped)
+    with pytest.raises(MgshareError, match="not Hurwitz"):
+        st.analyze(lv5_reduced, lv5.graph, lv5.params, [0.1])
 
 
 @pytest.mark.parametrize("name", ["lv5", "mv9-template"])
@@ -317,10 +371,10 @@ def test_boundary_layer_rejects_non_hurwitz(R):
 def test_reduced_matrix_matches_rhs_fd(lv5, lv5_lin, lv5_equilibrium):
     """The sweep's ratio-0 matrix equals finite differences of the nonlinear rhs."""
     p = lv5.params
-    J = brackets_jacobian("proposed", p, mg.laplacian(lv5.graph), lv5_lin, lv5_equilibrium.v)
-    A = st._timescale_matrix(st._relative(st._eliminate_fast(J)), p, 0.0)
+    R = st._at_voltage(st._complement(lv5_lin, lv5.graph, p), p, lv5_equilibrium.v)
+    A = st._timescale_matrix(R, p, 0.0)
     [(_, a0)] = st.epsilon_sweep(lv5_lin, lv5.graph, p, lv5_equilibrium.v, [0.0])
-    assert a0 == st.spectral_abscissa(A)
+    assert a0 == np.linalg.eigvals(A).real.max()
     rhs = reduced_rhs(literal_blocks(lv5_lin, lv5.graph, p), p)
     m = 2 * p.n - 1
     T, _ = st.transform_matrix(p.n)
@@ -357,9 +411,16 @@ def test_sweep_never_assembles_blocks(lv5, lv5_lin, lv5_equilibrium, monkeypatch
 
 
 @pytest.mark.parametrize("ratio", [-0.1, np.nan, np.inf, -np.inf])
-def test_sweep_rejects_bad_ratio(lv5, lv5_lin, lv5_equilibrium, ratio):
+def test_sweep_rejects_bad_ratio(lv5, lv5_reduced, lv5_lin, lv5_equilibrium, ratio, monkeypatch):
     with pytest.raises(ValueError, match="nonnegative and finite"):
         st.epsilon_sweep(lv5_lin, lv5.graph, lv5.params, lv5_equilibrium.v, [0.1, ratio])
+
+    def no_newton(*_args, **_kw):
+        raise AssertionError("Newton ran before the ratios were checked")
+
+    monkeypatch.setattr(st, "solve_equilibrium", no_newton)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        st.analyze(lv5_reduced, lv5.graph, lv5.params, [0.1, ratio])
 
 
 def test_sweep_converges_to_reduced_limit(lv5, lv5_lin, lv5_equilibrium):
