@@ -14,7 +14,7 @@ submodule, and calling it runs the simulation: ``mgshare.simulate(scenario)``.
 
 import importlib
 
-from .controller import IbrParams, kkt_residual, leakage, voltage_output
+from .controller import IbrParams, leakage, voltage_output
 from .errors import (
     ConvergenceError,
     DisconnectedGraphError,
@@ -54,7 +54,7 @@ from .tuning import TunedParams, TuningSpec, tune, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "IbrParams", "kkt_residual", "leakage", "voltage_output",
+    "IbrParams", "leakage", "voltage_output",
     "MgshareError", "DisconnectedGraphError", "NetworkDataError",
     "ScenarioFormatError", "ConvergenceError", "SimulationError",
     "CommGraph", "laplacian", "algebraic_connectivity",

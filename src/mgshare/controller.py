@@ -28,14 +28,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import network
-from .graph import CommGraph, laplacian, value_eq
+from .graph import value_eq
 
 __all__ = [
     "IbrParams",
     "voltage_output",
     "leakage",
     "saturation_derivatives",
-    "kkt_residual",
     "ClosedLoop",
     "brackets_jacobian",
 ]
@@ -139,20 +138,6 @@ def saturation_derivatives(p: IbrParams, v):
     v = np.asarray(v, dtype=float)
     u = np.abs(v) / p.delta
     return 1.0 / np.cosh(v / p.delta) ** 2, np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
-
-
-def kkt_residual(g: CommGraph, k: float, lam, zeta, q_ratio):
-    """Stationarity and consensus residuals of the sharing problem's optimality system.
-
-    Both vanish exactly at (and only at) the optimizer's equilibria.
-    """
-    lam = np.asarray(lam, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    q_ratio = np.asarray(q_ratio, dtype=float)
-    L = laplacian(g)
-    stationarity = lam - q_ratio + L @ zeta + k * (L @ lam)
-    consensus = L @ lam
-    return stationarity, consensus
 
 
 @dataclass(frozen=True, eq=False)

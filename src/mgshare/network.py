@@ -3,8 +3,9 @@
 Assembles the full nodal admittance matrix from bus/line/load tables,
 Kron-reduces it onto the inverter internal buses, and evaluates the
 nonlinear power flow in phasor form, S = P + jQ = E conj(I) with
-E = V e^{j theta}, I = Y E and Y = G + jB, together with its analytic
-Jacobians in complex matrix notation (Zimmerman, MATPOWER Technical Note 2):
+E = V e^{j theta}, I = Y E and Y = G + jB. Its linearization,
+``LinearizedModel``, is the analytic Jacobians alone, in complex matrix
+notation (Zimmerman, MATPOWER Technical Note 2):
 
     dS/dtheta = j diag(E) conj(diag(I) - Y diag(E))
     dS/dV     = diag(E) conj(Y diag(e^{j theta})) + conj(diag(I)) diag(e^{j theta})
@@ -54,10 +55,6 @@ class Bases:
     @property
     def z_base(self) -> float:
         return self.v_base**2 / self.s_base
-
-    @property
-    def omega_nom(self) -> float:
-        return 2.0 * math.pi * self.f_nom
 
 
 @dataclass(frozen=True)
@@ -280,32 +277,23 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class LinearizedModel:
-    """First-order power flow model P = Jt_P th + Jv_P V + w_P (likewise Q).
+    """The power flow's partial derivatives at one operating point.
 
-    Exact at the linearization point; the angle Jacobians annihilate the
-    all-ones vector (uniform angle shifts do not change power flows).
+    The angle Jacobians annihilate the all-ones vector (uniform angle shifts
+    do not change power flows).
     """
 
     J_theta_P: np.ndarray
     J_V_P: np.ndarray
     J_theta_Q: np.ndarray
     J_V_Q: np.ndarray
-    w_P: np.ndarray
-    w_Q: np.ndarray
-    theta0: np.ndarray
-    V0: np.ndarray
 
     __eq__ = value_eq
     __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:
-        return self.w_P.shape[0]
-
-    def predict(self, theta: np.ndarray, V: np.ndarray):
-        P = self.J_theta_P @ theta + self.J_V_P @ V + self.w_P
-        Q = self.J_theta_Q @ theta + self.J_V_Q @ V + self.w_Q
-        return P, Q
+        return self.J_V_P.shape[0]
 
 
 def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> LinearizedModel:
@@ -316,9 +304,6 @@ def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> Linear
     U = np.exp(1j * theta0)
     E = V0 * U
     I = net.Y @ E
-    S = E * np.conj(I)
     dS_dtheta = 1j * E[:, None] * np.conj(np.diag(I) - net.Y * E)
     dS_dV = E[:, None] * np.conj(net.Y * U) + np.diag(np.conj(I) * U)
-    w = S - dS_dtheta @ theta0 - dS_dV @ V0
-    return LinearizedModel(dS_dtheta.real, dS_dV.real, dS_dtheta.imag, dS_dV.imag,
-                           w.real, w.imag, theta0, V0)
+    return LinearizedModel(dS_dtheta.real, dS_dV.real, dS_dtheta.imag, dS_dV.imag)

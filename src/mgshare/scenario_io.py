@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import IbrParams
-from .errors import ScenarioFormatError
+from .errors import DisconnectedGraphError, NetworkDataError, ScenarioFormatError
 from .graph import CommGraph, value_eq
 from .network import Bases, Connector, Line, Load, NetworkData, to_per_unit
 
@@ -68,6 +68,10 @@ class Event:
             raise ScenarioFormatError("scale-load event needs bus and factor")
         if self.kind == "set-limits" and (self.v_min is None or self.v_max is None):
             raise ScenarioFormatError("set-limits event needs v_min and v_max")
+        if self.kind == "set-limits" and not self.v_min < self.v_max:
+            raise ScenarioFormatError(
+                f"set-limits event at t={self.time} needs v_min < v_max, "
+                f"got {self.v_min} and {self.v_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +192,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     load_unit = None
     ibr_rows: list[tuple[int, float, float, float]] = []
     graph_edges: list[tuple[int, int, float]] = []
-    gains: dict[str, str] = {}
+    gains: dict[str, float | str] = {}
     events: list[Event] = []
     sim: dict[str, float] = {}
     out_dir = "out"
@@ -249,7 +253,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
                     f"line {lineno}: controller-gains entries are 'key value' with key in "
                     f"{sorted(_GAIN_KEYS)}"
                 )
-            gains[toks[0]] = toks[1]
+            gains[toks[0]] = toks[1] if toks[0] == "mode" else _num(toks[1], lineno, toks[0])
         elif section == "events":
             events.append(_parse_event(lineno, toks))
         elif section == "simulation":
@@ -309,36 +313,35 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
             "scenario validation failed:\n  - " + "\n  - ".join(semantic)
         )
 
-    bases = Bases(bases_kv["s_base"], bases_kv["v_base"], bases_kv["f_nom"])
     if {line_unit, conn_unit} - {None} not in ({"ohm"}, {"pu"}, set()):
         raise ScenarioFormatError("lines and connectors must use the same impedance unit")
-    data = NetworkData(
-        bases=bases,
-        n_bus=n_bus,
-        lines=tuple(lines),
-        connectors=tuple(sorted(connectors, key=lambda c: c.ibr)),
-        loads=tuple(loads),
-        impedance_unit=line_unit or conn_unit or "ohm",
-        load_unit=load_unit or "pu",
-    )
-    data = to_per_unit(data)
-
-    graph = CommGraph.from_edges(n, [(i - 1, j - 1, w) for i, j, w in graph_edges])
-
     rows = sorted(ibr_rows)
-    params = IbrParams(
-        s_rated=np.array([r[1] for r in rows]),
-        m_omega=np.full(n, float(gains["m_omega"])),
-        m_v=np.full(n, float(gains["m_v"])),
-        v_min=np.array([r[2] for r in rows]),
-        v_max=np.array([r[3] for r in rows]),
-        tau_omega=float(gains["tau_omega"]),
-        tau_v=float(gains["tau_v"]),
-        tau_p=float(gains["tau_p"]),
-        tau_d=float(gains["tau_d"]),
-        beta=float(gains["beta"]),
-        k=float(gains["k"]),
-    )
+    try:
+        data = to_per_unit(NetworkData(
+            bases=Bases(bases_kv["s_base"], bases_kv["v_base"], bases_kv["f_nom"]),
+            n_bus=n_bus,
+            lines=tuple(lines),
+            connectors=tuple(sorted(connectors, key=lambda c: c.ibr)),
+            loads=tuple(loads),
+            impedance_unit=line_unit or conn_unit or "ohm",
+            load_unit=load_unit or "pu",
+        ))
+        graph = CommGraph.from_edges(n, [(i - 1, j - 1, w) for i, j, w in graph_edges])
+        params = IbrParams(
+            s_rated=np.array([r[1] for r in rows]),
+            m_omega=np.full(n, gains["m_omega"]),
+            m_v=np.full(n, gains["m_v"]),
+            v_min=np.array([r[2] for r in rows]),
+            v_max=np.array([r[3] for r in rows]),
+            tau_omega=gains["tau_omega"],
+            tau_v=gains["tau_v"],
+            tau_p=gains["tau_p"],
+            tau_d=gains["tau_d"],
+            beta=gains["beta"],
+            k=gains["k"],
+        )
+    except (ValueError, NetworkDataError, DisconnectedGraphError) as exc:
+        raise ScenarioFormatError(str(exc)) from exc
 
     return Scenario(
         network=data,

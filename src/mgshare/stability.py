@@ -35,12 +35,11 @@ import numpy as np
 
 from .controller import IbrParams, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
-from .graph import CommGraph, laplacian
+from .graph import CommGraph, laplacian, value_eq
 from .network import LinearizedModel, ReducedNetwork, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
 __all__ = [
-    "transform_matrix",
     "ReducedBlocks",
     "assemble_blocks",
     "LmiCertificate",
@@ -52,44 +51,29 @@ __all__ = [
 ]
 
 
-def transform_matrix(n: int):
-    """Averaging/difference transform T (first row 1/n, then difference rows).
-
-    T @ 1 = e_1, so relative coordinates decouple from the two invariant
-    average directions. Returns (T, T_inverse); the inverse is in closed
-    form: first column 1, then T_inverse[i, j] = j/n - [i < j].
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    T = np.vstack([np.full(n, 1.0 / n), np.diff(np.eye(n), axis=0)])
-    j = np.arange(n)
-    return T, np.where(j == 0, 1.0, j / n - (j[:, None] < j))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedBlocks:
-    """Cascade blocks of the reduced dynamics in relative coordinates.
+    """The cascade blocks of the reduced dynamics that the analysis reads.
 
-    Shapes: R_theta, R_zetatheta, R_zeta are (n-1, n-1); R_vV is (n, n);
-    R_thetaV, R_zetaV are (n-1, n); R_vtheta, R_vzeta are (n, n-1).
-    ``R_vtheta_new`` / ``R_vV_new`` fold the quasi-steady dual back into the
-    voltage channel. tau_v is baked into the zeta-row blocks.
+    Relative coordinates, at v = 0. R_theta and R_thetaV, (n-1, n-1) and
+    (n-1, n), are the angle rows. R_vtheta_new and R_vV_new, (n, n-1) and
+    (n, n), are the voltage rows with the quasi-steady dual folded back in;
+    together these four are the slow system of the LMI. R_zeta, (n-1, n-1),
+    is the boundary layer's dual block, with tau_v baked in.
     """
 
     R_theta: np.ndarray
     R_thetaV: np.ndarray
-    R_vtheta: np.ndarray
-    R_vV: np.ndarray
-    R_vzeta: np.ndarray
-    R_zetatheta: np.ndarray
-    R_zetaV: np.ndarray
     R_zeta: np.ndarray
     R_vtheta_new: np.ndarray
     R_vV_new: np.ndarray
 
+    __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
+
     @property
     def n(self) -> int:
-        return self.R_vV.shape[0]
+        return self.R_vV_new.shape[0]
 
 
 def _check_angle_shift_invariance(lin: LinearizedModel, L: np.ndarray):
@@ -113,15 +97,21 @@ def _eliminate_fast(J: np.ndarray) -> np.ndarray:
     return _schur(J[np.ix_(order, order)], 2 * n)
 
 
+def _transform(n: int):
+    """(D, N): the averaging/difference transform T = [1^T/n; D] and its
+    closed-form inverse [1, N], without their average row and column."""
+    j = np.arange(n)
+    return np.diff(np.eye(n), axis=0), (j / n - (j[:, None] < j))[:, 1:]
+
+
 def _relative(S: np.ndarray) -> np.ndarray:
     """Rows and columns [r_theta, v, r_zeta] of S.
 
-    r = T[1:] x holds the n-1 neighbour differences of x, and x = 1 x_av
-    + T^-1[:, 1:] r, where the complement annihilates the uniform shift 1.
+    r = D x holds the n-1 neighbour differences of x, and x = 1 x_av + N r,
+    where the complement annihilates the uniform shift 1.
     """
     n = S.shape[0] // 3
-    T, T_inv = transform_matrix(n)
-    D, N = T[1:], T_inv[:, 1:]
+    D, N = _transform(n)
     X = np.vstack([D @ S[:n], S[n:2 * n], D @ S[2 * n:]])
     return np.hstack([X[:, :n] @ N, X[:, n:2 * n], X[:, 2 * n:] @ N])
 
@@ -164,20 +154,15 @@ def _blocks(R: np.ndarray, p: IbrParams) -> ReducedBlocks:
     R = np.concatenate([R[:m + n], R[m + n:] / p.tau_v])
     th, v, ze = slice(0, m), slice(m, m + n), slice(-m, None)
     new = _schur(R, m)[v]
-    beta = p.beta * np.eye(n)
-    return ReducedBlocks(
-        R_theta=R[th, th], R_thetaV=R[th, v],
-        R_vtheta=R[v, th], R_vV=R[v, v] + beta, R_vzeta=R[v, ze],
-        R_zetatheta=R[ze, th], R_zetaV=R[ze, v], R_zeta=R[ze, ze],
-        R_vtheta_new=new[:, th], R_vV_new=new[:, v] + beta,
-    )
+    return ReducedBlocks(R_theta=R[th, th], R_thetaV=R[th, v], R_zeta=R[ze, ze],
+                         R_vtheta_new=new[:, th], R_vV_new=new[:, v] + p.beta * np.eye(n))
 
 
 def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
     """Cascade blocks of the closed loop around the flow linearized by ``lin``.
 
     The relative complement at v = 0 is the loop in V coordinates (dV/dv = 1,
-    no leakage slope); beta is split out of R_vV, as ``_q_matrix`` applies it.
+    no leakage slope); beta is split out of R_vV_new, as ``_q_matrix`` applies it.
     That R_zeta is Hurwitz is left to ``boundary_layer_check``.
     """
     return _blocks(_complement(lin, g, params), params)
@@ -187,7 +172,7 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
 # LMI certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmiCertificate:
     """Candidate Lyapunov matrices with their independently computed margins."""
 
@@ -196,6 +181,9 @@ class LmiCertificate:
     margin: float                 # max eig of Q + Q^T (< 0 when feasible)
     alpha_s: float                # smallest eig of -(Q + Q^T)
     feasible: bool
+
+    __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     def verify(self, blocks: ReducedBlocks, beta: float, tol: float = 0.0) -> bool:
         """Re-check all three conditions by direct eigenvalue computation."""

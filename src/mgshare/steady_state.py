@@ -35,14 +35,14 @@ import numpy as np
 from . import controller as ctrl
 from .controller import IbrParams
 from .errors import ConvergenceError
-from .graph import CommGraph, laplacian
+from .graph import CommGraph, laplacian, value_eq
 from .network import ReducedNetwork, power_flow
 from .network import jacobians  # noqa: F401  unused; kept for tools that patch names per module
 
 __all__ = ["Equilibrium", "PropertyReport", "solve_equilibrium", "verify_properties"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Equilibrium:
     """Solved steady state; all arrays length n, theta anchored at theta_1 = 0."""
 
@@ -61,6 +61,9 @@ class Equilibrium:
     saturated: frozenset[int]     # 1-based unit ids with rho > 0
     residual: float
     iterations: int               # Newton steps (Jacobian solves)
+
+    __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:
@@ -210,7 +213,7 @@ def solve_equilibrium(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropertyReport:
     """Numeric check of the four steady-state guarantees."""
 
@@ -222,6 +225,9 @@ class PropertyReport:
     unsaturated: tuple[int, ...]          # 1-based
     saturated: tuple[int, ...]            # 1-based
     tol: float
+
+    __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def all_pass(self) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MgshareError
-from .graph import CommGraph, algebraic_connectivity
+from .graph import CommGraph, algebraic_connectivity, value_eq
 
 __all__ = ["TuningSpec", "TunedParams", "tune", "validate", "ValidationReport"]
 
@@ -45,7 +45,7 @@ class TuningSpec:
                 raise MgshareError(f"tuning spec field {name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TunedParams:
     """Complete gain set produced by ``tune``; m_v is reported in both units."""
 
@@ -60,6 +60,9 @@ class TunedParams:
     sigma2: float
     beta: float
     warnings: tuple[str, ...] = ()
+
+    __eq__ = value_eq
+    __hash__ = None    # arrays compare by value; no hash agrees with that
 
 
 def tune(spec: TuningSpec, g: CommGraph, v_min, v_max) -> TunedParams:

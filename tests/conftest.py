@@ -11,6 +11,17 @@ import mgshare as mg
 RUNTIMES: dict[str, float] = {}
 
 
+def kkt_residual(g, k, lam, zeta, q_ratio):
+    """Stationarity and consensus residuals of the sharing problem's optimality system.
+
+    Both vanish exactly at (and only at) the optimizer's equilibria.
+    """
+    L = mg.laplacian(g)
+    stationarity = lam - q_ratio + L @ zeta + k * (L @ lam)
+    consensus = L @ lam
+    return stationarity, consensus
+
+
 @pytest.fixture(scope="session")
 def lv5():
     return mg.parse_scenario("lv5")

@@ -6,6 +6,8 @@ import pytest
 
 from mgshare import serialize_scenario
 from mgshare.cli import main
+from mgshare.errors import ScenarioFormatError
+from mgshare.scenario_io import bundled_scenario_path, parse_scenario_text
 from mgshare.simulate import CSV_HEADER
 
 
@@ -85,6 +87,31 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert main(["simulate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "missing" in err
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("1 1.10 0.95 1.05", "1 1.10 1.05 0.95", "need v_min < v_max"),
+    ("tau_v 1\n", "tau_v 0\n", "tau_v must be positive"),
+    ("k 7.24", "k -1", "k must be positive"),
+    ("k 7.24", "k abc", "k must be a number"),
+    ("5 1\n\n[controller-gains]", "5 1\n1 1\n\n[controller-gains]", "self-loop"),
+    ("1 2 0.20 0.30", "1 2 -0.20 0.30", "negative resistance"),
+    ("1 2 0.20 0.30", "1 2 0 0", "zero impedance"),
+    ("1 2\n2 3\n3 4\n4 5\n5 1\n", "1 2\n3 4\n4 5\n5 3\n", "graph is disconnected"),
+], ids=["band", "tau_v", "k-negative", "k-text", "self-loop", "negative-r", "zero-z",
+        "disconnected"])
+def test_invalid_values_are_format_errors(tmp_path, capsys, old, new, match):
+    """A value the constructors reject is a ScenarioFormatError: exit 2, no traceback."""
+    text = bundled_scenario_path("lv5").read_text()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    with pytest.raises(ScenarioFormatError, match=match):
+        parse_scenario_text(text)
+    path = tmp_path / "bad.scn"
+    path.write_text(text)
+    assert main(["steady-state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value", [("--sample-ms", "0"), ("--sample-ms", "-10"),

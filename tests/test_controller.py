@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import mgshare as mg
 from mgshare import controller as ctrl
 
+from conftest import kkt_residual
+
 
 def make_params(n=3, v_min=0.95, v_max=1.05, **kw):
     defaults = dict(
@@ -206,11 +208,11 @@ def test_kkt_zero_iff_consensus():
     q = np.array([0.5, 0.3, 0.6, 0.2])
     lam = np.full(4, q.mean())
     # consensus residual vanishes; stationarity fixes L zeta = q - mean
-    r_stat, r_cons = ctrl.kkt_residual(g, 2.0, lam, np.zeros(4), q)
+    r_stat, r_cons = kkt_residual(g, 2.0, lam, np.zeros(4), q)
     assert np.allclose(r_cons, 0.0, atol=1e-12)
     L = mg.laplacian(g)
     zeta = np.linalg.lstsq(L, q - lam, rcond=None)[0]
-    r_stat, r_cons = ctrl.kkt_residual(g, 2.0, lam, zeta, q)
+    r_stat, r_cons = kkt_residual(g, 2.0, lam, zeta, q)
     assert np.allclose(r_stat, 0.0, atol=1e-10)
     assert np.allclose(r_cons, 0.0, atol=1e-12)
 

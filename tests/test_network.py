@@ -1,6 +1,6 @@
 """Electrical network: per-unit conversion, Kron reduction, power flow, Jacobians."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -206,16 +206,6 @@ def test_jacobians_match_finite_differences(lv5_reduced):
             assert np.allclose((Qp - Qm) / (2 * h), lin.J_V_Q[:, k], atol=1e-6)
 
 
-def test_linearized_predict_exact_at_point(lv5_reduced):
-    theta = np.array([0.0, 0.01, -0.02, 0.03, 0.005])
-    V = np.array([1.0, 0.98, 1.02, 0.99, 1.01])
-    lin = jacobians(lv5_reduced, theta, V)
-    P, Q = mg.power_flow(lv5_reduced, theta, V)
-    Pp, Qp = lin.predict(theta, V)
-    assert np.allclose(Pp, P, atol=1e-12)
-    assert np.allclose(Qp, Q, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # phasor form against the trigonometric formulas
 # ---------------------------------------------------------------------------
@@ -233,7 +223,7 @@ def trig_power_flow(net, theta, V):
 
 
 def trig_jacobians(net, theta0, V0):
-    """The six LinearizedModel arrays from the P_i = sum_j V_i V_j (...) formulas."""
+    """The four LinearizedModel arrays from the P_i = sum_j V_i V_j (...) formulas."""
     MP, MQ = trig_flow_kernels(net, theta0)
     MPV, MQV = MP @ V0, MQ @ V0
     VV = np.outer(V0, V0)
@@ -245,10 +235,7 @@ def trig_jacobians(net, theta0, V0):
     np.fill_diagonal(Jt_Q, -Jt_Q.sum(axis=1))
     Jv_P = V0[:, None] * MP + np.diag(MPV)
     Jv_Q = V0[:, None] * MQ + np.diag(MQV)
-    w_P = V0 * MPV - Jt_P @ theta0 - Jv_P @ V0
-    w_Q = V0 * MQV - Jt_Q @ theta0 - Jv_Q @ V0
-    return {"J_theta_P": Jt_P, "J_V_P": Jv_P, "J_theta_Q": Jt_Q, "J_V_Q": Jv_Q,
-            "w_P": w_P, "w_Q": w_Q}
+    return {"J_theta_P": Jt_P, "J_V_P": Jv_P, "J_theta_Q": Jt_Q, "J_V_Q": Jv_Q}
 
 
 def assert_close_relative(a, b, rtol=1e-12):
@@ -278,6 +265,13 @@ def test_phasor_form_matches_trig_oracle(any_reduced):
             assert_close_relative(getattr(lin, name), ref)
 
 
+def test_linearization_is_the_four_jacobians(lv5_reduced):
+    """LinearizedModel holds the flow's derivatives only: no constant term, no operating point."""
+    lin = jacobians(lv5_reduced, np.zeros(5), np.ones(5))
+    assert [f.name for f in fields(lin)] == ["J_theta_P", "J_V_P", "J_theta_Q", "J_V_Q"]
+    assert not hasattr(lin, "predict")
+
+
 def test_jacobians_reject_anything_but_two_vectors(lv5_reduced):
     theta, V = np.zeros(5), np.ones(5)
     for bad in ((np.zeros((3, 5)), np.ones((3, 5))), (theta[:4], V[:4]), (theta, V[:4]),
@@ -298,4 +292,4 @@ def test_reduced_network_and_linearization_value_equality(lv5, lv5_reduced):
     lin = jacobians(red, theta, np.ones(5))
     assert lin == jacobians(lv5_reduced, theta.copy(), np.ones(5))
     assert lin != jacobians(red, theta, np.full(5, 1.01))
-    assert lin != replace(lin, w_P=lin.w_P + 1e-15)
+    assert lin != replace(lin, J_V_P=np.nextafter(lin.J_V_P, np.inf))

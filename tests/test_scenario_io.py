@@ -68,7 +68,12 @@ def test_value_compared_types_are_unhashable(lv5):
     """Types that compare arrays by value refuse hash() by their own name."""
     red = mg.kron_reduce(lv5.network)
     lin = mg.jacobians(red, np.zeros(5), np.ones(5))
-    for obj in (lv5.graph, lv5.params, red, lin, lv5):
+    result = mg.analyze(red, lv5.graph, lv5.params, [])
+    report = mg.verify_properties(result.equilibrium, lv5.params)
+    tuned = mg.tune(mg.TuningSpec(delta_f_max=0.005, rocof_star=2.5), lv5.graph,
+                    lv5.params.v_min, lv5.params.v_max)
+    for obj in (lv5.graph, lv5.params, red, lin, lv5, result.equilibrium, result.blocks,
+                result.certificate, report, tuned):
         with pytest.raises(TypeError, match=f"unhashable type: '{type(obj).__name__}'"):
             hash(obj)
 
@@ -149,6 +154,16 @@ def test_missing_gain_reported(lv5):
 def test_bad_event_kind():
     with pytest.raises(ScenarioFormatError, match="unknown event kind"):
         sio.parse_scenario_text("[events]\n5 explode\n")
+
+
+def test_inverted_set_limits_event_rejected():
+    """An inverted band is a parse error, not a crash when the event is applied."""
+    text = sio.bundled_scenario_path("lv5").read_text()
+    text = text.replace("40 scale-load 5 1.0\n", "40 scale-load 5 1.0\n45 set-limits 1.05 0.95\n")
+    with pytest.raises(ScenarioFormatError, match="v_min < v_max"):
+        sio.parse_scenario_text(text)
+    with pytest.raises(ScenarioFormatError, match="v_min < v_max"):
+        sio.Event(time=2.0, kind="set-limits", v_min=1.0, v_max=1.0)
 
 
 def test_non_numeric_field():

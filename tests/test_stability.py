@@ -1,6 +1,6 @@
 """Stability analysis: transform, cascade blocks, LMI, boundary layer, sweep."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,24 +31,39 @@ def lv5_lin(lv5_analysis):
     return lv5_analysis.lin
 
 
+def transform(n):
+    """Averaging/difference transform T: first row 1/n, then the n-1 neighbour differences."""
+    return np.vstack([np.full(n, 1.0 / n), np.diff(np.eye(n), axis=0)])
+
+
+def flow_offset(net, lin, theta0, V0):
+    """(w_P, w_Q): the constant term of the flow linearized at (theta0, V0), S - J [theta0; V0]."""
+    P, Q = mg.power_flow(net, theta0, V0)
+    return (P - lin.J_theta_P @ theta0 - lin.J_V_P @ V0,
+            Q - lin.J_theta_Q @ theta0 - lin.J_V_Q @ V0)
+
+
 def test_transform_maps_ones_to_e1():
+    """The relative coordinates' (D, N) complete to T and its inverse."""
     for n in (2, 3, 5, 8):
-        T, Tinv = st.transform_matrix(n)
+        D, N = st._transform(n)
+        T, Tinv = np.vstack([np.full(n, 1.0 / n), D]), np.hstack([np.ones((n, 1)), N])
         e1 = np.zeros(n)
         e1[0] = 1.0
         assert np.allclose(T @ np.ones(n), e1, atol=1e-12)
         assert np.allclose(T @ Tinv, np.eye(n), atol=1e-12)
 
 
-def literal_blocks(lin, g, params):
+def literal_blocks(lin, w, g, params):
     """The cascade-block formulas written out with T, K = (I + kL)^-1 and inverses.
 
-    Besides the blocks it returns the offsets of the linearized flow's
-    constant terms [w_P; w_Q]: d_theta, d_v, d_zeta and the quasi-steady
-    d_v_new, which ``reduced_rhs`` below adds.
+    Besides the blocks, intermediate ones included, it returns the offsets
+    of the linearized flow's constant term w = (w_P, w_Q): d_theta, d_v,
+    d_zeta and the quasi-steady d_v_new, which ``reduced_rhs`` below adds.
     """
     n = lin.n
-    T, _ = st.transform_matrix(n)
+    w_P, w_Q = w
+    T = transform(n)
     Tinv = np.linalg.inv(T)
     Ir = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
     L = mg.laplacian(g)
@@ -67,9 +82,9 @@ def literal_blocks(lin, g, params):
         R_zetatheta=Ir @ (T @ L @ K @ invS @ lin.J_theta_Q @ Tinv @ Ir.T) / tv,
         R_zetaV=Ir @ (T @ L @ K @ invS @ lin.J_V_Q) / tv,
         R_zeta=-Ir @ (T @ L @ K @ L @ Tinv @ Ir.T) / tv,
-        d_theta=-Ir @ T @ mS @ lin.w_P,
-        d_v=params.beta * params.v_star + Vs @ KmI @ invS @ lin.w_Q,
-        d_zeta=Ir @ (T @ L @ K @ invS @ lin.w_Q) / tv,
+        d_theta=-Ir @ T @ mS @ w_P,
+        d_v=params.beta * params.v_star + Vs @ KmI @ invS @ w_Q,
+        d_zeta=Ir @ (T @ L @ K @ invS @ w_Q) / tv,
     )
     Rz_inv = np.linalg.inv(b["R_zeta"])
     b["R_vtheta_new"] = b["R_vtheta"] - b["R_vzeta"] @ Rz_inv @ b["R_zetatheta"]
@@ -78,7 +93,7 @@ def literal_blocks(lin, g, params):
     return b
 
 
-OFFSETS = {"d_theta", "d_v", "d_zeta", "d_v_new"}
+KEPT = {"R_theta", "R_thetaV", "R_zeta", "R_vtheta_new", "R_vV_new"}
 
 
 def reduced_rhs(b, params):
@@ -137,11 +152,8 @@ def test_analyze_matches_separate_chain(name):
     lin = jacobians(red, eq.theta, eq.V)
     blocks = st.assemble_blocks(lin, sc.graph, p)
     P_y, alpha_f = st.boundary_layer_check(blocks)
-    assert result.lin == lin
-    for got, ref in [(result.equilibrium, eq), (result.blocks, blocks),
-                     (result.certificate, st.solve_lmi(blocks, p.beta))]:
-        for f in fields(ref):
-            assert np.array_equal(getattr(got, f.name), getattr(ref, f.name)), f.name
+    assert result.lin == lin and result.equilibrium == eq and result.blocks == blocks
+    assert result.certificate == st.solve_lmi(blocks, p.beta)
     assert np.array_equal(result.P_y, P_y) and result.alpha_f == alpha_f
     assert result.sweep == st.epsilon_sweep(lin, sc.graph, p, eq.v, SWEEP_RATIOS)
 
@@ -177,11 +189,12 @@ def test_analyze_rejects_non_hurwitz_zeta(lv5, lv5_reduced, monkeypatch):
 @pytest.mark.parametrize("name", ["lv5", "mv9-template"])
 def test_blocks_match_literal_formulas(name):
     """Blocks derived from the closed-loop Jacobian equal the written-out formulas."""
-    sc, lin, _ = bundled_lin(name)
+    sc, lin, eq = bundled_lin(name)
     blocks = st.assemble_blocks(lin, sc.graph, sc.params)
-    ref = literal_blocks(lin, sc.graph, sc.params)
-    assert set(ref) - OFFSETS == set(st.ReducedBlocks.__dataclass_fields__)
-    for f in set(ref) - OFFSETS:
+    w = flow_offset(mg.kron_reduce(sc.network), lin, eq.theta, eq.V)
+    ref = literal_blocks(lin, w, sc.graph, sc.params)
+    assert set(st.ReducedBlocks.__dataclass_fields__) == KEPT
+    for f in KEPT:
         got = getattr(blocks, f)
         assert got.shape == ref[f].shape, f
         assert np.abs(got - ref[f]).max() <= 1e-10 * np.abs(ref[f]).max(), f
@@ -192,8 +205,8 @@ def test_block_shapes(lv5_blocks):
     n = b.n
     assert b.R_theta.shape == (n - 1, n - 1)
     assert b.R_thetaV.shape == (n - 1, n)
-    assert b.R_vtheta.shape == (n, n - 1)
-    assert b.R_vV.shape == (n, n)
+    assert b.R_vtheta_new.shape == (n, n - 1)
+    assert b.R_vV_new.shape == (n, n)
     assert b.R_zeta.shape == (n - 1, n - 1)
 
 
@@ -220,11 +233,8 @@ def contrived_blocks(n=4):
     z_mn = np.zeros((m, n))
     z_nm = np.zeros((n, m))
     I_m = np.eye(m)
-    return st.ReducedBlocks(
-        R_theta=-I_m, R_thetaV=z_mn, R_vtheta=z_nm, R_vV=-np.eye(n),
-        R_vzeta=z_nm, R_zetatheta=I_m * 0, R_zetaV=z_mn, R_zeta=-I_m,
-        R_vtheta_new=z_nm, R_vV_new=-np.eye(n),
-    )
+    return st.ReducedBlocks(R_theta=-I_m, R_thetaV=z_mn, R_zeta=-I_m,
+                            R_vtheta_new=z_nm, R_vV_new=-np.eye(n))
 
 
 def test_lmi_contrived_case_fast():
@@ -238,10 +248,7 @@ def test_lmi_contrived_case_fast():
 def test_lmi_infeasible_case_reported(monkeypatch):
     """Flip the voltage block unstable: solver must not claim feasibility."""
     b = contrived_blocks()
-    bad = st.ReducedBlocks(**{
-        **{f: getattr(b, f) for f in b.__dataclass_fields__},
-        "R_vV_new": +np.eye(4),
-    })
+    bad = replace(b, R_vV_new=+np.eye(4))
     eig_calls = []
     eig = np.linalg.eig
 
@@ -368,17 +375,18 @@ def test_boundary_layer_rejects_non_hurwitz(R):
         st.boundary_layer_check(replace(contrived_blocks(R.shape[0] + 1), R_zeta=R))
 
 
-def test_reduced_matrix_matches_rhs_fd(lv5, lv5_lin, lv5_equilibrium):
+def test_reduced_matrix_matches_rhs_fd(lv5, lv5_reduced, lv5_lin, lv5_equilibrium):
     """The sweep's ratio-0 matrix equals finite differences of the nonlinear rhs."""
     p = lv5.params
     R = st._at_voltage(st._complement(lv5_lin, lv5.graph, p), p, lv5_equilibrium.v)
     A = st._timescale_matrix(R, p, 0.0)
     [(_, a0)] = st.epsilon_sweep(lv5_lin, lv5.graph, p, lv5_equilibrium.v, [0.0])
     assert a0 == np.linalg.eigvals(A).real.max()
-    rhs = reduced_rhs(literal_blocks(lv5_lin, lv5.graph, p), p)
+    eq = lv5_equilibrium
+    w = flow_offset(lv5_reduced, lv5_lin, eq.theta, eq.V)
+    rhs = reduced_rhs(literal_blocks(lv5_lin, w, lv5.graph, p), p)
     m = 2 * p.n - 1
-    T, _ = st.transform_matrix(p.n)
-    r_bar = (T @ lv5_equilibrium.theta)[1:]
+    r_bar = (transform(p.n) @ eq.theta)[1:]
     x0 = np.concatenate([r_bar, lv5_equilibrium.v])
     h = 1e-7
     J = np.empty((m, m))
@@ -471,20 +479,22 @@ def test_sweep_is_singular_limit_of_full_model(lv5, lv5_reduced, lv5_lin, lv5_eq
     assert abs(a_full - a_sweep) <= 1e-5
 
 
-def test_lyapunov_decreases_along_reduced_flow(lv5, lv5_lin, lv5_blocks, lv5_equilibrium):
+def test_lyapunov_decreases_along_reduced_flow(lv5, lv5_reduced, lv5_lin, lv5_blocks,
+                                               lv5_equilibrium):
     """The certified function decays along the nonlinear reduced trajectory."""
     from scipy.integrate import solve_ivp
 
     p = lv5.params
     cert = st.solve_lmi(lv5_blocks, p.beta)
     assert cert.feasible
-    T, _ = st.transform_matrix(lv5_blocks.n)
-    r_bar = (T @ lv5_equilibrium.theta)[1:]
-    v_bar = lv5_equilibrium.v
+    eq = lv5_equilibrium
+    r_bar = (transform(lv5_blocks.n) @ eq.theta)[1:]
+    v_bar = eq.v
     rng = np.random.default_rng(5)
     x0 = np.concatenate([r_bar + rng.normal(0, 1e-3, 4),
                          v_bar + rng.normal(0, 1e-3, 5)])
-    sol = solve_ivp(reduced_rhs(literal_blocks(lv5_lin, lv5.graph, p), p), (0, 5.0), x0,
+    w = flow_offset(lv5_reduced, lv5_lin, eq.theta, eq.V)
+    sol = solve_ivp(reduced_rhs(literal_blocks(lv5_lin, w, lv5.graph, p), p), (0, 5.0), x0,
                     rtol=1e-9, atol=1e-12, dense_output=True)
     ts = np.linspace(0, 5.0, 30)
     vals = [lyapunov_value(cert, p, x[:4], x[4:], r_bar, v_bar)

@@ -9,6 +9,8 @@ import mgshare as mg
 from mgshare import controller as ctrl
 from mgshare.graph import laplacian
 
+from conftest import kkt_residual
+
 
 def test_residual_small(lv5_equilibrium):
     assert lv5_equilibrium.residual <= 1e-10
@@ -120,7 +122,7 @@ def _check_solution(eq, red, graph, params, zeta_sum=0.0):
     model = ctrl.ClosedLoop(eq.mode, params, red, laplacian(graph))
     f = model.rhs(0.0, np.concatenate([eq.theta, eq.Omega, eq.v, eq.lam, eq.zeta]))
     assert np.abs(f[eq.n:]).max() <= 1e-9
-    for part in ctrl.kkt_residual(graph, params.k, eq.lam, eq.zeta, eq.Q / params.s_rated):
+    for part in kkt_residual(graph, params.k, eq.lam, eq.zeta, eq.Q / params.s_rated):
         assert np.abs(part).max() <= 1e-9
     assert eq.zeta.sum() == pytest.approx(zeta_sum, abs=1e-9)
 
