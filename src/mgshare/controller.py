@@ -82,16 +82,16 @@ class IbrParams:
             arrays[name] = a
         for name, a in arrays.items():
             object.__setattr__(self, name, a)
-        if np.any(self.s_rated <= 0):
+        if not np.all(self.s_rated > 0):
             raise ValueError("s_rated must be positive")
-        if np.any(self.v_min >= self.v_max):
+        if not np.all(self.v_min < self.v_max):
             raise ValueError("need v_min < v_max for every unit")
         for name in ("tau_omega", "tau_v", "tau_p", "tau_d"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError("k must be positive")
         for name, a in (("v_star", 0.5 * (self.v_max + self.v_min)),
                         ("delta", 0.5 * (self.v_max - self.v_min))):

@@ -8,10 +8,11 @@ integrator loads with ``mgshare.simulate``.
 
 The format is sectioned, line-oriented plain text chosen so the tables can
 be transcribed by hand from a specification sheet: ``[section]`` headers
-(optionally annotated ``unit=ohm`` / ``unit=pu`` / ``unit=va``), ``#``
-comments, and whitespace-separated fields. Sections: bases, buses, lines,
-connectors, loads, ibrs, graph, controller-gains, events, simulation,
-outputs.
+(``[lines]``, ``[connectors]`` and ``[loads]`` may be annotated ``unit=``),
+``#`` comments, and whitespace-separated fields. Each section's layout is
+declared once, in the tables ``_ROWS``, ``_EVENTS``, ``_KEYS`` and
+``_UNITS`` below; the parser, ``serialize_scenario`` and ``Event``'s field
+check all read them. Every number must be finite.
 
 Two scenarios ship with the package: ``lv5`` (five-inverter low-voltage
 ring) and ``mv9-template`` (nine-bus medium-voltage skeleton with
@@ -21,7 +22,8 @@ placeholder network data to be replaced by the user).
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,21 +38,74 @@ __all__ = ["Event", "Scenario", "parse_scenario", "parse_scenario_text",
 
 BUNDLED = ("lv5", "mv9-template")
 
-_SECTIONS = {
-    "bases", "buses", "lines", "connectors", "loads", "ibrs",
-    "graph", "controller-gains", "events", "simulation", "outputs",
+
+def _num(tok, lineno, what):
+    try:
+        x = float(tok)
+    except ValueError:
+        raise ScenarioFormatError(f"line {lineno}: {what} must be a number, got {tok!r}") from None
+    if not math.isfinite(x):
+        raise ScenarioFormatError(f"line {lineno}: {what} must be a finite number, got {tok!r}")
+    return x
+
+
+def _int(tok, lineno, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ScenarioFormatError(f"line {lineno}: {what} must be an integer, got {tok!r}") from None
+
+
+def _bus_kind(tok, lineno, what):
+    if tok not in ("load", "junction", "main"):
+        raise ScenarioFormatError(f"line {lineno}: {what} must be load|junction|main, got {tok!r}")
+    return tok
+
+
+# Each row section's fields in order, as (name, reader), named after what they fill:
+# the Line, Connector and Load fields, the IbrParams arrays, a graph edge. A last
+# field given as (name, reader, default) may be left off a row.
+_ROWS = {
+    "buses": (("id", _int), ("kind", _bus_kind)),
+    "lines": (("from_bus", _int), ("to_bus", _int), ("r", _num), ("x", _num)),
+    "connectors": (("ibr", _int), ("bus", _int), ("r", _num), ("x", _num)),
+    "loads": (("bus", _int), ("s", _num), ("pf", _num)),
+    "ibrs": (("id", _int), ("s_rated", _num), ("v_min", _num), ("v_max", _num)),
+    "graph": (("i", _int), ("j", _int), ("weight", _num, 1.0)),
 }
 
-_GAIN_KEYS = {"m_omega", "m_v", "tau_omega", "tau_v", "tau_p", "tau_d", "beta", "k", "mode"}
+# Each event kind's fields after 't kind', in the same form, named after Event's fields.
+_EVENTS = {
+    "activate": (),
+    "scale-load": (("bus", _int), ("factor", _num)),
+    "set-limits": (("v_min", _num), ("v_max", _num), ("ibr", _int, None)),
+}
+
+# Each 'key value [unit]' section's keys in file order, with the unit a [bases] entry may
+# state. Keys but mode and dir are named after the Bases, IbrParams and Scenario fields
+# they fill.
+_KEYS = {
+    "bases": {"s_base": "VA", "v_base": "V", "f_nom": "Hz"},
+    "controller-gains": dict.fromkeys(["mode", "m_omega", "m_v", "tau_omega", "tau_v",
+                                       "tau_p", "tau_d", "beta", "k"]),
+    "simulation": dict.fromkeys(["t_end", "rel_tol", "sample_ms"]),
+    "outputs": dict.fromkeys(["dir"]),
+}
+_TEXT_KEYS = {"mode", "dir"}                                # the others are numbers
+_OPTIONAL_KEYS = {"mode", "rel_tol", "sample_ms", "dir"}    # Scenario has defaults for these
+
+# The sections that take 'unit=', and its values, the default first.
+_UNITS = {"lines": ("ohm", "pu"), "connectors": ("ohm", "pu"), "loads": ("pu", "va")}
 
 
 @dataclass(frozen=True)
 class Event:
     """Timeline event; ``kind`` is 'activate', 'scale-load', or 'set-limits'.
 
-    ``scale-load`` carries (bus, factor) with factor relative to the nominal
-    load; ``set-limits`` carries (v_min, v_max) and an optional 1-based
-    ``ibr`` (None applies to all units).
+    ``scale-load`` carries (bus, factor) with factor >= 0 relative to the
+    nominal load; ``set-limits`` carries (v_min, v_max) and an optional
+    1-based ``ibr`` (None applies to all units). A kind's fields are
+    required, and the other kinds' fields must stay None.
     """
 
     time: float
@@ -62,16 +117,24 @@ class Event:
     ibr: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("activate", "scale-load", "set-limits"):
+        if self.kind not in _EVENTS:
             raise ScenarioFormatError(f"unknown event kind {self.kind!r}")
-        if self.kind == "scale-load" and (self.bus is None or self.factor is None):
-            raise ScenarioFormatError("scale-load event needs bus and factor")
-        if self.kind == "set-limits" and (self.v_min is None or self.v_max is None):
-            raise ScenarioFormatError("set-limits event needs v_min and v_max")
+        at = f"event at t={self.time}"
+        takes = {f[0]: len(f) == 2 for f in _EVENTS[self.kind]}   # field -> required
+        for f in fields(self)[2:]:
+            given = getattr(self, f.name) is not None
+            if given and f.name not in takes:
+                raise ScenarioFormatError(f"{at}: {self.kind} takes no {f.name}")
+            if not given and takes.get(f.name):
+                raise ScenarioFormatError(f"{at}: {self.kind} needs {f.name}")
+        if not 0 <= self.time < np.inf:
+            raise ScenarioFormatError(f"{at}: time must be finite and nonnegative")
+        if self.kind == "scale-load" and not 0 <= self.factor < np.inf:
+            raise ScenarioFormatError(
+                f"{at}: scale-load factor must be finite and nonnegative, got {self.factor}")
         if self.kind == "set-limits" and not self.v_min < self.v_max:
             raise ScenarioFormatError(
-                f"set-limits event at t={self.time} needs v_min < v_max, "
-                f"got {self.v_min} and {self.v_max}")
+                f"{at}: set-limits needs v_min < v_max, got {self.v_min} and {self.v_max}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,9 +164,9 @@ class Scenario:
             if not (0 < getattr(self, name) < np.inf):
                 raise ScenarioFormatError(f"{name} must be positive and finite")
         times = [e.time for e in self.events]
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if not all(t1 < t2 for t1, t2 in zip(times, times[1:])):
             raise ScenarioFormatError("event times must be strictly increasing")
-        if times and (times[0] < 0 or times[-1] > self.t_end):
+        if times and not times[-1] <= self.t_end:    # Event holds each time >= 0
             raise ScenarioFormatError("event times must lie within [0, t_end]")
         n = self.network.n_ibr
         if self.graph.n != n or self.params.n != n:
@@ -136,8 +199,7 @@ def parse_scenario(path) -> Scenario:
 
 def _tokenize(text: str):
     """Yield (lineno, section, unit, tokens); each section header may appear once."""
-    section = None
-    unit = None
+    section = unit = None
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,142 +210,84 @@ def _tokenize(text: str):
                 raise ScenarioFormatError(f"line {lineno}: unterminated section header")
             name, _, rest = line.partition("]")
             section = name[1:].strip()
-            unit = None
-            for tok in rest.split():
-                if tok.startswith("unit="):
-                    unit = tok[5:]
-                else:
-                    raise ScenarioFormatError(
-                        f"line {lineno}: unexpected token {tok!r} after section header"
-                    )
-            if section not in _SECTIONS:
+            if section not in _ROWS and section not in _KEYS and section != "events":
                 raise ScenarioFormatError(f"line {lineno}: unknown section [{section}]")
             if section in seen:
                 raise ScenarioFormatError(f"line {lineno}: repeated section [{section}]")
             seen.add(section)
+            units = _UNITS.get(section, ())
+            unit = units[0] if units else None
+            for tok in rest.split():
+                unit = tok[5:] if tok.startswith("unit=") else None
+                if unit not in units:
+                    takes = " or ".join(f"unit={u}" for u in units) or "no unit"
+                    raise ScenarioFormatError(
+                        f"line {lineno}: [{section}] takes {takes}, got {tok!r}")
             continue
         if section is None:
             raise ScenarioFormatError(f"line {lineno}: data before any section header")
         yield lineno, section, unit, line.split()
 
 
-def _num(tok, lineno, what):
-    try:
-        return float(tok)
-    except ValueError:
-        raise ScenarioFormatError(f"line {lineno}: {what} must be a number, got {tok!r}") from None
+def _read_row(layout, toks, lineno, what, lead=()):
+    """Read a row's tokens by its fields; ``lead`` are the tokens shown before them."""
+    n = len(toks)
+    if n != len(layout) and (n > len(layout) or len(layout[n]) == 2):
+        shape = " ".join([*lead, *(f[0] if len(f) == 2 else f"[{f[0]}]" for f in layout)])
+        raise ScenarioFormatError(f"line {lineno}: {what} rows are '{shape}'")
+    return [f[1](tok, lineno, f[0]) for f, tok in zip(layout, toks)] + [f[2] for f in layout[n:]]
 
 
-def _int(tok, lineno, what):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ScenarioFormatError(f"line {lineno}: {what} must be an integer, got {tok!r}") from None
+def _read_entry(section, toks, lineno):
+    keys = _KEYS[section]
+    if len(toks) not in (2, 3) or toks[0] not in keys:
+        raise ScenarioFormatError(f"line {lineno}: {section} entries are 'key value' with key in "
+                                  f"{sorted(keys)}, got {' '.join(toks)!r}")
+    key, value = toks[:2]
+    if len(toks) == 3 and toks[2] != keys[key]:
+        takes = f"unit {keys[key]}" if keys[key] else "no unit"
+        raise ScenarioFormatError(f"line {lineno}: {key} takes {takes}, got {toks[2]!r}")
+    return key, value if key in _TEXT_KEYS else _num(value, lineno, key)
+
+
+def _read_event(toks, lineno) -> Event:
+    time = _num(toks[0], lineno, "event time")
+    kind = toks[1] if len(toks) > 1 else ""
+    if kind not in _EVENTS:
+        raise ScenarioFormatError(f"line {lineno}: unknown event kind {kind!r}")
+    layout = _EVENTS[kind]
+    args = _read_row(layout, toks[2:], lineno, kind, ("t", kind))
+    return Event(time, kind, **{f[0]: a for f, a in zip(layout, args)})
 
 
 def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
-    bases_kv: dict[str, float] = {}
-    buses: list[tuple[int, str]] = []
-    lines: list[Line] = []
-    line_unit = None
-    connectors: list[Connector] = []
-    conn_unit = None
-    loads: list[Load] = []
-    load_unit = None
-    ibr_rows: list[tuple[int, float, float, float]] = []
-    graph_edges: list[tuple[int, int, float]] = []
-    gains: dict[str, float | str] = {}
+    rows: dict[str, list] = {section: [] for section in _ROWS}
+    kv: dict[str, dict] = {section: {} for section in _KEYS}
+    units: dict[str, str] = {}
     events: list[Event] = []
-    sim: dict[str, float] = {}
-    out_dir = "out"
-    semantic: list[str] = []
-
     for lineno, section, unit, toks in _tokenize(text):
-        if section == "bases":
-            if len(toks) < 2:
-                raise ScenarioFormatError(f"line {lineno}: bases entries are 'key value [unit]'")
-            bases_kv[toks[0]] = _num(toks[1], lineno, toks[0])
-        elif section == "buses":
-            if len(toks) != 2 or toks[1] not in ("load", "junction", "main"):
-                raise ScenarioFormatError(
-                    f"line {lineno}: bus rows are 'id load|junction|main'"
-                )
-            buses.append((_int(toks[0], lineno, "bus id"), toks[1]))
-        elif section == "lines":
-            line_unit = unit or "ohm"
-            if len(toks) != 4:
-                raise ScenarioFormatError(f"line {lineno}: line rows are 'from to r x'")
-            lines.append(Line(
-                _int(toks[0], lineno, "from bus"), _int(toks[1], lineno, "to bus"),
-                _num(toks[2], lineno, "r"), _num(toks[3], lineno, "x"),
-            ))
-        elif section == "connectors":
-            conn_unit = unit or "ohm"
-            if len(toks) != 4:
-                raise ScenarioFormatError(f"line {lineno}: connector rows are 'ibr bus r x'")
-            connectors.append(Connector(
-                _int(toks[0], lineno, "ibr id"), _int(toks[1], lineno, "bus"),
-                _num(toks[2], lineno, "r"), _num(toks[3], lineno, "x"),
-            ))
-        elif section == "loads":
-            load_unit = unit or "pu"
-            if len(toks) != 3:
-                raise ScenarioFormatError(f"line {lineno}: load rows are 'bus s pf'")
-            loads.append(Load(
-                _int(toks[0], lineno, "bus"),
-                _num(toks[1], lineno, "s"), _num(toks[2], lineno, "pf"),
-            ))
-        elif section == "ibrs":
-            if len(toks) != 4:
-                raise ScenarioFormatError(
-                    f"line {lineno}: ibr rows are 'id s_rated v_min v_max'"
-                )
-            ibr_rows.append((
-                _int(toks[0], lineno, "ibr id"), _num(toks[1], lineno, "s_rated"),
-                _num(toks[2], lineno, "v_min"), _num(toks[3], lineno, "v_max"),
-            ))
-        elif section == "graph":
-            if len(toks) not in (2, 3):
-                raise ScenarioFormatError(f"line {lineno}: graph rows are 'i j [weight]'")
-            w = _num(toks[2], lineno, "weight") if len(toks) == 3 else 1.0
-            graph_edges.append((_int(toks[0], lineno, "i"), _int(toks[1], lineno, "j"), w))
-        elif section == "controller-gains":
-            if len(toks) != 2 or toks[0] not in _GAIN_KEYS:
-                raise ScenarioFormatError(
-                    f"line {lineno}: controller-gains entries are 'key value' with key in "
-                    f"{sorted(_GAIN_KEYS)}"
-                )
-            gains[toks[0]] = toks[1] if toks[0] == "mode" else _num(toks[1], lineno, toks[0])
+        if section in _KEYS:
+            key, value = _read_entry(section, toks, lineno)
+            kv[section][key] = value
         elif section == "events":
-            events.append(_parse_event(lineno, toks))
-        elif section == "simulation":
-            if len(toks) != 2:
-                raise ScenarioFormatError(f"line {lineno}: simulation entries are 'key value'")
-            sim[toks[0]] = _num(toks[1], lineno, toks[0])
-        elif section == "outputs":
-            if len(toks) != 2 or toks[0] != "dir":
-                raise ScenarioFormatError(f"line {lineno}: outputs entries are 'dir path'")
-            out_dir = toks[1]
+            events.append(_read_event(toks, lineno))
+        else:
+            rows[section].append(_read_row(_ROWS[section], toks, lineno, section))
+            units[section] = unit
 
-    for key in ("s_base", "v_base", "f_nom"):
-        if key not in bases_kv:
-            semantic.append(f"[bases] is missing {key}")
-    if not buses:
-        semantic.append("[buses] section is empty")
-    if not ibr_rows:
-        semantic.append("[ibrs] section is empty")
-    if not graph_edges:
-        semantic.append("[graph] section is empty")
-
-    bus_ids = [b for b, _ in buses]
-    if sorted(bus_ids) != list(range(1, len(buses) + 1)):
+    semantic = [f"[{section}] is missing {key}" for section, keys in _KEYS.items()
+                for key in keys if key not in kv[section] and key not in _OPTIONAL_KEYS]
+    semantic += [f"[{section}] section is empty" for section in ("buses", "ibrs", "graph")
+                 if not rows[section]]
+    n_bus, n = len(rows["buses"]), len(rows["ibrs"])
+    if sorted(r[0] for r in rows["buses"]) != list(range(1, n_bus + 1)):
         semantic.append("bus ids must be 1..n_bus without duplicates or gaps")
-    n_bus = len(buses)
-    ibr_ids = [r[0] for r in ibr_rows]
-    if sorted(ibr_ids) != list(range(1, len(ibr_rows) + 1)):
+    if sorted(r[0] for r in rows["ibrs"]) != list(range(1, n + 1)):
         semantic.append("ibr ids must be 1..n without duplicates or gaps")
-    n = len(ibr_rows)
 
+    lines = [Line(*r) for r in rows["lines"]]
+    connectors = [Connector(*r) for r in rows["connectors"]]
+    loads = [Load(*r) for r in rows["loads"]]
     for ln in lines:
         for b in (ln.from_bus, ln.to_bus):
             if not (1 <= b <= n_bus):
@@ -294,52 +298,37 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     for ld in loads:
         if not (1 <= ld.bus <= n_bus):
             semantic.append(f"load references unknown bus {ld.bus}")
-    for i, j, _ in graph_edges:
+    for i, j, _ in rows["graph"]:
         for b in (i, j):
             if not (1 <= b <= n):
                 semantic.append(f"graph edge ({i},{j}) references unknown IBR {b}")
     for ev in events:
-        if ev.kind == "scale-load" and not (1 <= (ev.bus or 0) <= n_bus):
+        if ev.kind == "scale-load" and not (1 <= ev.bus <= n_bus):
             semantic.append(f"event at t={ev.time} references unknown bus {ev.bus}")
         if ev.kind == "set-limits" and ev.ibr is not None and not (1 <= ev.ibr <= n):
             semantic.append(f"event at t={ev.time} references unknown IBR {ev.ibr}")
-    missing = _GAIN_KEYS - set(gains) - {"mode"}
-    if missing:
-        semantic.append(f"[controller-gains] is missing {sorted(missing)}")
-    if "t_end" not in sim:
-        semantic.append("[simulation] is missing t_end")
     if semantic:
         raise ScenarioFormatError(
             "scenario validation failed:\n  - " + "\n  - ".join(semantic)
         )
 
-    if {line_unit, conn_unit} - {None} not in ({"ohm"}, {"pu"}, set()):
+    if len({units[s] for s in ("lines", "connectors") if s in units}) > 1:
         raise ScenarioFormatError("lines and connectors must use the same impedance unit")
-    rows = sorted(ibr_rows)
+    gains = kv["controller-gains"]
+    initial_mode = gains.pop("mode", "droop")
+    _, s_rated, v_min, v_max = zip(*sorted(rows["ibrs"]))
     try:
         data = to_per_unit(NetworkData(
-            bases=Bases(bases_kv["s_base"], bases_kv["v_base"], bases_kv["f_nom"]),
+            bases=Bases(**kv["bases"]),
             n_bus=n_bus,
             lines=tuple(lines),
             connectors=tuple(sorted(connectors, key=lambda c: c.ibr)),
             loads=tuple(loads),
-            impedance_unit=line_unit or conn_unit or "ohm",
-            load_unit=load_unit or "pu",
+            impedance_unit=units.get("lines", units.get("connectors", "ohm")),
+            load_unit=units.get("loads", "pu"),
         ))
-        graph = CommGraph.from_edges(n, [(i - 1, j - 1, w) for i, j, w in graph_edges])
-        params = IbrParams(
-            s_rated=np.array([r[1] for r in rows]),
-            m_omega=np.full(n, gains["m_omega"]),
-            m_v=np.full(n, gains["m_v"]),
-            v_min=np.array([r[2] for r in rows]),
-            v_max=np.array([r[3] for r in rows]),
-            tau_omega=gains["tau_omega"],
-            tau_v=gains["tau_v"],
-            tau_p=gains["tau_p"],
-            tau_d=gains["tau_d"],
-            beta=gains["beta"],
-            k=gains["k"],
-        )
+        graph = CommGraph.from_edges(n, [(i - 1, j - 1, w) for i, j, w in rows["graph"]])
+        params = IbrParams(s_rated=s_rated, v_min=v_min, v_max=v_max, **gains)
     except (ValueError, NetworkDataError, DisconnectedGraphError) as exc:
         raise ScenarioFormatError(str(exc)) from exc
 
@@ -347,39 +336,12 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         network=data,
         graph=graph,
         params=params,
-        t_end=sim["t_end"],
         events=tuple(events),
-        initial_mode=gains.get("mode", "droop"),
-        rel_tol=sim.get("rel_tol", 1e-7),
-        sample_ms=sim.get("sample_ms", 10.0),
+        initial_mode=initial_mode,
         name=name,
-        out_dir=out_dir,
+        out_dir=kv["outputs"].get("dir", "out"),
+        **kv["simulation"],
     )
-
-
-def _parse_event(lineno: int, toks) -> Event:
-    t = _num(toks[0], lineno, "event time")
-    kind = toks[1] if len(toks) > 1 else ""
-    if kind == "activate":
-        if len(toks) != 2:
-            raise ScenarioFormatError(f"line {lineno}: activate takes no arguments")
-        return Event(time=t, kind="activate")
-    if kind == "scale-load":
-        if len(toks) != 4:
-            raise ScenarioFormatError(f"line {lineno}: scale-load rows are 't scale-load bus factor'")
-        return Event(time=t, kind="scale-load",
-                     bus=_int(toks[2], lineno, "bus"),
-                     factor=_num(toks[3], lineno, "factor"))
-    if kind == "set-limits":
-        if len(toks) not in (4, 5):
-            raise ScenarioFormatError(
-                f"line {lineno}: set-limits rows are 't set-limits v_min v_max [ibr]'"
-            )
-        ibr = _int(toks[4], lineno, "ibr") if len(toks) == 5 else None
-        return Event(time=t, kind="set-limits",
-                     v_min=_num(toks[2], lineno, "v_min"),
-                     v_max=_num(toks[3], lineno, "v_max"), ibr=ibr)
-    raise ScenarioFormatError(f"line {lineno}: unknown event kind {kind!r}")
 
 
 def _g(x: float) -> str:
@@ -407,54 +369,39 @@ def serialize_scenario(s: Scenario) -> str:
     if s.out_dir.split() != [s.out_dir] or "#" in s.out_dir:
         raise ScenarioFormatError(f"cannot serialize out_dir {s.out_dir!r}: "
                                   "it must be one token without '#'")
-    b = s.network.bases
-    out = [f"# {s.name}", "[bases]",
-           f"s_base {_g(b.s_base)} VA",
-           f"v_base {_g(b.v_base)} V",
-           f"f_nom {_g(b.f_nom)} Hz",
-           "", "[buses]"]
-    load_buses = {ld.bus for ld in s.network.loads}
-    for i in range(1, s.network.n_bus + 1):
-        out.append(f"{i} {'load' if i in load_buses else 'junction'}")
-    out += ["", "[lines] unit=pu"]
-    for ln in s.network.lines:
-        out.append(f"{ln.from_bus} {ln.to_bus} {_g(ln.r)} {_g(ln.x)}")
-    out += ["", "[connectors] unit=pu"]
-    for c in s.network.connectors:
-        out.append(f"{c.ibr} {c.bus} {_g(c.r)} {_g(c.x)}")
-    out += ["", "[loads] unit=pu"]
-    for ld in s.network.loads:
-        out.append(f"{ld.bus} {_g(ld.s)} {_g(ld.pf)}")
-    out += ["", "[ibrs]"]
-    for i in range(p.n):
-        out.append(f"{i + 1} {_g(p.s_rated[i])} {_g(p.v_min[i])} {_g(p.v_max[i])}")
-    out += ["", "[graph]"]
-    for i, j, w in s.graph.edges:
-        out.append(f"{i + 1} {j + 1} {_g(w)}")
-    out += ["", "[controller-gains]",
-            f"mode {s.initial_mode}",
-            f"m_omega {_g(p.m_omega[0])}",
-            f"m_v {_g(p.m_v[0])}",
-            f"tau_omega {_g(p.tau_omega)}",
-            f"tau_v {_g(p.tau_v)}",
-            f"tau_p {_g(p.tau_p)}",
-            f"tau_d {_g(p.tau_d)}",
-            f"beta {_g(p.beta)}",
-            f"k {_g(p.k)}"]
-    out += ["", "[events]"]
-    for ev in s.events:
-        if ev.kind == "activate":
-            out.append(f"{_g(ev.time)} activate")
-        elif ev.kind == "scale-load":
-            out.append(f"{_g(ev.time)} scale-load {ev.bus} {_g(ev.factor)}")
-        else:
-            tail = f" {ev.ibr}" if ev.ibr is not None else ""
-            out.append(f"{_g(ev.time)} set-limits {_g(ev.v_min)} {_g(ev.v_max)}{tail}")
-    out += ["", "[simulation]",
-            f"t_end {_g(s.t_end)}",
-            f"rel_tol {_g(s.rel_tol)}",
-            f"sample_ms {_g(s.sample_ms)}",
-            "", "[outputs]",
-            f"dir {s.out_dir}",
-            ""]
-    return "\n".join(out)
+    net = s.network
+    load_buses = {ld.bus for ld in net.loads}
+    gains = {**vars(p), "mode": s.initial_mode, "m_omega": p.m_omega[0], "m_v": p.m_v[0]}
+
+    def row(layout, values, lead=()):
+        """Join a row's tokens; a None value (an omitted optional field) writes nothing."""
+        cells = (_g(v) if f[1] is _num else str(v)
+                 for f, v in zip(layout, values) if v is not None)
+        return " ".join([*lead, *cells])
+
+    def entries(section, values):
+        out = []
+        for key, unit in _KEYS[section].items():
+            value = values[key] if key in _TEXT_KEYS else _g(values[key])
+            out.append(f"{key} {value} {unit}" if unit else f"{key} {value}")
+        return out
+
+    body = {    # in file order
+        "bases": entries("bases", vars(net.bases)),
+        "buses": [row(_ROWS["buses"], (i, "load" if i in load_buses else "junction"))
+                  for i in range(1, net.n_bus + 1)],
+        "lines": [row(_ROWS["lines"], astuple(ln)) for ln in net.lines],
+        "connectors": [row(_ROWS["connectors"], astuple(c)) for c in net.connectors],
+        "loads": [row(_ROWS["loads"], astuple(ld)) for ld in net.loads],
+        "ibrs": [row(_ROWS["ibrs"], (i + 1, p.s_rated[i], p.v_min[i], p.v_max[i]))
+                 for i in range(p.n)],
+        "graph": [row(_ROWS["graph"], (i + 1, j + 1, w)) for i, j, w in s.graph.edges],
+        "controller-gains": entries("controller-gains", gains),
+        "events": [row(_EVENTS[ev.kind], [getattr(ev, f[0]) for f in _EVENTS[ev.kind]],
+                       lead=(_g(ev.time), ev.kind)) for ev in s.events],
+        "simulation": entries("simulation", vars(s)),
+        "outputs": entries("outputs", {"dir": s.out_dir}),
+    }
+    return f"# {s.name}\n" + "\n\n".join(
+        "\n".join([f"[{section}]" + (" unit=pu" if section in _UNITS else ""), *lines])
+        for section, lines in body.items()) + "\n"

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import re
 
 import pytest
 
@@ -98,14 +99,23 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     ("1 2 0.20 0.30", "1 2 -0.20 0.30", "negative resistance"),
     ("1 2 0.20 0.30", "1 2 0 0", "zero impedance"),
     ("1 2\n2 3\n3 4\n4 5\n5 1\n", "1 2\n3 4\n4 5\n5 3\n", "graph is disconnected"),
+    ("rel_tol 1e-7\n", "rel_tl 1e-3\n", "line 74: simulation entries are 'key value'"),
+    ("f_nom 50 Hz\n", "f_nom 50 Hz\nfoo 3\n", "line 8: bases entries are 'key value'"),
+    ("s_base 100e3 VA", "s_base 100 kVA", "line 5: s_base takes unit VA, got 'kVA'"),
+    ("[ibrs]", "[ibrs] unit=ohm", "line 40: [ibrs] takes no unit, got 'unit=ohm'"),
+    ("10 activate", "nan activate", "line 68: event time must be a finite number, got 'nan'"),
+    ("1 1.10 0.95 1.05", "1 nan 0.95 1.05", "line 42: s_rated must be a finite number"),
+    ("40 scale-load 5 1.0", "40 scale-load 5 -1",
+     "event at t=40.0: scale-load factor must be finite and nonnegative"),
 ], ids=["band", "tau_v", "k-negative", "k-text", "self-loop", "negative-r", "zero-z",
-        "disconnected"])
+        "disconnected", "unknown-simulation-key", "unknown-bases-key", "bases-unit",
+        "unit-on-ibrs", "nan-event-time", "nan-s_rated", "negative-factor"])
 def test_invalid_values_are_format_errors(tmp_path, capsys, old, new, match):
     """A value the constructors reject is a ScenarioFormatError: exit 2, no traceback."""
     text = bundled_scenario_path("lv5").read_text()
     assert text.count(old) == 1
     text = text.replace(old, new)
-    with pytest.raises(ScenarioFormatError, match=match):
+    with pytest.raises(ScenarioFormatError, match=re.escape(match)):
         parse_scenario_text(text)
     path = tmp_path / "bad.scn"
     path.write_text(text)

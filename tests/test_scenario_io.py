@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mgshare as mg
 from mgshare import scenario_io as sio
@@ -43,14 +45,47 @@ def test_mv9_template_parses():
     assert np.allclose(s.params.v_min, 0.98) and np.allclose(s.params.v_max, 1.02)
 
 
-def test_roundtrip_identity(lv5):
-    limits = replace(lv5, events=lv5.events + (
-        sio.Event(time=45.0, kind="set-limits", v_min=0.96, v_max=1.04),
-        sio.Event(time=48.0, kind="set-limits", v_min=0.97, v_max=1.03, ibr=2),
-    ))
-    for sc in (lv5, limits):
-        again = sio.parse_scenario_text(mg.serialize_scenario(sc), name=sc.name)
-        assert again == sc
+_POSITIVE = st.floats(1e-6, 1e6)
+
+
+@st.composite
+def _lv5_variants(draw, lv5):
+    """lv5 with generated events of every kind, gains and solver and output settings."""
+    t_end = draw(st.floats(1e-3, 1e3))
+    times = sorted(draw(st.lists(st.floats(0.0, t_end), unique=True, max_size=6)))
+    events = []
+    for t in times:
+        kind = draw(st.sampled_from(["activate", "scale-load", "set-limits"]))
+        if kind == "scale-load":
+            events.append(sio.Event(t, kind, bus=draw(st.integers(1, 5)),
+                                    factor=draw(st.floats(0.0, 10.0))))
+        elif kind == "set-limits":
+            v_min, v_max = sorted(draw(st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2,
+                                                unique=True)))
+            events.append(sio.Event(t, kind, v_min=v_min, v_max=v_max,
+                                    ibr=draw(st.none() | st.integers(1, 5))))
+        else:
+            events.append(sio.Event(t, kind))
+    params = replace(lv5.params, **{name: draw(_POSITIVE) for name in (
+        "m_omega", "m_v", "tau_omega", "tau_v", "tau_p", "tau_d", "k")},
+        beta=draw(st.floats(0.0, 1e3)))
+    out_dir = draw(st.text(st.characters(exclude_categories=("Z", "C"), exclude_characters="#"),
+                           min_size=1, max_size=12))
+    return replace(lv5, params=params, events=tuple(events), t_end=t_end,
+                   initial_mode=draw(st.sampled_from(["droop", "proposed"])),
+                   rel_tol=draw(st.floats(1e-12, 1e-2)), sample_ms=draw(_POSITIVE),
+                   out_dir=out_dir)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_roundtrip_identity(lv5, data):
+    """parse(serialize(s)) == s, and serialize is a fixed point, on generated lv5 variants."""
+    sc = data.draw(_lv5_variants(lv5))
+    text = mg.serialize_scenario(sc)
+    again = sio.parse_scenario_text(text, name=sc.name)
+    assert again == sc
+    assert mg.serialize_scenario(again) == text
 
 
 def test_scenario_value_equality(lv5):
@@ -164,6 +199,13 @@ def test_inverted_set_limits_event_rejected():
         sio.parse_scenario_text(text)
     with pytest.raises(ScenarioFormatError, match="v_min < v_max"):
         sio.Event(time=2.0, kind="set-limits", v_min=1.0, v_max=1.0)
+
+
+def test_event_rejects_nan_time_and_foreign_fields():
+    with pytest.raises(ScenarioFormatError, match="t=nan: time must be finite"):
+        sio.Event(time=float("nan"), kind="activate")
+    with pytest.raises(ScenarioFormatError, match="activate takes no bus"):
+        sio.Event(time=1.0, kind="activate", bus=3)
 
 
 def test_non_numeric_field():
