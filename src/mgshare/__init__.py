@@ -35,7 +35,6 @@ from .network import (
     jacobians,
     kron_reduce,
     power_flow,
-    to_per_unit,
 )
 from .scenario_io import Event, Scenario, bundled_scenario_path, parse_scenario, serialize_scenario
 from .stability import (
@@ -59,7 +58,7 @@ __all__ = [
     "ScenarioFormatError", "ConvergenceError", "SimulationError",
     "CommGraph", "laplacian", "algebraic_connectivity",
     "Bases", "Line", "Connector", "Load", "NetworkData", "ReducedNetwork",
-    "LinearizedModel", "to_per_unit", "kron_reduce", "power_flow", "jacobians",
+    "LinearizedModel", "kron_reduce", "power_flow", "jacobians",
     "parse_scenario", "serialize_scenario", "bundled_scenario_path",
     "Event", "Scenario", "TimeSeries", "simulate", "detect_saturated_set",
     "sharing_error",

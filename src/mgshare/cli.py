@@ -218,15 +218,19 @@ def _cmd_stability(args, scenario) -> int:
 
 
 def _cmd_tune(args, scenario) -> int:
-    spec = tuning.TuningSpec(
-        delta_f_max=args.delta_f_max,
-        rocof_star=args.rocof,
-        tau_p=args.tau_p,
-        k_d=args.k_d,
-        beta_error_budget=args.beta_budget,
-        f_nom=scenario.network.bases.f_nom,
-        v_base=scenario.network.bases.v_base,
-    )
+    try:
+        spec = tuning.TuningSpec(
+            delta_f_max=args.delta_f_max,
+            rocof_star=args.rocof,
+            tau_p=args.tau_p,
+            k_d=args.k_d,
+            beta_error_budget=args.beta_budget,
+            f_nom=scenario.network.bases.f_nom,
+            v_base=scenario.network.bases.v_base,
+        )
+    except MgshareError as exc:    # a bad option is bad input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     tuned = tuning.tune(spec, scenario.graph,
                         scenario.params.v_min, scenario.params.v_max)
     print(f"m_star (freq droop)       : {tuned.m_star:.4f} rad/s per p.u.")

@@ -1,6 +1,8 @@
 """Physical AC network model.
 
-Assembles the full nodal admittance matrix from bus/line/load tables,
+``NetworkData`` holds impedances and loads in per unit of its ``bases``;
+the scenario parser converts ohm and VA tables once, as it reads them.
+The module assembles the full nodal admittance matrix from these tables,
 Kron-reduces it onto the inverter internal buses, and evaluates the
 nonlinear power flow in phasor form, S = P + jQ = E conj(I) with
 E = V e^{j theta}, I = Y E and Y = G + jB. Its linearization,
@@ -18,7 +20,7 @@ voltage; this is what makes the reduced admittance description exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +35,6 @@ __all__ = [
     "NetworkData",
     "ReducedNetwork",
     "LinearizedModel",
-    "to_per_unit",
     "kron_reduce",
     "power_flow",
     "jacobians",
@@ -49,8 +50,8 @@ class Bases:
     f_nom: float
 
     def __post_init__(self):
-        if self.s_base <= 0 or self.v_base <= 0 or self.f_nom <= 0:
-            raise NetworkDataError("bases must all be positive")
+        if not all(0 < b < math.inf for b in (self.s_base, self.v_base, self.f_nom)):
+            raise NetworkDataError("bases must all be positive and finite")
 
     @property
     def z_base(self) -> float:
@@ -59,7 +60,7 @@ class Bases:
 
 @dataclass(frozen=True)
 class Line:
-    """Series branch between two main buses (1-based ids); r, x in the declared unit."""
+    """Series branch between two main buses (1-based ids); r, x in per unit."""
 
     from_bus: int
     to_bus: int
@@ -88,10 +89,10 @@ class Load:
 
 @dataclass(frozen=True)
 class NetworkData:
-    """Raw network description mirroring the scenario file tables.
+    """Network description mirroring the scenario file tables.
 
-    ``impedance_unit`` is "ohm" or "pu"; ``load_unit`` is "va" or "pu".
-    ``to_per_unit`` normalizes everything once at ingestion.
+    Line and connector impedances are in per unit of ``bases.z_base``, and
+    load apparent powers in per unit of ``bases.s_base``.
     """
 
     bases: Bases
@@ -99,14 +100,8 @@ class NetworkData:
     lines: tuple[Line, ...]
     connectors: tuple[Connector, ...]
     loads: tuple[Load, ...]
-    impedance_unit: str = "ohm"
-    load_unit: str = "pu"
 
     def __post_init__(self):
-        if self.impedance_unit not in ("ohm", "pu"):
-            raise NetworkDataError(f"unknown impedance unit {self.impedance_unit!r}")
-        if self.load_unit not in ("va", "pu"):
-            raise NetworkDataError(f"unknown load unit {self.load_unit!r}")
         if self.n_bus < 1:
             raise NetworkDataError("need at least one main bus")
         for ln in self.lines:
@@ -121,10 +116,8 @@ class NetworkData:
             self._check_bus(c.bus, "connector")
         for ld in self.loads:
             self._check_bus(ld.bus, "load")
-            if not (0.0 < ld.pf <= 1.0):
-                raise NetworkDataError(f"power factor at bus {ld.bus} not in (0,1]")
-            if ld.s < 0:
-                raise NetworkDataError(f"negative load at bus {ld.bus}")
+            if not (0 <= ld.s < math.inf and 0 < ld.pf <= 1):
+                raise NetworkDataError(f"load at bus {ld.bus} needs a finite s >= 0 and pf in (0,1]")
         a = np.zeros((self.n_bus + self.n_ibr,) * 2)    # main buses, then internal buses
         ends = [(ln.from_bus, ln.to_bus) for ln in self.lines]
         for i, j in ends + [(c.bus, self.n_bus + c.ibr) for c in self.connectors]:
@@ -138,31 +131,14 @@ class NetworkData:
 
     @staticmethod
     def _check_branch(r: float, x: float, what: str):
-        if r < 0:
-            raise NetworkDataError(f"negative resistance on {what}")
+        if not (0 <= r < math.inf and abs(x) < math.inf):
+            raise NetworkDataError(f"negative resistance or non-finite impedance on {what}")
         if r == 0 and x == 0:
             raise NetworkDataError(f"{what} has zero impedance")
 
     @property
     def n_ibr(self) -> int:
         return len(self.connectors)
-
-
-def to_per_unit(data: NetworkData) -> NetworkData:
-    """Return a copy with impedances in p.u. of Z_base and loads in p.u. of S_base."""
-    z_base = data.bases.z_base
-    lines = data.lines
-    connectors = data.connectors
-    loads = data.loads
-    if data.impedance_unit == "ohm":
-        lines = tuple(replace(ln, r=ln.r / z_base, x=ln.x / z_base) for ln in lines)
-        connectors = tuple(replace(c, r=c.r / z_base, x=c.x / z_base) for c in connectors)
-    if data.load_unit == "va":
-        loads = tuple(replace(ld, s=ld.s / data.bases.s_base) for ld in loads)
-    return replace(
-        data, lines=lines, connectors=connectors, loads=loads,
-        impedance_unit="pu", load_unit="pu",
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +179,6 @@ def load_admittance(s: float, pf: float) -> complex:
 
 def full_admittance(data: NetworkData, load_scale=None) -> np.ndarray:
     """Nodal admittance over [internal buses | main buses], loads as shunts."""
-    if data.impedance_unit != "pu" or data.load_unit != "pu":
-        raise NetworkDataError("call to_per_unit before assembling admittance")
     n = data.n_ibr
     nb = data.n_bus
     scale = np.ones(nb) if load_scale is None else np.asarray(load_scale, dtype=float)

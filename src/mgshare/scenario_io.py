@@ -12,7 +12,8 @@ be transcribed by hand from a specification sheet: ``[section]`` headers
 ``#`` comments, and whitespace-separated fields. Each section's layout is
 declared once, in the tables ``_ROWS``, ``_EVENTS``, ``_KEYS`` and
 ``_UNITS`` below; the parser, ``serialize_scenario`` and ``Event``'s field
-check all read them. Every number must be finite.
+check all read them. Every number must be finite. The parser converts
+``unit=ohm`` and ``unit=va`` tables to per unit of ``[bases]`` as it reads them.
 
 Two scenarios ship with the package: ``lv5`` (five-inverter low-voltage
 ring) and ``mv9-template`` (nine-bus medium-voltage skeleton with
@@ -31,7 +32,7 @@ import numpy as np
 from .controller import IbrParams
 from .errors import DisconnectedGraphError, NetworkDataError, ScenarioFormatError
 from .graph import CommGraph, value_eq
-from .network import Bases, Connector, Line, Load, NetworkData, to_per_unit
+from .network import Bases, Connector, Line, Load, NetworkData
 
 __all__ = ["Event", "Scenario", "parse_scenario", "parse_scenario_text",
            "serialize_scenario", "bundled_scenario_path", "BUNDLED"]
@@ -268,6 +269,8 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     for lineno, section, unit, toks in _tokenize(text):
         if section in _KEYS:
             key, value = _read_entry(section, toks, lineno)
+            if key in kv[section]:
+                raise ScenarioFormatError(f"line {lineno}: repeated key {key} in [{section}]")
             kv[section][key] = value
         elif section == "events":
             events.append(_read_event(toks, lineno))
@@ -285,19 +288,16 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     if sorted(r[0] for r in rows["ibrs"]) != list(range(1, n + 1)):
         semantic.append("ibr ids must be 1..n without duplicates or gaps")
 
-    lines = [Line(*r) for r in rows["lines"]]
-    connectors = [Connector(*r) for r in rows["connectors"]]
-    loads = [Load(*r) for r in rows["loads"]]
-    for ln in lines:
-        for b in (ln.from_bus, ln.to_bus):
+    for i, j, *_ in rows["lines"]:
+        for b in (i, j):
             if not (1 <= b <= n_bus):
-                semantic.append(f"line ({ln.from_bus},{ln.to_bus}) references unknown bus {b}")
-    for c in connectors:
-        if not (1 <= c.bus <= n_bus):
-            semantic.append(f"connector of IBR {c.ibr} references unknown bus {c.bus}")
-    for ld in loads:
-        if not (1 <= ld.bus <= n_bus):
-            semantic.append(f"load references unknown bus {ld.bus}")
+                semantic.append(f"line ({i},{j}) references unknown bus {b}")
+    for ibr, bus, *_ in rows["connectors"]:
+        if not (1 <= bus <= n_bus):
+            semantic.append(f"connector of IBR {ibr} references unknown bus {bus}")
+    for bus, *_ in rows["loads"]:
+        if not (1 <= bus <= n_bus):
+            semantic.append(f"load references unknown bus {bus}")
     for i, j, _ in rows["graph"]:
         for b in (i, j):
             if not (1 <= b <= n):
@@ -318,15 +318,18 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     initial_mode = gains.pop("mode", "droop")
     _, s_rated, v_min, v_max = zip(*sorted(rows["ibrs"]))
     try:
-        data = to_per_unit(NetworkData(
-            bases=Bases(**kv["bases"]),
+        bases = Bases(**kv["bases"])
+        # the tables' bases: ohm and VA convert to per unit here; 1.0 divides exactly
+        z_base = bases.z_base if units.get("lines", units.get("connectors")) == "ohm" else 1.0
+        s_base = bases.s_base if units.get("loads") == "va" else 1.0
+        data = NetworkData(
+            bases=bases,
             n_bus=n_bus,
-            lines=tuple(lines),
-            connectors=tuple(sorted(connectors, key=lambda c: c.ibr)),
-            loads=tuple(loads),
-            impedance_unit=units.get("lines", units.get("connectors", "ohm")),
-            load_unit=units.get("loads", "pu"),
-        ))
+            lines=tuple(Line(i, j, r / z_base, x / z_base) for i, j, r, x in rows["lines"]),
+            connectors=tuple(Connector(i, b, r / z_base, x / z_base)
+                             for i, b, r, x in sorted(rows["connectors"])),
+            loads=tuple(Load(b, s / s_base, pf) for b, s, pf in rows["loads"]),
+        )
         graph = CommGraph.from_edges(n, [(i - 1, j - 1, w) for i, j, w in rows["graph"]])
         params = IbrParams(s_rated=s_rated, v_min=v_min, v_max=v_max, **gains)
     except (ValueError, NetworkDataError, DisconnectedGraphError) as exc:

@@ -7,9 +7,12 @@ voltage-limit changes. The proposed-mode loop is stiff (the fast dual
 consensus mode, about k*lambda_max(L)/tau_p, sets an explicit method's step),
 and LSODA switches between Adams and BDF on its own. Angles
 evolve in a frame rotating at omega_nom, so theta is the deviation angle and
-the state stays bounded. Each event ends one integration segment and starts
-the next at its exact timestamp; a no-op event (e.g. scaling a load by its
-current factor) is skipped so it cannot perturb the trajectory.
+the state stays bounded. Before the first step, the events become a segment
+plan: each effective event starts one integration segment at its exact
+timestamp, events at t = 0 fold into the first, and a no-op event (e.g.
+scaling a load by its current factor) or one at t_end starts none, so it
+cannot perturb the trajectory. The network is re-reduced only when the load
+scale changes, and the state crosses each boundary with V held.
 
 Output is sampled by dense interpolation on a fixed grid, independent of the
 adaptive steps: it starts at 0, steps by ``sample_ms`` and ends at or before
@@ -50,10 +53,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import controller as ctrl
-from .controller import IbrParams
 from .errors import ScenarioFormatError, SimulationError
 from .graph import laplacian
-from .network import ReducedNetwork, kron_reduce, power_flow
+from .network import kron_reduce, power_flow
 from .scenario_io import Event, Scenario
 
 __all__ = [
@@ -261,66 +263,43 @@ _SAMPLE_CHUNK = 4096     # samples per dense-output evaluation
 def simulate(s: Scenario) -> TimeSeries:
     """Run the scenario and return the sampled trajectory."""
     n = s.network.n_ibr
-    nb = s.network.n_bus
     dt = s.sample_ms / 1000.0
     # last sample at or before t_end; 1e-9 absorbs round-off in t_end / dt
     n_samples = int(np.floor(s.t_end / dt + 1e-9)) + 1
     t_grid = np.arange(n_samples) * dt
 
-    # mutable run state
-    mode = s.initial_mode
-    params = s.params
-    load_scale = np.ones(nb)
-    red_cache: dict[tuple, ReducedNetwork] = {}
-
-    def reduced() -> ReducedNetwork:
-        key = tuple(load_scale)
-        if key not in red_cache:
-            try:
-                red_cache[key] = kron_reduce(s.network, load_scale)
-            except Exception as exc:
-                raise SimulationError(f"network re-reduction failed: {exc}") from exc
-        return red_cache[key]
-
-    L = laplacian(s.graph)
     if s.initial_state is not None:
         x = np.asarray(s.initial_state, float)
-        dim = 3 * n if mode == "droop" else 5 * n
+        dim = 3 * n if s.initial_mode == "droop" else 5 * n
         if x.shape != (dim,):
             raise ScenarioFormatError(
-                f"initial_state must have {dim} entries for {mode} mode, got {x.shape}"
+                f"initial_state must have {dim} entries for {s.initial_mode} mode, got {x.shape}"
             )
     else:
         theta0 = np.zeros(n) if s.initial_theta is None else np.asarray(s.initial_theta, float)
-        x = np.concatenate([theta0, np.zeros(2 * n if mode == "droop" else 4 * n)])
+        x = np.concatenate([theta0, np.zeros(2 * n if s.initial_mode == "droop" else 4 * n)])
 
+    plan = _plan(s)
     ts = TimeSeries(
         t=t_grid, mode=np.zeros(n_samples, dtype=int),
         **{name: np.empty((n_samples, n)) for name in _STATE_CHANNELS},
-        segment_starts=[0.0],
+        segment_starts=[start for start, *_ in plan],
     )
-
-    pending = list(s.events)
-    t_now = 0.0
-    emitted = 0
-    while t_now < s.t_end:
-        # apply any due events, then drop upcoming no-ops so they cannot
-        # split the integration segment
-        while pending and (
-            pending[0].time <= t_now
-            or not _event_changes(pending[0], mode, params, load_scale)
-        ):
-            ev = pending.pop(0)
-            if not _event_changes(ev, mode, params, load_scale):
-                continue
-            mode, params, load_scale, x = _apply_event(
-                ev, mode, params, load_scale, x, reduced()
-            )
-            if ev.time > 0:
-                ts.segment_starts.append(ev.time)
-        t_next = min((e.time for e in pending), default=s.t_end)
-        red = reduced()
+    L = laplacian(s.graph)
+    model = scale = None
+    ends = ts.segment_starts[1:] + [s.t_end]
+    # each segment's samples lie in [start, end); the last one's also include t_end
+    cuts = [0, *np.searchsorted(t_grid, np.array(ends[:-1]) - 1e-12, "right"), n_samples]
+    for (t_now, mode, params, load_scale), t_next, lo, hi in zip(plan, ends, cuts, cuts[1:]):
+        if load_scale is not scale:    # the plan shares one array until a load step
+            try:
+                red = kron_reduce(s.network, load_scale)
+            except Exception as exc:
+                raise SimulationError(f"network re-reduction failed: {exc}") from exc
+            scale = load_scale
+        old = model or ctrl.ClosedLoop(s.initial_mode, s.params, red, L)   # before t = 0 events
         model = ctrl.ClosedLoop(mode, params, red, L)
+        x = _carry(x, old, model)
         sol = solve_ivp(
             model.rhs, (t_now, t_next), x, method="LSODA", jac=model.jac,
             rtol=s.rel_tol, atol=1e-10, dense_output=True,
@@ -331,61 +310,56 @@ def simulate(s: Scenario) -> TimeSeries:
                 time=float(sol.t[-1]),
             )
         _check_containment(mode, params, sol)
-
-        # samples in [t_now, t_next), plus the final point at t_end
-        last = t_next >= s.t_end
-        hi = n_samples if last else int(np.searchsorted(t_grid, t_next - 1e-12, "right"))
-        if hi > emitted:
-            _channels(ts, slice(emitted, hi), model, sol.sol, s.network.bases.f_nom)
-            emitted = hi
+        if hi > lo:
+            _channels(ts, slice(lo, hi), model, sol.sol, s.network.bases.f_nom)
         x = sol.y[:, -1]
-        t_now = t_next
 
     return ts
 
 
-def _event_limits(ev: Event, params: IbrParams):
-    v_min = params.v_min.copy()
-    v_max = params.v_max.copy()
-    idx = slice(None) if ev.ibr is None else ev.ibr - 1
-    v_min[idx] = ev.v_min
-    v_max[idx] = ev.v_max
-    return v_min, v_max
+def _plan(s: Scenario) -> list[tuple]:
+    """The run as (start, mode, params, load_scale), one entry per integration segment.
+
+    Events apply in time order. Events at t = 0 fold into the first entry;
+    an event that leaves the run state unchanged (compared by value), or one
+    at t_end, starts no segment.
+    """
+    state = (s.initial_mode, s.params, np.ones(s.network.n_bus))
+    plan = {0.0: state}    # segment start -> state; an event at t = 0 replaces the first
+    for ev in s.events:
+        if ev.time >= s.t_end:
+            break
+        mode, params, scale = state
+        if ev.kind == "activate":
+            mode = "proposed"
+        elif ev.kind == "scale-load":
+            scale = scale.copy()
+            scale[ev.bus - 1] = ev.factor
+        else:
+            v_min, v_max = params.v_min.copy(), params.v_max.copy()
+            idx = slice(None) if ev.ibr is None else ev.ibr - 1
+            v_min[idx], v_max[idx] = ev.v_min, ev.v_max
+            params = params.with_limits(v_min, v_max)
+        if (mode, params) != state[:2] or not np.array_equal(scale, state[2]):
+            state = plan[ev.time] = (mode, params, scale)
+    return [(start, *entry) for start, entry in plan.items()]
 
 
-def _event_changes(ev: Event, mode, params: IbrParams, load_scale) -> bool:
-    """Whether applying the event would alter the run state (state-independent)."""
-    if ev.kind == "activate":
-        return mode != "proposed"
-    if ev.kind == "scale-load":
-        return load_scale[ev.bus - 1] != ev.factor
-    v_min, v_max = _event_limits(ev, params)
-    return not (np.array_equal(v_min, params.v_min) and np.array_equal(v_max, params.v_max))
+def _carry(x: np.ndarray, old: ctrl.ClosedLoop, new: ctrl.ClosedLoop) -> np.ndarray:
+    """Map the state across a segment boundary, holding the terminal voltages V.
 
-
-def _apply_event(ev: Event, mode, params, load_scale, x, red):
-    """Apply one effective event; returns (mode, params, load_scale, x)."""
-    n = params.n
-    if ev.kind == "activate":
-        theta, Omega, v_droop = x[:n], x[n:2 * n], x[2 * n:3 * n]
-        V_now = 1.0 + v_droop
-        _, Q = power_flow(red, theta, V_now)
-        v_new = ctrl.v_from_voltage(params, V_now)
-        lam0 = Q / params.s_rated
-        zeta0 = np.zeros(n)
-        x_new = np.concatenate([theta, Omega, v_new, lam0, zeta0])
-        return "proposed", params, load_scale, x_new
-    if ev.kind == "scale-load":
-        new_scale = load_scale.copy()
-        new_scale[ev.bus - 1] = ev.factor
-        return mode, params, new_scale, x
-    v_min, v_max = _event_limits(ev, params)
-    new_params = params.with_limits(v_min, v_max)
-    if mode == "proposed":
-        x = x.copy()
-        V_now = ctrl.voltage_output(params, x[2 * n:3 * n])
-        x[2 * n:3 * n] = ctrl.v_from_voltage(new_params, V_now)
-    return mode, new_params, load_scale, x
+    Activation seeds lambda = Q/S and zeta = 0, and a limit change in
+    proposed mode re-maps v onto the new band; otherwise the state carries over.
+    """
+    n = new.params.n
+    if new.mode == "droop" or (old.mode == new.mode and old.params == new.params):
+        return x
+    V = old.voltage(x[2 * n:3 * n])
+    v = ctrl.v_from_voltage(new.params, V)
+    if old.mode == "droop":
+        _, Q = power_flow(old.net, x[:n], V)
+        return np.concatenate([x[:2 * n], v, Q / new.params.s_rated, np.zeros(n)])
+    return np.concatenate([x[:2 * n], v, x[3 * n:]])
 
 
 def _check_containment(mode, params, sol):

@@ -13,7 +13,7 @@ voltage-response range of IEEE 1547.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,10 +39,9 @@ class TuningSpec:
     v_base: float = 220.0
 
     def __post_init__(self):
-        for name in ("delta_f_max", "rocof_star", "tau_p", "k_d",
-                     "beta_error_budget", "f_nom", "v_base"):
-            if getattr(self, name) <= 0:
-                raise MgshareError(f"tuning spec field {name} must be positive")
+        for f in fields(self):
+            if not 0 < getattr(self, f.name) < math.inf:
+                raise MgshareError(f"tuning spec field {f.name} must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -107,9 +107,13 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     ("1 1.10 0.95 1.05", "1 nan 0.95 1.05", "line 42: s_rated must be a finite number"),
     ("40 scale-load 5 1.0", "40 scale-load 5 -1",
      "event at t=40.0: scale-load factor must be finite and nonnegative"),
+    ("t_end 50\n", "t_end 50\nt_end 45\n", "line 74: repeated key t_end in [simulation]"),
+    ("[connectors] unit=ohm", "[connectors] unit=pu",
+     "lines and connectors must use the same impedance unit"),
 ], ids=["band", "tau_v", "k-negative", "k-text", "self-loop", "negative-r", "zero-z",
         "disconnected", "unknown-simulation-key", "unknown-bases-key", "bases-unit",
-        "unit-on-ibrs", "nan-event-time", "nan-s_rated", "negative-factor"])
+        "unit-on-ibrs", "nan-event-time", "nan-s_rated", "negative-factor", "repeated-key",
+        "mixed-impedance-units"])
 def test_invalid_values_are_format_errors(tmp_path, capsys, old, new, match):
     """A value the constructors reject is a ScenarioFormatError: exit 2, no traceback."""
     text = bundled_scenario_path("lv5").read_text()
@@ -130,6 +134,18 @@ def test_bad_simulate_override_exits_2(tmp_path, capsys, flag, value):
     assert main(["simulate", "lv5", flag, value, "--out-dir", str(tmp_path)]) == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "lv5_timeseries.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--rocof", "nan", "rocof_star"), ("--rocof", "-1", "rocof_star"),
+    ("--delta-f-max", "0", "delta_f_max"), ("--k-d", "inf", "k_d"),
+    ("--beta-budget", "0", "beta_error_budget"),
+])
+def test_bad_tune_option_exits_2(capsys, flag, value, field):
+    assert main(["tune", "lv5", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tuning spec field {field} must be positive and finite\n"
+    assert captured.out == ""
 
 
 def test_bad_ratios_exits_2(capsys):

@@ -226,5 +226,5 @@ def test_with_limits_preserves_gains():
 
 
 def test_bad_limits_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="need v_min < v_max for every unit"):
         make_params(v_min=1.05, v_max=0.95)

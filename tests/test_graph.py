@@ -52,7 +52,7 @@ def test_value_equality():
 def test_asymmetric_rejected():
     A = np.zeros((3, 3))
     A[0, 1] = 1.0
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="adjacency must be symmetric"):
         CommGraph(A)
 
 
@@ -60,7 +60,7 @@ def test_negative_weight_rejected():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = -1.0
     A[1, 2] = A[2, 1] = 1.0
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="edge weights must be nonnegative"):
         CommGraph(A)
 
 

@@ -28,21 +28,43 @@ def test_per_unit_connector_oracle(lv5):
     assert (c.r, c.x) == (pytest.approx(0.06198, abs=1e-5), pytest.approx(0.18595, abs=1e-5))
 
 
-def test_per_unit_identity_when_already_pu():
-    b = mg.Bases(1.0, 1.0, 50.0)
+def test_network_data_is_per_unit_of_its_bases(lv5):
+    """A NetworkData built in code keeps its values as given: they are per unit
+    already, so the bases do not enter the reduction."""
     data = mg.NetworkData(
-        bases=b, n_bus=2,
+        bases=mg.Bases(100e3, 220.0, 50.0), n_bus=2,
         lines=(mg.Line(1, 2, 0.1, 0.2),),
         connectors=(mg.Connector(1, 1, 0.05, 0.1), mg.Connector(2, 2, 0.05, 0.1)),
-        loads=(), impedance_unit="pu", load_unit="pu",
+        loads=(mg.Load(2, 0.5, 0.9),),
     )
-    out = mg.to_per_unit(data)
-    assert out.lines[0].r == 0.1 and out.lines[0].x == 0.2
+    assert data.lines == (mg.Line(1, 2, 0.1, 0.2),) and data.loads == (mg.Load(2, 0.5, 0.9),)
+    red = mg.kron_reduce(data)
+    assert red == mg.kron_reduce(replace(data, bases=mg.Bases(1.0, 1.0, 60.0)))
+    assert mg.kron_reduce(lv5.network) == mg.kron_reduce(
+        replace(lv5.network, bases=mg.Bases(1.0, 1.0, 50.0)))
 
 
 def test_bad_base_rejected():
-    with pytest.raises(Exception):
-        mg.Bases(0.0, 220.0, 50.0)
+    for bases in [(0.0, 220.0, 50.0), (np.nan, 220.0, 50.0),
+                  (100e3, np.inf, 50.0), (100e3, 220.0, -50.0)]:
+        with pytest.raises(mg.NetworkDataError, match="bases must all be positive and finite"):
+            mg.Bases(*bases)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("loads", mg.Load(1, np.nan, 0.9), r"load at bus 1 needs a finite s >= 0 and pf in \(0,1\]"),
+    ("loads", mg.Load(1, np.inf, 0.9), r"load at bus 1 needs a finite s >= 0 and pf in \(0,1\]"),
+    ("loads", mg.Load(1, 0.9, 0.0), r"load at bus 1 needs a finite s >= 0 and pf in \(0,1\]"),
+    ("lines", mg.Line(1, 2, np.nan, 0.3), r"non-finite impedance on line \(1,2\)"),
+    ("lines", mg.Line(1, 2, 0.2, np.inf), r"non-finite impedance on line \(1,2\)"),
+    ("connectors", mg.Connector(1, 1, 0.03, np.nan), "non-finite impedance on connector of IBR 1"),
+], ids=["nan-load", "inf-load", "zero-pf", "nan-r", "inf-x", "nan-connector-x"])
+def test_non_finite_network_values_rejected(lv5, field, value, match):
+    """NaN, infinities and a zero power factor fail the positive-form checks."""
+    net = lv5.network
+    rows = (value,) + getattr(net, field)[1:]
+    with pytest.raises(mg.NetworkDataError, match=match):
+        replace(net, **{field: rows})
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +78,7 @@ def test_kron_two_ibr_series_oracle():
         bases=b, n_bus=1,
         lines=(),
         connectors=(mg.Connector(1, 1, 0.0, 0.5), mg.Connector(2, 1, 0.0, 0.25)),
-        loads=(), impedance_unit="pu", load_unit="pu",
+        loads=(),
     )
     red = mg.kron_reduce(data)
     y1, y2 = 1 / 0.5, 1 / 0.25
@@ -109,12 +131,12 @@ def test_load_admittance_draws_rated_power():
 
 def test_isolated_island_rejected():
     b = mg.Bases(1.0, 1.0, 50.0)
-    with pytest.raises(Exception):
+    with pytest.raises(mg.NetworkDataError, match="electrical graph .* is disconnected"):
         mg.NetworkData(
             bases=b, n_bus=2,
             lines=(),  # bus 2 unreachable
             connectors=(mg.Connector(1, 1, 0.0, 0.1),),
-            loads=(), impedance_unit="pu", load_unit="pu",
+            loads=(),
         )
 
 
@@ -127,7 +149,7 @@ def test_disconnected_electrical_network_rejected():
             bases=b, n_bus=4,
             lines=(mg.Line(1, 2, 0.01, 0.05), mg.Line(3, 4, 0.01, 0.05)),
             connectors=(mg.Connector(1, 1, 0.0, 0.1), mg.Connector(2, 3, 0.0, 0.1)),
-            loads=(mg.Load(2, 0.5, 0.9), mg.Load(4, 0.5, 0.9)), impedance_unit="pu", load_unit="pu",
+            loads=(mg.Load(2, 0.5, 0.9), mg.Load(4, 0.5, 0.9)),
         )
 
 

@@ -1,6 +1,6 @@
 """Scenario format: bundled data fidelity, round-trips, error reporting."""
 
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -23,13 +23,39 @@ def test_lv5_matches_reference_tables(lv5):
     assert (p.beta, p.k) == (0.01, 7.24)
     loads = {ld.bus: (ld.s, ld.pf) for ld in lv5.network.loads}
     assert loads[1] == (0.9, 0.85) and loads[5] == (1.0, 0.87)
-    # ohm -> pu happened at ingestion
-    assert lv5.network.impedance_unit == "pu"
-    assert lv5.network.lines[1].r == pytest.approx(0.19 / Z_BASE_LV)
+    # ohm -> pu happened at ingestion, by one division per value
+    assert lv5.network.lines[1].r == 0.19 / Z_BASE_LV
+    assert lv5.network.connectors[0] == mg.Connector(1, 1, 0.03 / Z_BASE_LV, 0.09 / Z_BASE_LV)
     assert lv5.t_end == 50.0
     kinds = [e.kind for e in lv5.events]
     assert kinds == ["activate", "scale-load", "scale-load"]
     assert [e.time for e in lv5.events] == [10.0, 25.0, 40.0]
+
+
+def _section_rows(text, section):
+    """The number rows of ``[section]`` in ``text``, as floats, in file order."""
+    body = text.split(f"[{section}]", 1)[1].split("\n[", 1)[0].splitlines()[1:]
+    return [tuple(map(float, ln.split())) for ln in body if ln.strip() and ln[0] != "#"]
+
+
+def test_parser_units():
+    """unit=pu values pass through bitwise; unit=ohm divides by z_base and unit=va by s_base."""
+    text = sio.bundled_scenario_path("lv5").read_text()
+    pu = text.replace("[lines] unit=ohm", "[lines] unit=pu")
+    pu = pu.replace("[connectors] unit=ohm", "[connectors] unit=pu")
+    va = text.replace("[loads] unit=pu", "[loads] unit=va")
+    net, net_pu, net_va = (sio.parse_scenario_text(t).network for t in (text, pu, va))
+    z_base, s_base = Z_BASE_LV, 100e3
+    lines, connectors = _section_rows(text, "lines"), _section_rows(text, "connectors")
+    assert [astuple(ln)[2:] for ln in net_pu.lines] == [r[2:] for r in lines]
+    assert [astuple(c)[2:] for c in net_pu.connectors] == [r[2:] for r in connectors]
+    assert [astuple(ln)[2:] for ln in net.lines] == [(r / z_base, x / z_base) for *_, r, x in lines]
+    assert [astuple(c)[2:] for c in net.connectors] == [(r / z_base, x / z_base)
+                                                        for *_, r, x in connectors]
+    loads = _section_rows(text, "loads")
+    assert [(ld.s, ld.pf) for ld in net.loads] == [(s, pf) for _, s, pf in loads]
+    assert [(ld.s, ld.pf) for ld in net_va.loads] == [(s / s_base, pf) for _, s, pf in loads]
+    assert net_va.lines == net.lines and net_pu.loads == net.loads
 
 
 def test_lv5_graph_is_unit_ring(lv5):

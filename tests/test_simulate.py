@@ -150,6 +150,44 @@ def test_noop_event_is_exactly_idempotent(lv5):
     assert b.segment_starts == [0.0]
 
 
+def _limits(v_min, v_max, ibr=None, t=0.0):
+    return mg.Event(time=t, kind="set-limits", v_min=v_min, v_max=v_max, ibr=ibr)
+
+
+ACTIVATE = mg.Event(time=2.0, kind="activate")
+STEP = mg.Event(time=4.0, kind="scale-load", bus=5, factor=0.2)
+
+
+def _events(*events):
+    return lambda sc: replace(sc, events=events)
+
+
+@pytest.mark.parametrize("events, without, starts", [
+    ((_limits(0.97, 1.03), ACTIVATE),
+     lambda sc: replace(sc, params=sc.params.with_limits(0.97, 1.03), events=(ACTIVATE,)),
+     [0.0, 2.0]),
+    ((ACTIVATE, mg.Event(time=6.0, kind="scale-load", bus=5, factor=0.2)), _events(ACTIVATE),
+     [0.0, 2.0]),
+    ((ACTIVATE, mg.Event(time=3.0, kind="activate"), STEP), _events(ACTIVATE, STEP),
+     [0.0, 2.0, 4.0]),
+    ((ACTIVATE, _limits(0.95, 1.05, t=3.0), _limits(1.0, 1.05, ibr=1, t=4.0)),
+     _events(ACTIVATE, _limits(1.0, 1.05, ibr=1, t=4.0)), [0.0, 2.0, 4.0]),
+    ((_limits(0.97, 1.03, t=1.0), _limits(0.97, 1.03, ibr=2, t=1.5), ACTIVATE),
+     _events(_limits(0.97, 1.03, t=1.0), ACTIVATE), [0.0, 1.0, 2.0]),
+], ids=["event-at-0", "effective-event-at-t_end", "repeated-activate", "unchanged-set-limits",
+        "set-limits-in-droop"])
+def test_edge_timelines(lv5, events, without, starts):
+    """Events at t = 0 fold into the first segment, and an event at t_end or one
+    that leaves the run state unchanged starts none: the run is bitwise equal to
+    ``without``, the scenario without them (an event at t = 0 moved into it)."""
+    sc = replace(lv5, t_end=6.0, events=events)
+    ts, ref = mg.simulate(sc), mg.simulate(without(sc))
+    assert ts.segment_starts == ref.segment_starts == starts
+    for name, a in vars(ts).items():
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, getattr(ref, name)), name
+
+
 def test_load_step_moves_the_system(case1_timeseries):
     ts = case1_timeseries
     before = ts.V[ts.index_at(24.9)]
@@ -178,6 +216,17 @@ def test_set_limits_remaps_state_continuously(lv5):
         assert np.abs(ts.V[i][inside] - ts.V[i - 1][inside]).max() <= 1e-3
     assert np.all(ts.v_max[i] == 1.05) and np.all(ts.v_min[i] == 1.01)
     assert np.all(ts.v_min[i - 1] == 0.95)
+
+
+def test_limit_change_holds_voltage(lv5):
+    """A proposed-mode limit change re-maps v onto the new band: V is continuous
+    across the boundary when the new band holds every voltage."""
+    events = (mg.Event(time=2.0, kind="activate"),
+              mg.Event(time=4.0, kind="set-limits", v_min=0.94, v_max=1.07))
+    ts = mg.simulate(replace(lv5, t_end=5.0, events=events))
+    i = ts.index_at(4.0)
+    assert ts.segment_starts == [0.0, 2.0, 4.0] and ts.v_max[i - 1, 0] == 1.05
+    assert np.abs(ts.V[i] - ts.V[i - 1]).max() <= 1e-4
 
 
 def test_per_ibr_limit_event(lv5):
