@@ -236,16 +236,23 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     """Evaluate (P, Q) injections at the reduced buses; pure algebra, no iteration.
 
     ``theta`` and ``V`` share one shape (..., n); leading axes are a batch of
-    independent operating points, evaluated at once. P equals that of a call
-    per point; Q may differ from it in the last place, because numpy rounds
-    the imaginary part of the complex product E conj(I) differently in long
-    and short arrays.
+    independent operating points, evaluated at once. Every step runs in
+    place, so a batch holds two complex arrays at a time. P equals that of a
+    call per point; Q may differ from it in the last place, because numpy's
+    complex product is not bitwise commutative. The last product takes its
+    operands in the order numpy's temporary elision gives ``E * conj(I)``,
+    conj(I) first from 256 KiB on, so the values are those of that expression.
     """
     theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
     if theta.shape[-1:] != (net.n,) or V.shape != theta.shape:
         raise ValueError(f"theta and V must share one shape (..., {net.n})")
-    E = V * np.exp(1j * theta)
-    S = E * np.conj((net.Y @ E[..., None])[..., 0])
+    E = 1j * theta
+    np.exp(E, out=E)
+    np.multiply(V, E, out=E)
+    S = (net.Y @ E[..., None])[..., 0]
+    np.conjugate(S, out=S)
+    first, second = (S, E) if S.nbytes >= 1 << 18 else (E, S)
+    np.multiply(first, second, out=S)
     return S.real, S.imag
 
 

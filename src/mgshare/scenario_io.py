@@ -151,7 +151,7 @@ class Scenario:
     rel_tol: float = 1e-7
     sample_ms: float = 10.0
     initial_theta: np.ndarray | None = None
-    initial_state: np.ndarray | None = None   # full state for initial_mode
+    initial_state: np.ndarray | None = None   # full state for initial_mode: 3n or 5n values
     name: str = "scenario"
     out_dir: str = "out"
 
@@ -180,6 +180,17 @@ class Scenario:
                 raise ScenarioFormatError(f"event at t={e.time}: unknown bus {e.bus}")
             if e.kind == "set-limits" and e.ibr is not None and not (1 <= e.ibr <= n):
                 raise ScenarioFormatError(f"event at t={e.time}: unknown IBR {e.ibr}")
+        dim = (3 if self.initial_mode == "droop" else 5) * n
+        for name, size, what in (("initial_theta", n, "one angle per inverter"),
+                                 ("initial_state", dim, f"the {self.initial_mode}-mode state")):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            x = np.asarray(value, dtype=float)
+            if x.shape != (size,) or not np.all(np.isfinite(x)):
+                raise ScenarioFormatError(
+                    f"{name} needs {size} finite values ({what}), got shape {x.shape}")
+            object.__setattr__(self, name, x)
 
 
 def bundled_scenario_path(name: str) -> Path:

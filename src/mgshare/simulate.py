@@ -33,7 +33,13 @@ falls outside [1e11, 1e12] (1e12 being the exact carry to the next
 exponent), or when the scaled product lies within 1e-3 of a rounding tie,
 where its own rounding error (at most 6.1e-5) could flip the result. Every
 value the fast path keeps therefore rounds as ``format`` rounds it, and the
-CSV is byte-identical to a per-value ``%.12g`` rendering.
+CSV is byte-identical to a per-value ``%.12g`` rendering. The blocks are
+independent, and the kernel's numpy loops release the GIL, so when the
+process may run on two or more CPUs (``os.sched_getaffinity``, else
+``os.cpu_count()``) the calling thread and one helper thread format
+alternate blocks, each into its own buffer. The caller writes the blocks in
+row order; at most one formatted block waits to be written, so memory stays
+at a few blocks whatever the run's length. With one CPU there is no helper.
 
 This is the only module that imports scipy: ``solve_ivp`` is imported at
 the top, so the integrator loads with ``mgshare.simulate`` and never inside
@@ -45,15 +51,17 @@ binds the package attribute to the module.
 
 from __future__ import annotations
 
+import os
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import controller as ctrl
-from .errors import ScenarioFormatError, SimulationError
+from .errors import SimulationError
 from .graph import laplacian
 from .network import kron_reduce, power_flow
 from .scenario_io import Event, Scenario
@@ -116,20 +124,40 @@ class TimeSeries:
         (see the module docstring) go through ``format(x, ".12g")``. The
         file is the header line and one line per row, each ending in a
         newline.
+
+        When the process may use two or more CPUs, the calling thread and
+        one helper thread format alternate blocks, each into its own
+        buffer, and the caller writes them in row order; with one CPU the
+        caller formats every block. At most one formatted block waits to be
+        written. An error in either thread is raised here, and the helper
+        has exited when this returns or raises.
         """
         S, n = self.theta.shape
+        rows = S * n
         channels = [np.ravel(getattr(self, name)) for name in _CSV_CHANNELS]
-        block = np.empty((_CSV_BLOCK_ROWS, 2 + len(channels)))
-        with open(path, "wb") as fh:
+
+        def block(r0: int, buf: np.ndarray) -> bytes:
+            r = np.arange(r0, min(r0 + _CSV_BLOCK_ROWS, rows))
+            X = buf[:r.size]
+            X[:, 0] = self.t[r // n]
+            X[:, 1] = r % n + 1
+            for k, c in enumerate(channels):
+                X[:, 2 + k] = c[r0:r0 + r.size]
+            return _csv_rows(X)
+
+        helped = _cpus() > 1
+        mine, theirs = (np.empty((_CSV_BLOCK_ROWS, 2 + len(channels))) for _ in range(2))
+        # the executor starts its thread at the first submit, so none without a helper
+        with open(path, "wb") as fh, ThreadPoolExecutor(1) as helper:
             fh.write((",".join(CSV_HEADER) + "\n").encode())
-            for r0 in range(0, S * n, _CSV_BLOCK_ROWS):
-                rows = np.arange(r0, min(r0 + _CSV_BLOCK_ROWS, S * n))
-                X = block[:rows.size]
-                X[:, 0] = self.t[rows // n]
-                X[:, 1] = rows % n + 1
-                for k, c in enumerate(channels):
-                    X[:, 2 + k] = c[r0:r0 + rows.size]
-                fh.write(_csv_rows(X))
+            for r0 in range(0, rows, (1 + helped) * _CSV_BLOCK_ROWS):
+                ahead = r0 + _CSV_BLOCK_ROWS
+                future = helper.submit(block, ahead, theirs) if helped and ahead < rows else None
+                try:
+                    fh.write(block(r0, mine))
+                finally:    # read the helper's block even when the caller's failed
+                    text = future.result() if future else b""
+                fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +233,11 @@ def _g12_fields(x: np.ndarray) -> np.ndarray:
     # e: decimal exponent as a table index e + 11; M: the 12-digit integer mantissa
     e = np.clip(np.floor(np.log10(a)), -11, 11).astype(np.intp) + 11
     y = a * _POW10.take(e)
+    del a    # intermediates go when dead: each formatter thread holds its own
     M = np.rint(y)
     # y >= 1e11 (not M >= 1e11) rejects an exponent log10 placed one too high
     fast &= (y >= 1e11) & (M <= 1e12) & (np.abs(y - np.floor(y) - 0.5) >= 1e-3)
+    del y
     fast |= zero
     carry = M == 1e12
     M[carry] = 1e11
@@ -220,14 +250,17 @@ def _g12_fields(x: np.ndarray) -> np.ndarray:
     g1 = np.floor(M / 1e4)
     M -= g1 * 1e4
     g0, g1, g2 = g0.astype(np.intp), g1.astype(np.intp), M.astype(np.intp)
+    del M
     lo = _DIGITS4.take(g0) | (_DIGITS4.take(g1) << np.uint64(32))
     hi = _DIGITS4.take(g2)
     nd = np.maximum(np.maximum(_SIG0.take(g0), _SIG1.take(g1)), _SIG2.take(g2))
+    del g0, g1, g2
     # insert '.' before body byte q: the digits from q on move up one byte
     up_lo = lo << np.uint64(8)
     up_hi = (hi << np.uint64(8)) | (lo >> np.uint64(56))
     body_lo = (lo & _KEEP_LO.take(e)) | (up_lo & _MOVE_LO.take(e)) | _DOT_LO.take(e)
     body_hi = (hi & _KEEP_HI.take(e)) | (up_hi & _MOVE_HI.take(e)) | _DOT_HI.take(e)
+    del lo, hi, up_lo, up_hi
     k = e * 13 + nd
     body_lo &= _LEN_LO.take(k)
     body_hi &= _LEN_HI.take(k)
@@ -240,6 +273,13 @@ def _g12_fields(x: np.ndarray) -> np.ndarray:
         text = np.array([format(v, ".12g").encode() for v in x[slow].tolist()], "S24")
         F[slow] = text.view("<u8").reshape(-1, 3)
     return F
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _csv_rows(X: np.ndarray) -> bytes:
@@ -269,14 +309,9 @@ def simulate(s: Scenario) -> TimeSeries:
     t_grid = np.arange(n_samples) * dt
 
     if s.initial_state is not None:
-        x = np.asarray(s.initial_state, float)
-        dim = 3 * n if s.initial_mode == "droop" else 5 * n
-        if x.shape != (dim,):
-            raise ScenarioFormatError(
-                f"initial_state must have {dim} entries for {s.initial_mode} mode, got {x.shape}"
-            )
+        x = s.initial_state
     else:
-        theta0 = np.zeros(n) if s.initial_theta is None else np.asarray(s.initial_theta, float)
+        theta0 = np.zeros(n) if s.initial_theta is None else s.initial_theta
         x = np.concatenate([theta0, np.zeros(2 * n if s.initial_mode == "droop" else 4 * n)])
 
     plan = _plan(s)

@@ -189,7 +189,7 @@ def test_power_flow_against_nodal_oracle(lv5, lv5_reduced):
 
 def test_long_batch_power_flow_within_one_ulp(lv5_reduced):
     """A long batch gives P exactly as row-by-row calls and Q to within one ulp:
-    numpy rounds the complex product differently in long and short arrays."""
+    from 256 KiB on, the complex product takes its operands in the other order."""
     rng = np.random.default_rng(2)
     thetas = rng.normal(0, 0.05, (4000, 5))
     Vs = 1 + rng.normal(0, 0.03, (4000, 5))
@@ -197,6 +197,19 @@ def test_long_batch_power_flow_within_one_ulp(lv5_reduced):
     rows = [mg.power_flow(lv5_reduced, theta, V) for theta, V in zip(thetas, Vs)]
     assert np.array_equal(P, np.array([r[0] for r in rows]))
     np.testing.assert_array_max_ulp(Q, np.array([r[1] for r in rows]), maxulp=1)
+
+
+@pytest.mark.parametrize("points", [1, 3276, 3277, 4000])
+def test_power_flow_is_the_phasor_expression(lv5_reduced, points):
+    """The in-place evaluation is bitwise E * conj(Y E) as numpy evaluates that
+    expression, on both sides of its 256 KiB temporary-elision threshold."""
+    rng = np.random.default_rng(points)
+    thetas = rng.normal(0, 0.05, (points, 5))
+    Vs = 1 + rng.normal(0, 0.03, (points, 5))
+    E = Vs * np.exp(1j * thetas)
+    S = E * np.conj((lv5_reduced.Y @ E[..., None])[..., 0])
+    P, Q = mg.power_flow(lv5_reduced, thetas, Vs)
+    assert np.array_equal(P, S.real) and np.array_equal(Q, S.imag)
 
 
 def test_jacobian_rotational_invariance(lv5_reduced):

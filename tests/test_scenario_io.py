@@ -147,7 +147,7 @@ def _gains(lv5, **gains):
     (lambda s: _gains(s, m_omega=1.57 * np.arange(1.0, 6.0)), "m_omega"),
     (lambda s: _gains(s, m_v=[0.05, 0.05, 0.05, 0.05, 0.06]), "m_v"),
     (lambda s: replace(s, initial_theta=np.zeros(5)), "initial_theta"),
-    (lambda s: replace(s, initial_state=np.zeros(20)), "initial_state"),
+    (lambda s: replace(s, initial_state=np.zeros(15)), "initial_state"),
     (lambda s: replace(s, out_dir="my out"), "out_dir"),
     (lambda s: replace(s, out_dir="out#1"), "out_dir"),
 ], ids=["m_omega", "m_v", "initial_theta", "initial_state", "out_dir-space", "out_dir-hash"])

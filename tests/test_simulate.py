@@ -1,5 +1,7 @@
 """Time-domain simulator: events, sampling, conservation, CSV output."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -43,7 +45,8 @@ def test_sampling_grid(lv5):
 ], ids=["no-events", "load-steps", "activate"])
 def test_simulate_holds_one_copy_of_the_trajectory(lv5, events):
     """Samples are written in place: the peak traced memory of a run stays
-    within 1.5x the arrays of the TimeSeries it returns."""
+    within 1.35x the arrays of the TimeSeries it returns (1.31x measured
+    with no events, where one power-flow batch covers the whole run)."""
     sc = replace(lv5, t_end=20.0, sample_ms=1.0, events=events)
     tracemalloc.start()
     try:
@@ -53,7 +56,7 @@ def test_simulate_holds_one_copy_of_the_trajectory(lv5, events):
         tracemalloc.stop()
     held = sum(a.nbytes for a in vars(ts).values() if isinstance(a, np.ndarray))
     assert ts.t.size == 20001
-    assert peak <= 1.5 * held, peak / held
+    assert peak <= 1.35 * held, peak / held
 
 
 def test_mode_switches_at_activation(case1_timeseries):
@@ -297,19 +300,61 @@ def test_csv_values_match_format_on_edge_cases():
     assert _csv_values(xs) == [format(x, ".12g") for x in xs]
 
 
+def _savetxt_oracle(ts, path) -> bytes:
+    """The CSV of ``ts`` as np.savetxt(fmt="%.12g") writes it."""
+    cols = [np.repeat(ts.t, ts.n), np.tile(np.arange(1.0, ts.n + 1), ts.t.size)]
+    cols += [getattr(ts, c).ravel() for c in CSV_CHANNELS]
+    np.savetxt(path, np.column_stack(cols), fmt="%.12g", delimiter=",",
+               header=",".join(CSV_HEADER), comments="")
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("t_end, n_samples", [(1.0, 1001), (5e-4, 1)])
 def test_csv_matches_savetxt_oracle(tmp_path, lv5, t_end, n_samples):
     """to_csv is byte-identical to np.savetxt(fmt="%.12g"), over blocks and for one sample."""
     ts = mg.simulate(replace(lv5, t_end=t_end, sample_ms=1.0, events=()))
     assert ts.t.size == n_samples
     assert (n_samples * ts.n) % sim._CSV_BLOCK_ROWS != 0
-    cols = [np.repeat(ts.t, ts.n), np.tile(np.arange(1.0, ts.n + 1), ts.t.size)]
-    cols += [getattr(ts, c).ravel() for c in CSV_CHANNELS]
-    oracle = tmp_path / "oracle.csv"
-    np.savetxt(oracle, np.column_stack(cols), fmt="%.12g", delimiter=",",
-               header=",".join(CSV_HEADER), comments="")
     ts.to_csv(tmp_path / "ts.csv")
-    assert (tmp_path / "ts.csv").read_bytes() == oracle.read_bytes()
+    assert (tmp_path / "ts.csv").read_bytes() == _savetxt_oracle(ts, tmp_path / "oracle.csv")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_csv_blocks_stay_in_row_order(tmp_path, lv5, monkeypatch, cpus):
+    """Hundreds of small blocks, formatted by the caller alone or with a helper
+    thread under a short switch interval, are written in row order."""
+    ts = mg.simulate(replace(lv5, t_end=1.0, sample_ms=1.0, events=()))
+    monkeypatch.setattr(sim, "_CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ts.to_csv(tmp_path / "ts.csv")
+    finally:
+        sys.setswitchinterval(interval)
+    assert ts.t.size * ts.n // 7 > 700
+    assert (tmp_path / "ts.csv").read_bytes() == _savetxt_oracle(ts, tmp_path / "oracle.csv")
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_csv_formatter_error_propagates(tmp_path, lv5, monkeypatch, where):
+    """An error while formatting a block, in either thread, leaves to_csv, and
+    no helper thread outlives the call."""
+    ts = mg.simulate(replace(lv5, t_end=0.1, sample_ms=1.0, events=()))
+    rows = sim._csv_rows
+
+    def failing(X):
+        if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+            raise RuntimeError(f"{where} block")
+        return rows(X)
+
+    monkeypatch.setattr(sim, "_CSV_BLOCK_ROWS", 64)
+    monkeypatch.setattr(sim, "_cpus", lambda: 2)
+    monkeypatch.setattr(sim, "_csv_rows", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{where} block"):
+        ts.to_csv(tmp_path / "ts.csv")
+    assert threading.active_count() == threads
 
 
 def test_event_validation():
@@ -332,6 +377,16 @@ def test_scenario_validation(lv5):
                         ("t_end", 0.0), ("t_end", np.nan), ("t_end", np.inf)):
         with pytest.raises(mg.ScenarioFormatError, match=f"{name} must be positive and finite"):
             replace(lv5, **{name: value})
+    for mode, name, value, match in (
+        ("droop", "initial_theta", np.zeros(3), r"initial_theta needs 5 finite values .* \(3,\)"),
+        ("droop", "initial_theta", np.full(5, np.nan), "initial_theta needs 5 finite values"),
+        ("droop", "initial_state", np.zeros(16), r"initial_state needs 15 .* \(16,\)"),
+        ("droop", "initial_state", np.zeros(25), r"needs 15 finite values \(the droop-mode state\)"),
+        ("proposed", "initial_state", np.zeros(15), r"needs 25 finite values \(the proposed-mode"),
+        ("proposed", "initial_state", np.r_[np.zeros(24), np.nan], "initial_state needs 25 finite"),
+    ):
+        with pytest.raises(mg.ScenarioFormatError, match=match):
+            replace(lv5, initial_mode=mode, **{name: value})
 
 
 def test_window_and_index(case1_timeseries):
