@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import network
-from .graph import value_eq
+from .graph import Record
 
 __all__ = [
     "IbrParams",
@@ -43,12 +43,12 @@ ATANH_CLIP = 0.999  # used when re-initializing v from a measured voltage
 
 
 @dataclass(frozen=True, eq=False)
-class IbrParams:
+class IbrParams(Record):
     """Ratings, limits, and shared gains for a fleet of n inverters.
 
     Per-unit arrays of length n: ``s_rated``, ``m_omega``, ``m_v``,
     ``v_min``, ``v_max``. Scalars: time constants and the gains beta, k.
-    Derived once, read-only and outside equality: the band centre
+    Derived once and outside equality: the band centre
     ``v_star`` and half-width ``delta``. Equality compares the other
     fields by value.
     """
@@ -68,19 +68,15 @@ class IbrParams:
     delta: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        arrays = {}
         n = None
         for name in ("s_rated", "m_omega", "m_v", "v_min", "v_max"):
-            a = np.atleast_1d(np.asarray(getattr(self, name), dtype=float)).copy()
+            a = np.array(getattr(self, name), dtype=float, ndmin=1)
             if n is None:
                 n = a.shape[0]
             elif a.shape == (1,):
                 a = np.full(n, a[0])
             if a.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
-            a.setflags(write=False)
-            arrays[name] = a
-        for name, a in arrays.items():
             object.__setattr__(self, name, a)
         if not np.all(self.s_rated > 0):
             raise ValueError("s_rated must be positive")
@@ -93,13 +89,9 @@ class IbrParams:
             raise ValueError("beta must be nonnegative")
         if not self.k > 0:
             raise ValueError("k must be positive")
-        for name, a in (("v_star", 0.5 * (self.v_max + self.v_min)),
-                        ("delta", 0.5 * (self.v_max - self.v_min))):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
+        object.__setattr__(self, "v_star", 0.5 * (self.v_max + self.v_min))
+        object.__setattr__(self, "delta", 0.5 * (self.v_max - self.v_min))
+        super().__post_init__()
 
     @property
     def n(self) -> int:
@@ -107,8 +99,6 @@ class IbrParams:
 
     def with_limits(self, v_min, v_max) -> "IbrParams":
         """Copy with new voltage limits (scalar broadcasts to all units)."""
-        v_min = np.broadcast_to(np.asarray(v_min, dtype=float), (self.n,)).copy()
-        v_max = np.broadcast_to(np.asarray(v_max, dtype=float), (self.n,)).copy()
         return replace(self, v_min=v_min, v_max=v_max)
 
 
@@ -141,7 +131,7 @@ def saturation_derivatives(p: IbrParams, v):
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedLoop:
+class ClosedLoop(Record):
     """The closed loop of one voltage-control mode on a fixed reduced network.
 
     State, n entries per block: ``droop`` [theta, Omega, v] and ``proposed``
@@ -161,10 +151,12 @@ class ClosedLoop:
 
     def __post_init__(self):
         p = self.params
+        object.__setattr__(self, "L", np.array(self.L, dtype=float))
         for name, a in zip("MK", _affine_part(self.mode, p, self.L)):
             object.__setattr__(self, name, a)
         taus = (1.0, p.tau_omega, p.tau_v, p.tau_p, p.tau_d)
         object.__setattr__(self, "tau", np.repeat(taus[: 3 if self.mode == "droop" else 5], p.n))
+        super().__post_init__()
 
     @property
     def dim(self) -> int:

@@ -21,8 +21,30 @@ def value_eq(a, b) -> bool:
         np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
+class Record:
+    """Base of the frozen dataclasses that hold arrays, inputs and results alike.
+
+    A record compares its compared fields by value (``value_eq``), refuses
+    ``hash()``, since no hash agrees with array equality, and makes every
+    ndarray field read-only in place. Subclasses are declared
+    ``@dataclass(frozen=True, eq=False)``. An input record takes arrays from
+    callers: its own ``__post_init__`` stores a copy of each, so the caller's
+    array is neither frozen nor shared, and ends with ``super().__post_init__()``.
+    A result record holds arrays the package built for it and copies nothing.
+    """
+
+    __eq__ = value_eq
+    __hash__ = None
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            a = getattr(self, name)
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
-class CommGraph:
+class CommGraph(Record):
     """Connected, undirected, weighted communication topology.
 
     ``adjacency`` is the symmetric nonnegative matrix [a_ij] with zero
@@ -33,7 +55,7 @@ class CommGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
+        a = np.array(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         if a.shape[0] < 2:
@@ -44,15 +66,12 @@ class CommGraph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency diagonal must be zero")
-        a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
         if not _connected(a):
             raise DisconnectedGraphError(
                 "communication graph is disconnected; consensus is impossible"
             )
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
+        super().__post_init__()
 
     @property
     def n(self) -> int:
@@ -75,6 +94,8 @@ class CommGraph:
                 w = default_weight
             else:
                 i, j, w = e
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) has a node outside 0..{n - 1}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             a[i, j] = a[j, i] = w

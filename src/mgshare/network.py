@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NetworkDataError
-from .graph import _connected, value_eq
+from .graph import Record, _connected
 
 __all__ = [
     "Bases",
@@ -142,7 +142,7 @@ class NetworkData:
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedNetwork:
+class ReducedNetwork(Record):
     """Kron-reduced admittance G + jB seen from the inverter internal buses (p.u.)."""
 
     G: np.ndarray
@@ -150,8 +150,8 @@ class ReducedNetwork:
     Y: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
-        B = np.asarray(self.B, dtype=float)
+        G = np.array(self.G, dtype=float)
+        B = np.array(self.B, dtype=float)
         if G.shape != B.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise NetworkDataError("G and B must be equal-size square matrices")
         if any(np.abs(a - a.T).max() > 1e-9 * max(1.0, np.abs(a).max()) for a in (G, B)):
@@ -159,13 +159,9 @@ class ReducedNetwork:
         # passivity sanity: conductance part must not be negative definite
         if np.linalg.eigvalsh(0.5 * (G + G.T)).min() < -1e-9:
             raise NetworkDataError("reduced conductance has a negative eigenvalue")
-        Y = G + 1j * B
-        for name, a in (("G", G), ("B", B), ("Y", Y)):
-            a.setflags(write=False)
+        for name, a in (("G", G), ("B", B), ("Y", G + 1j * B)):
             object.__setattr__(self, name, a)
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
+        super().__post_init__()
 
     @property
     def n(self) -> int:
@@ -237,11 +233,8 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
 
     ``theta`` and ``V`` share one shape (..., n); leading axes are a batch of
     independent operating points, evaluated at once. Every step runs in
-    place, so a batch holds two complex arrays at a time. P equals that of a
-    call per point; Q may differ from it in the last place, because numpy's
-    complex product is not bitwise commutative. The last product takes its
-    operands in the order numpy's temporary elision gives ``E * conj(I)``,
-    conj(I) first from 256 KiB on, so the values are those of that expression.
+    place, so a batch holds two complex arrays at a time, and each point's
+    P and Q are bitwise those of a call on that point alone.
     """
     theta, V = np.asarray(theta, dtype=float), np.asarray(V, dtype=float)
     if theta.shape[-1:] != (net.n,) or V.shape != theta.shape:
@@ -251,13 +244,12 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     np.multiply(V, E, out=E)
     S = (net.Y @ E[..., None])[..., 0]
     np.conjugate(S, out=S)
-    first, second = (S, E) if S.nbytes >= 1 << 18 else (E, S)
-    np.multiply(first, second, out=S)
+    np.multiply(E, S, out=S)
     return S.real, S.imag
 
 
 @dataclass(frozen=True, eq=False)
-class LinearizedModel:
+class LinearizedModel(Record):
     """The power flow's partial derivatives at one operating point.
 
     The angle Jacobians annihilate the all-ones vector (uniform angle shifts
@@ -268,9 +260,6 @@ class LinearizedModel:
     J_V_P: np.ndarray
     J_theta_Q: np.ndarray
     J_V_Q: np.ndarray
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:

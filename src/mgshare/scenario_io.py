@@ -31,7 +31,7 @@ import numpy as np
 
 from .controller import IbrParams
 from .errors import DisconnectedGraphError, NetworkDataError, ScenarioFormatError
-from .graph import CommGraph, value_eq
+from .graph import CommGraph, Record
 from .network import Bases, Connector, Line, Load, NetworkData
 
 __all__ = ["Event", "Scenario", "parse_scenario", "parse_scenario_text",
@@ -139,7 +139,7 @@ class Event:
 
 
 @dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(Record):
     """Everything one simulation run needs."""
 
     network: NetworkData          # per-unit
@@ -154,9 +154,6 @@ class Scenario:
     initial_state: np.ndarray | None = None   # full state for initial_mode: 3n or 5n values
     name: str = "scenario"
     out_dir: str = "out"
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     def __post_init__(self):
         if self.initial_mode not in ("droop", "proposed"):
@@ -186,11 +183,12 @@ class Scenario:
             value = getattr(self, name)
             if value is None:
                 continue
-            x = np.asarray(value, dtype=float)
+            x = np.array(value, dtype=float)
             if x.shape != (size,) or not np.all(np.isfinite(x)):
                 raise ScenarioFormatError(
                     f"{name} needs {size} finite values ({what}), got shape {x.shape}")
             object.__setattr__(self, name, x)
+        super().__post_init__()
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .controller import IbrParams, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
-from .graph import CommGraph, laplacian, value_eq
+from .graph import CommGraph, Record, laplacian
 from .network import LinearizedModel, ReducedNetwork, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
@@ -52,7 +52,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class ReducedBlocks:
+class ReducedBlocks(Record):
     """The cascade blocks of the reduced dynamics that the analysis reads.
 
     Relative coordinates, at v = 0. R_theta and R_thetaV, (n-1, n-1) and
@@ -67,9 +67,6 @@ class ReducedBlocks:
     R_zeta: np.ndarray
     R_vtheta_new: np.ndarray
     R_vV_new: np.ndarray
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:
@@ -173,7 +170,7 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class LmiCertificate:
+class LmiCertificate(Record):
     """Candidate Lyapunov matrices with their independently computed margins."""
 
     P_theta: np.ndarray
@@ -182,15 +179,12 @@ class LmiCertificate:
     alpha_s: float                # smallest eig of -(Q + Q^T)
     feasible: bool
 
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
-
-    def verify(self, blocks: ReducedBlocks, beta: float, tol: float = 0.0) -> bool:
+    def verify(self, blocks: ReducedBlocks, beta: float) -> bool:
         """Re-check all three conditions by direct eigenvalue computation."""
-        ok = np.linalg.eigvalsh(self.P_theta).min() > tol
-        ok &= np.diag(self.D_v).min() > tol
+        ok = np.linalg.eigvalsh(self.P_theta).min() > 0
+        ok &= np.diag(self.D_v).min() > 0
         Q = _q_matrix(blocks, beta, self.P_theta, np.diag(self.D_v))
-        ok &= np.linalg.eigvalsh(Q + Q.T).max() < -tol
+        ok &= np.linalg.eigvalsh(Q + Q.T).max() < 0
         return bool(ok)
 
 
@@ -332,7 +326,7 @@ def epsilon_sweep(
 
 
 @dataclass(frozen=True, eq=False)
-class Analysis:
+class Analysis(Record):
     """One operating point's stability pass; ``sweep`` holds (ratio, abscissa) pairs."""
 
     equilibrium: Equilibrium

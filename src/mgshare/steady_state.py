@@ -35,7 +35,7 @@ import numpy as np
 from . import controller as ctrl
 from .controller import IbrParams
 from .errors import ConvergenceError
-from .graph import CommGraph, laplacian, value_eq
+from .graph import CommGraph, Record, laplacian
 from .network import ReducedNetwork, power_flow
 from .network import jacobians  # noqa: F401  unused; kept for tools that patch names per module
 
@@ -43,7 +43,7 @@ __all__ = ["Equilibrium", "PropertyReport", "solve_equilibrium", "verify_propert
 
 
 @dataclass(frozen=True, eq=False)
-class Equilibrium:
+class Equilibrium(Record):
     """Solved steady state; all arrays length n, theta anchored at theta_1 = 0."""
 
     mode: str
@@ -61,9 +61,6 @@ class Equilibrium:
     saturated: frozenset[int]     # 1-based unit ids with rho > 0
     residual: float
     iterations: int               # Newton steps (Jacobian solves)
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def n(self) -> int:
@@ -214,7 +211,7 @@ def solve_equilibrium(
 
 
 @dataclass(frozen=True, eq=False)
-class PropertyReport:
+class PropertyReport(Record):
     """Numeric check of the four steady-state guarantees."""
 
     p_ratio_spread: float
@@ -225,9 +222,6 @@ class PropertyReport:
     unsaturated: tuple[int, ...]          # 1-based
     saturated: tuple[int, ...]            # 1-based
     tol: float
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
 
     @property
     def all_pass(self) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import MgshareError
-from .graph import CommGraph, algebraic_connectivity, value_eq
+from .graph import CommGraph, Record, algebraic_connectivity
 
 __all__ = ["TuningSpec", "TunedParams", "tune", "validate", "ValidationReport"]
 
@@ -45,7 +45,7 @@ class TuningSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class TunedParams:
+class TunedParams(Record):
     """Complete gain set produced by ``tune``; m_v is reported in both units."""
 
     m_star: float                 # rad/s per p.u. power
@@ -59,9 +59,6 @@ class TunedParams:
     sigma2: float
     beta: float
     warnings: tuple[str, ...] = ()
-
-    __eq__ = value_eq
-    __hash__ = None    # arrays compare by value; no hash agrees with that
 
 
 def tune(spec: TuningSpec, g: CommGraph, v_min, v_max) -> TunedParams:

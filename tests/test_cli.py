@@ -110,10 +110,24 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     ("t_end 50\n", "t_end 50\nt_end 45\n", "line 74: repeated key t_end in [simulation]"),
     ("[connectors] unit=ohm", "[connectors] unit=pu",
      "lines and connectors must use the same impedance unit"),
+    ("5 load", "6 load", "bus ids must be 1..n_bus without duplicates or gaps"),
+    ("5 1.30 0.95 1.05", "6 1.30 0.95 1.05", "ibr ids must be 1..n without duplicates or gaps"),
+    ("4 5 0.15 0.22", "4 6 0.15 0.22", "line (4,6) references unknown bus 6"),
+    ("5 5 0.07 0.20", "5 7 0.07 0.20", "connector of IBR 5 references unknown bus 7"),
+    ("5 1\n\n[controller-gains]", "5 6\n\n[controller-gains]",
+     "graph edge (5,6) references unknown IBR 6"),
+    ("40 scale-load 5 1.0", "40 scale-load 5 1.0\n45 set-limits 0.96 1.04 7",
+     "event at t=45.0 references unknown IBR 7"),
+    ("[buses]\n1 load", "[buses]\n1.5 load", "line 10: id must be an integer, got '1.5'"),
+    ("2 load", "2 sink", "line 11: kind must be load|junction|main, got 'sink'"),
+    ("[graph]", "[graph", "line 48: unterminated section header"),
+    ("1 2 0.20 0.30", "1 2 0.20", "line 18: lines rows are 'from_bus to_bus r x'"),
 ], ids=["band", "tau_v", "k-negative", "k-text", "self-loop", "negative-r", "zero-z",
         "disconnected", "unknown-simulation-key", "unknown-bases-key", "bases-unit",
         "unit-on-ibrs", "nan-event-time", "nan-s_rated", "negative-factor", "repeated-key",
-        "mixed-impedance-units"])
+        "mixed-impedance-units", "bus-ids", "ibr-ids", "line-bus", "connector-bus",
+        "graph-ibr", "set-limits-ibr", "int-text", "bus-kind", "unterminated-header",
+        "row-fields"])
 def test_invalid_values_are_format_errors(tmp_path, capsys, old, new, match):
     """A value the constructors reject is a ScenarioFormatError: exit 2, no traceback."""
     text = bundled_scenario_path("lv5").read_text()

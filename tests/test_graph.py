@@ -49,6 +49,13 @@ def test_value_equality():
     assert (g == "ring") is False and (g != "ring") is True
 
 
+@pytest.mark.parametrize("edge", [(0, -1), (0, 3), (3, 1)])
+def test_edge_outside_the_nodes_rejected(edge):
+    """A node index outside 0..n-1 is an error, not a wrapped or out-of-bounds index."""
+    with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a node outside 0..2"):
+        CommGraph.from_edges(3, [edge, (1, 2)])
+
+
 def test_asymmetric_rejected():
     A = np.zeros((3, 3))
     A[0, 1] = 1.0

@@ -1,6 +1,6 @@
 """Scenario format: bundled data fidelity, round-trips, error reporting."""
 
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mgshare as mg
 from mgshare import scenario_io as sio
+from mgshare.controller import ClosedLoop
 from mgshare.errors import ScenarioFormatError
 
 Z_BASE_LV = 220.0**2 / 100e3
@@ -125,18 +126,69 @@ def test_scenario_value_equality(lv5):
     assert (lv5 == "lv5") is False
 
 
-def test_value_compared_types_are_unhashable(lv5):
-    """Types that compare arrays by value refuse hash() by their own name."""
+def _records(lv5):
+    """One instance of each of the twelve record types, the frozen dataclasses that hold arrays."""
     red = mg.kron_reduce(lv5.network)
-    lin = mg.jacobians(red, np.zeros(5), np.ones(5))
-    result = mg.analyze(red, lv5.graph, lv5.params, [])
+    result = mg.analyze(red, lv5.graph, lv5.params, [0.1])
     report = mg.verify_properties(result.equilibrium, lv5.params)
     tuned = mg.tune(mg.TuningSpec(delta_f_max=0.005, rocof_star=2.5), lv5.graph,
                     lv5.params.v_min, lv5.params.v_max)
-    for obj in (lv5.graph, lv5.params, red, lin, lv5, result.equilibrium, result.blocks,
-                result.certificate, report, tuned):
+    model = ClosedLoop("proposed", lv5.params, red, mg.laplacian(lv5.graph))
+    scenario = replace(lv5, initial_theta=np.zeros(5), initial_state=np.zeros(15))
+    records = (lv5.graph, lv5.params, red, result.lin, scenario, result.equilibrium,
+               result.blocks, result.certificate, report, tuned, model, result)
+    assert len({type(r) for r in records}) == 12
+    return records
+
+
+def test_value_compared_types_are_unhashable(lv5):
+    """Types that compare arrays by value refuse hash() by their own name."""
+    for obj in _records(lv5):
         with pytest.raises(TypeError, match=f"unhashable type: '{type(obj).__name__}'"):
             hash(obj)
+
+
+def test_record_arrays_are_read_only(lv5):
+    """Every array field of every record type refuses writes."""
+    for obj in _records(lv5):
+        arrays = [a for a in (getattr(obj, f.name) for f in fields(obj)) if isinstance(a, np.ndarray)]
+        assert arrays, type(obj).__name__
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+
+
+def test_records_keep_their_own_copy_of_a_callers_arrays(lv5):
+    """Constructors leave the arrays they are given writable and untied from the record."""
+    red = mg.kron_reduce(lv5.network)
+    adjacency, G, B = lv5.graph.adjacency.copy(), red.G.copy(), red.B.copy()
+    s_rated, v_min = lv5.params.s_rated.copy(), lv5.params.v_min.copy()
+    L, theta, x0 = mg.laplacian(lv5.graph), np.zeros(5), np.zeros(15)
+    graph = mg.CommGraph(adjacency)
+    net = mg.ReducedNetwork(G=G, B=B)
+    params = replace(lv5.params, s_rated=s_rated, v_min=v_min)
+    model = ClosedLoop("proposed", lv5.params, red, L)
+    with_theta = replace(lv5, initial_theta=theta)
+    with_state = replace(lv5, initial_state=x0)
+    for given, stored in ((adjacency, graph.adjacency), (G, net.G), (B, net.B),
+                          (s_rated, params.s_rated), (v_min, params.v_min), (L, model.L),
+                          (theta, with_theta.initial_theta), (x0, with_state.initial_state)):
+        kept = stored.copy()
+        given += 1.0    # raises ValueError if the constructor froze the caller's array
+        assert np.array_equal(stored, kept)
+
+
+def test_closed_loop_and_analysis_compare_by_value(lv5):
+    """Records built from equal inputs are equal, and differ when an input does."""
+    red, L = mg.kron_reduce(lv5.network), mg.laplacian(lv5.graph)
+    model = ClosedLoop("proposed", lv5.params, red, L)
+    assert model == ClosedLoop("proposed", lv5.params, mg.kron_reduce(lv5.network), L.copy())
+    assert model != ClosedLoop("droop", lv5.params, red, L)
+    assert model != ClosedLoop("proposed", lv5.params.with_limits(0.96, 1.05), red, L)
+    result = mg.analyze(red, lv5.graph, lv5.params, [0.1, 0])
+    assert result == mg.analyze(mg.kron_reduce(lv5.network), lv5.graph, lv5.params, [0.1, 0])
+    assert result != mg.analyze(red, lv5.graph, lv5.params, [0.1])
+    assert result != mg.analyze(red, lv5.graph, lv5.params.with_limits(0.96, 1.05), [0.1, 0])
 
 
 def _gains(lv5, **gains):

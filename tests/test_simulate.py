@@ -372,6 +372,15 @@ def test_scenario_validation(lv5):
         replace(lv5, events=(mg.Event(time=99.0, kind="activate"),))
     with pytest.raises(mg.ScenarioFormatError, match="unknown bus"):
         replace(lv5, events=(mg.Event(time=5.0, kind="scale-load", bus=9, factor=0.5),))
+    with pytest.raises(mg.ScenarioFormatError, match="event at t=5.0: unknown IBR 6"):
+        replace(lv5, events=(mg.Event(time=5.0, kind="set-limits", v_min=0.96, v_max=1.04, ibr=6),))
+    with pytest.raises(mg.ScenarioFormatError, match="unknown mode 'fast'"):
+        replace(lv5, initial_mode="fast")
+    with pytest.raises(mg.ScenarioFormatError, match=r"graph \(4\) and params \(5\) must match"):
+        replace(lv5, graph=mg.CommGraph.ring(4))
+    params4 = replace(lv5.params, s_rated=np.ones(4), m_omega=1.57, m_v=0.05, v_min=0.95, v_max=1.05)
+    with pytest.raises(mg.ScenarioFormatError, match=r"graph \(5\) and params \(4\) must match"):
+        replace(lv5, params=params4)
     for name, value in (("sample_ms", 0.0), ("sample_ms", -10.0), ("sample_ms", np.nan),
                         ("sample_ms", np.inf), ("rel_tol", 0.0), ("rel_tol", -1e-7),
                         ("t_end", 0.0), ("t_end", np.nan), ("t_end", np.inf)):
