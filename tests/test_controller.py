@@ -228,3 +228,8 @@ def test_with_limits_preserves_gains():
 def test_bad_limits_rejected():
     with pytest.raises(ValueError, match="need v_min < v_max for every unit"):
         make_params(v_min=1.05, v_max=0.95)
+
+
+def test_zero_rating_rejected():
+    with pytest.raises(ValueError, match="s_rated must be positive"):
+        make_params(s_rated=np.array([1.0, 0.0, 1.0]))

@@ -206,6 +206,14 @@ def test_frequency_channel(case1_timeseries, lv5):
     assert np.all(ts.f[ts.index_at(20.0)] < f_nom)
 
 
+def test_active_sharing_proportional_on_trajectory(case1_timeseries):
+    """P_i/S_i is common to all units once each phase settles, in droop and proposed mode."""
+    ts = case1_timeseries
+    for t in (9.0, 24.0, 39.0, 49.0):
+        p_ratio = ts.p_ratio[ts.index_at(t)]
+        assert p_ratio.max() - p_ratio.min() <= 1e-4, t
+
+
 def test_set_limits_remaps_state_continuously(lv5):
     events = (
         mg.Event(time=5.0, kind="activate"),

@@ -210,6 +210,16 @@ def test_block_shapes(lv5_blocks):
     assert b.R_zeta.shape == (n - 1, n - 1)
 
 
+def test_tau_v_scales_only_the_zeta_block(lv5, lv5_lin):
+    """The complement is taken before the tau scaling, so tau_v = 2 halves R_zeta exactly
+    and leaves the slow blocks bitwise unchanged."""
+    one = st.assemble_blocks(lv5_lin, lv5.graph, replace(lv5.params, tau_v=1.0))
+    two = st.assemble_blocks(lv5_lin, lv5.graph, replace(lv5.params, tau_v=2.0))
+    assert np.array_equal(two.R_zeta, one.R_zeta / 2.0)
+    for name in ("R_theta", "R_thetaV", "R_vtheta_new", "R_vV_new"):
+        assert np.array_equal(getattr(two, name), getattr(one, name)), name
+
+
 def test_zeta_block_real_negative_spectrum(lv5_blocks):
     """R_zeta inherits L K L's nonzero spectrum: real and strictly negative."""
     w = np.linalg.eigvals(lv5_blocks.R_zeta)

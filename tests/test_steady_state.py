@@ -60,6 +60,13 @@ def test_nominal_saturated_set(lv5_equilibrium):
     assert lv5_equilibrium.saturated == frozenset({1, 5})
 
 
+def test_property_report_unit_ids(lv5, lv5_equilibrium):
+    """The report lists 1-based unit ids, split by active leakage."""
+    report = mg.verify_properties(lv5_equilibrium, lv5.params)
+    assert report.saturated == (1, 5)
+    assert report.unsaturated == (2, 3, 4)
+
+
 def test_zeta_sum_pinning(lv5, lv5_reduced):
     eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params,
                               mode="proposed", zeta_sum=2.5)
