@@ -10,9 +10,11 @@ Two voltage-control modes exist:
   distributed primal-dual optimizer that drives the utilization ratios
   Q_i/S_i toward a common setpoint lambda.
 
-Both modes share the droop frequency channel. ``ClosedLoop`` writes the
-whole loop down once, as brackets(x) = M x + K [P; Q] - s(v): M and K are
-constant per mode, parameters and Laplacian, (P, Q) is the power flow at
+Both modes share the droop frequency channel. ``STATE`` declares each
+mode's state blocks, the one place that sets their order; every module
+reads and builds states through ``ClosedLoop``'s named views. ``ClosedLoop``
+writes the whole loop down once, as brackets(x) = M x + K [P; Q] - s(v): M
+and K are constant per mode, parameters and Laplacian, (P, Q) is the power flow at
 (theta, V(v)), and s(v) = beta Delta tanh(v/Delta) + rho(v) v sits on the v
 rows in proposed mode (droop has V = 1 + v and no s). The right-hand side
 is brackets / tau; its Jacobian, from the same M and K, is built by
@@ -23,7 +25,9 @@ unknown, and the timescale sweep eliminates its fast states.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -32,6 +36,8 @@ from .graph import Record
 
 __all__ = [
     "IbrParams",
+    "Layout",
+    "STATE",
     "voltage_output",
     "leakage",
     "saturation_derivatives",
@@ -130,15 +136,44 @@ def saturation_derivatives(p: IbrParams, v):
     return 1.0 / np.cosh(v / p.delta) ** 2, np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
 
 
+class Layout:
+    """Named blocks in order along a vector's last axis.
+
+    A block (a, b) holds a n + b entries for n units: ``Layout(theta=N,
+    c=ONE)`` is n entries of theta, then one of c.
+    """
+
+    def __init__(self, **lengths: tuple[int, int]):
+        self.lengths = lengths
+        self._slices = namedtuple("Slices", lengths)
+
+    @cache
+    def at(self, n: int):
+        """The blocks' slices for n units, as a named tuple."""
+        stops = np.cumsum([a * n + b for a, b in self.lengths.values()]).tolist()
+        return self._slices(*map(slice, [0, *stops], stops))
+
+    def dim(self, n: int) -> int:
+        return self.at(n)[-1].stop
+
+
+N, N_1, ONE = (1, 0), (1, -1), (0, 1)     # block lengths n, n - 1 and 1
+STATE = {"droop": Layout(theta=N, Omega=N, v=N),
+         "proposed": Layout(theta=N, Omega=N, v=N, lam=N, zeta=N)}
+# each state block's time constant, an IbrParams field; theta's is 1 (dtheta/dt = Omega)
+TAU = {"theta": None, "Omega": "tau_omega", "v": "tau_v", "lam": "tau_p", "zeta": "tau_d"}
+
+
 @dataclass(frozen=True, eq=False)
 class ClosedLoop(Record):
     """The closed loop of one voltage-control mode on a fixed reduced network.
 
-    State, n entries per block: ``droop`` [theta, Omega, v] and ``proposed``
-    [theta, Omega, v, lambda, zeta], with theta the angle in the frame
-    rotating at omega_nom and L the communication Laplacian. ``brackets``
-    are the pre-tau right-hand sides; ``tau`` holds [1, tau_omega, tau_v,
-    tau_p, tau_d] repeated per unit, and ``rhs`` = brackets / tau.
+    The state is laid out as ``STATE[mode]``, which alone sets the order:
+    ``at`` holds the block slices, ``block`` views a block and ``state``
+    builds a state. theta is the angle in the frame rotating at omega_nom,
+    and L the communication Laplacian. ``brackets`` are the pre-tau
+    right-hand sides; ``tau`` holds each block's ``TAU`` per unit, and
+    ``rhs`` = brackets / tau.
     """
 
     mode: str
@@ -146,41 +181,52 @@ class ClosedLoop(Record):
     net: network.ReducedNetwork
     L: np.ndarray
     tau: np.ndarray = field(init=False)
+    at: tuple = field(init=False, repr=False)
     M: np.ndarray = field(init=False, repr=False)
     K: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
         object.__setattr__(self, "L", np.array(self.L, dtype=float))
-        for name, a in zip("MK", _affine_part(self.mode, p, self.L)):
+        for name, a in zip(("at", "M", "K"), _affine_part(self.mode, p, self.L)):
             object.__setattr__(self, name, a)
-        taus = (1.0, p.tau_omega, p.tau_v, p.tau_p, p.tau_d)
-        object.__setattr__(self, "tau", np.repeat(taus[: 3 if self.mode == "droop" else 5], p.n))
+        taus = [1.0 if TAU[b] is None else getattr(p, TAU[b]) for b in self.at._fields]
+        object.__setattr__(self, "tau", np.repeat(taus, p.n))
         super().__post_init__()
 
     @property
     def dim(self) -> int:
         return self.tau.size
 
+    def block(self, x, name: str) -> np.ndarray:
+        """The block ``name`` of the states x, a view on their last axis."""
+        return x[..., getattr(self.at, name)]
+
+    def state(self, **blocks) -> np.ndarray:
+        """The state made of the named blocks; absent blocks are zero."""
+        x = np.zeros(self.dim)
+        for name, b in blocks.items():
+            x[getattr(self.at, name)] = b
+        return x
+
     def voltage(self, v) -> np.ndarray:
         """Terminal voltage commanded by the voltage-channel state v."""
         return 1.0 + v if self.mode == "droop" else voltage_output(self.params, v)
 
     def brackets(self, x) -> np.ndarray:
-        n = self.params.n
-        v = x[2 * n:3 * n]
-        P, Q = network.power_flow(self.net, x[:n], self.voltage(v))
+        at = self.at
+        v = x[at.v]
+        P, Q = network.power_flow(self.net, x[at.theta], self.voltage(v))
         out = self.M @ x + self.K @ np.concatenate([P, Q])
         if self.mode == "proposed":
             p = self.params
-            out[2 * n:3 * n] -= p.beta * p.delta * np.tanh(v / p.delta) + leakage(p, v) * v
+            out[at.v] -= p.beta * p.delta * np.tanh(v / p.delta) + leakage(p, v) * v
         return out
 
     def brackets_jac(self, x) -> np.ndarray:
-        n = self.params.n
-        v = x[2 * n:3 * n]
-        lin = network.jacobians(self.net, x[:n], self.voltage(v))
-        return _jacobian(self.mode, self.params, self.M, self.K, lin, v)
+        v = x[self.at.v]
+        lin = network.jacobians(self.net, x[self.at.theta], self.voltage(v))
+        return _jacobian(self.mode, self.params, self.at, self.M, self.K, lin, v)
 
     def rhs(self, _t, x) -> np.ndarray:
         return self.brackets(x) / self.tau
@@ -189,41 +235,39 @@ class ClosedLoop(Record):
         return self.brackets_jac(x) / self.tau[:, None]
 
 
-def _affine_part(mode: str, p: IbrParams, L) -> tuple[np.ndarray, np.ndarray]:
-    """(M, K) of ``brackets`` = M x + K [P; Q] - s(v) for the state layout of ``mode``."""
-    if mode not in ("droop", "proposed"):
+def _affine_part(mode: str, p: IbrParams, L):
+    """(at, M, K): the state slices of ``mode`` and ``brackets`` = M x + K [P; Q] - s(v)."""
+    if mode not in STATE:
         raise ValueError(f"unknown mode {mode!r}")
-    n = p.n
-    b = 3 if mode == "droop" else 5
-    M = np.zeros((b, n, b, n))     # [row block, unit, column block, unit]
-    K = np.zeros((b, n, 2, n))     # column blocks P, Q
-    I = np.eye(n)
-    M[0, :, 1], M[1, :, 1] = I, -I
-    K[1, :, 0] = -np.diag(p.m_omega / p.s_rated)
+    at = STATE[mode].at(p.n)
+    I = np.eye(p.n)
+    M = np.zeros((at[-1].stop,) * 2)
+    K = np.zeros((M.shape[0], 2, p.n))     # column blocks P, Q
+    P, Q = 0, 1
+    M[at.theta, at.Omega], M[at.Omega, at.Omega] = I, -I
+    K[at.Omega, P] = -np.diag(p.m_omega / p.s_rated)
     if mode == "droop":
-        M[2, :, 2] = -I
-        K[2, :, 1] = -np.diag(p.m_v / p.s_rated)
+        M[at.v, at.v] = -I
+        K[at.v, Q] = -np.diag(p.m_v / p.s_rated)
     else:
-        M[2, :, 3] = np.diag(p.v_star)
-        K[2, :, 1] = -np.diag(p.v_star / p.s_rated)
-        M[3, :, 3] = -I - p.k * L
-        M[3, :, 4] = -L
-        K[3, :, 1] = np.diag(1.0 / p.s_rated)
-        M[4, :, 3] = L
-    return M.reshape(b * n, b * n), K.reshape(b * n, 2 * n)
+        M[at.v, at.lam] = np.diag(p.v_star)
+        K[at.v, Q] = -np.diag(p.v_star / p.s_rated)
+        M[at.lam, at.lam] = -I - p.k * L
+        M[at.lam, at.zeta] = -L
+        K[at.lam, Q] = np.diag(1.0 / p.s_rated)
+        M[at.zeta, at.lam] = L
+    return at, M, K.reshape(M.shape[0], -1)
 
 
-def _jacobian(mode: str, p: IbrParams, M, K, lin: network.LinearizedModel, v) -> np.ndarray:
+def _jacobian(mode: str, p: IbrParams, at, M, K, lin: network.LinearizedModel, v) -> np.ndarray:
     """M, plus K times the flow derivatives in the theta and v columns, minus ds/dv."""
-    n = p.n
-    vc = slice(2 * n, 3 * n)
     J = M.copy()
-    J[:, :n] += K @ np.concatenate([lin.J_theta_P, lin.J_theta_Q])
+    J[:, at.theta] += K @ np.concatenate([lin.J_theta_P, lin.J_theta_Q])
     H = 1.0
     if mode == "proposed":
         H, drho_v = saturation_derivatives(p, v)
-        J[vc, vc] -= np.diag(p.beta * H + drho_v)
-    J[:, vc] += K @ np.concatenate([lin.J_V_P, lin.J_V_Q]) * H
+        J[at.v, at.v] -= np.diag(p.beta * H + drho_v)
+    J[:, at.v] += K @ np.concatenate([lin.J_V_P, lin.J_V_Q]) * H
     return J
 
 
@@ -232,6 +276,6 @@ def brackets_jacobian(mode: str, p: IbrParams, L, lin: network.LinearizedModel, 
 
     ``lin`` linearizes the power flow at the state's (theta, V(v)); the
     result does not depend on Omega, lambda or zeta. Rows and columns follow
-    the ``ClosedLoop`` state layout of ``mode``.
+    ``STATE[mode]``.
     """
     return _jacobian(mode, p, *_affine_part(mode, p, L), lin, v)

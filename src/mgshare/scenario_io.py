@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import IbrParams
+from .controller import STATE, IbrParams
 from .errors import DisconnectedGraphError, NetworkDataError, ScenarioFormatError
 from .graph import CommGraph, Record
 from .network import Bases, Connector, Line, Load, NetworkData
@@ -151,7 +151,7 @@ class Scenario(Record):
     rel_tol: float = 1e-7
     sample_ms: float = 10.0
     initial_theta: np.ndarray | None = None
-    initial_state: np.ndarray | None = None   # full state for initial_mode: 3n or 5n values
+    initial_state: np.ndarray | None = None   # full state for initial_mode, laid out as controller.STATE
     name: str = "scenario"
     out_dir: str = "out"
 
@@ -177,9 +177,9 @@ class Scenario(Record):
                 raise ScenarioFormatError(f"event at t={e.time}: unknown bus {e.bus}")
             if e.kind == "set-limits" and e.ibr is not None and not (1 <= e.ibr <= n):
                 raise ScenarioFormatError(f"event at t={e.time}: unknown IBR {e.ibr}")
-        dim = (3 if self.initial_mode == "droop" else 5) * n
         for name, size, what in (("initial_theta", n, "one angle per inverter"),
-                                 ("initial_state", dim, f"the {self.initial_mode}-mode state")):
+                                 ("initial_state", STATE[self.initial_mode].dim(n),
+                                  f"the {self.initial_mode}-mode state")):
             value = getattr(self, name)
             if value is None:
                 continue

@@ -308,12 +308,7 @@ def simulate(s: Scenario) -> TimeSeries:
     n_samples = int(np.floor(s.t_end / dt + 1e-9)) + 1
     t_grid = np.arange(n_samples) * dt
 
-    if s.initial_state is not None:
-        x = s.initial_state
-    else:
-        theta0 = np.zeros(n) if s.initial_theta is None else s.initial_theta
-        x = np.concatenate([theta0, np.zeros(2 * n if s.initial_mode == "droop" else 4 * n)])
-
+    x = s.initial_state
     plan = _plan(s)
     ts = TimeSeries(
         t=t_grid, mode=np.zeros(n_samples, dtype=int),
@@ -333,6 +328,8 @@ def simulate(s: Scenario) -> TimeSeries:
                 raise SimulationError(f"network re-reduction failed: {exc}") from exc
             scale = load_scale
         old = model or ctrl.ClosedLoop(s.initial_mode, s.params, red, L)   # before t = 0 events
+        if x is None:
+            x = old.state(theta=0.0 if s.initial_theta is None else s.initial_theta)
         model = ctrl.ClosedLoop(mode, params, red, L)
         x = _carry(x, old, model)
         sol = solve_ivp(
@@ -344,7 +341,7 @@ def simulate(s: Scenario) -> TimeSeries:
                 f"integration failed near t={sol.t[-1]:.6g}: {sol.message}",
                 time=float(sol.t[-1]),
             )
-        _check_containment(mode, params, sol)
+        _check_containment(model, sol)
         if hi > lo:
             _channels(ts, slice(lo, hi), model, sol.sol, s.network.bases.f_nom)
         x = sol.y[:, -1]
@@ -386,23 +383,22 @@ def _carry(x: np.ndarray, old: ctrl.ClosedLoop, new: ctrl.ClosedLoop) -> np.ndar
     Activation seeds lambda = Q/S and zeta = 0, and a limit change in
     proposed mode re-maps v onto the new band; otherwise the state carries over.
     """
-    n = new.params.n
     if new.mode == "droop" or (old.mode == new.mode and old.params == new.params):
         return x
-    V = old.voltage(x[2 * n:3 * n])
-    v = ctrl.v_from_voltage(new.params, V)
+    blocks = {name: old.block(x, name) for name in old.at._fields}
+    V = old.voltage(blocks["v"])
+    blocks["v"] = ctrl.v_from_voltage(new.params, V)
     if old.mode == "droop":
-        _, Q = power_flow(old.net, x[:n], V)
-        return np.concatenate([x[:2 * n], v, Q / new.params.s_rated, np.zeros(n)])
-    return np.concatenate([x[:2 * n], v, x[3 * n:]])
+        blocks["lam"] = power_flow(old.net, blocks["theta"], V)[1] / new.params.s_rated
+    return new.state(**blocks)
 
 
-def _check_containment(mode, params, sol):
+def _check_containment(model: ctrl.ClosedLoop, sol):
     """Hard containment on every accepted step (proposed mode only)."""
-    if mode != "proposed":
+    if model.mode != "proposed":
         return
-    n = params.n
-    V = ctrl.voltage_output(params, sol.y[2 * n:3 * n].T)   # (steps, n)
+    params = model.params
+    V = model.voltage(model.block(sol.y.T, "v"))   # (steps, n)
     outside = (V <= params.v_min) | (V >= params.v_max)
     if np.any(outside):
         step = int(np.argmax(np.any(outside, axis=1)))
@@ -419,7 +415,6 @@ def _channels(ts: TimeSeries, rows: slice, model: ctrl.ClosedLoop, dense, f_nom:
     time; the power flow takes the segment's stored theta and V in one call.
     """
     p = model.params
-    n = p.n
     proposed = model.mode == "proposed"
     ts.mode[rows] = int(proposed)
     ts.v_min[rows] = p.v_min
@@ -427,11 +422,11 @@ def _channels(ts: TimeSeries, rows: slice, model: ctrl.ClosedLoop, dense, f_nom:
     for start in range(rows.start, rows.stop, _SAMPLE_CHUNK):
         c = slice(start, min(start + _SAMPLE_CHUNK, rows.stop))
         X = dense(ts.t[c]).T
-        ts.theta[c], ts.omega_dev[c], ts.v[c] = X[:, :n], X[:, n:2 * n], X[:, 2 * n:3 * n]
+        ts.theta[c], ts.omega_dev[c], ts.v[c] = (model.block(X, b) for b in ("theta", "Omega", "v"))
         ts.f[c] = f_nom + ts.omega_dev[c] / (2.0 * np.pi)
         ts.V[c] = model.voltage(ts.v[c])
         if proposed:
-            ts.lam[c], ts.zeta[c] = X[:, 3 * n:4 * n], X[:, 4 * n:]
+            ts.lam[c], ts.zeta[c] = model.block(X, "lam"), model.block(X, "zeta")
             ts.rho[c] = ctrl.leakage(p, ts.v[c])
         else:
             ts.lam[c] = ts.zeta[c] = ts.rho[c] = 0.0

@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .controller import IbrParams, brackets_jacobian, saturation_derivatives
+from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
 from .graph import CommGraph, Record, laplacian
 from .network import LinearizedModel, ReducedNetwork, jacobians
@@ -49,6 +49,12 @@ __all__ = [
     "Analysis",
     "analyze",
 ]
+
+# the fast states, which the timescale separation eliminates, and the slow ones in STATE order
+FAST = ("Omega", "lam")
+SLOW = Layout(**{b: a for b, a in STATE["proposed"].lengths.items() if b not in FAST})
+# the relative complement's rows and columns
+RELATIVE = Layout(r_theta=N_1, v=N, r_zeta=N_1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +89,16 @@ def _check_angle_shift_invariance(lin: LinearizedModel, L: np.ndarray):
 
 
 def _schur(M: np.ndarray, k: int) -> np.ndarray:
-    """Schur complement of M over its last k rows and columns."""
-    return M[:-k, :-k] - M[:-k, -k:] @ np.linalg.solve(M[-k:, -k:], M[-k:, :-k])
+    """Schur complement of M over its rows and columns from k on."""
+    return M[:k, :k] - M[:k, k:] @ np.linalg.solve(M[k:, k:], M[k:, :k])
 
 
 def _eliminate_fast(J: np.ndarray) -> np.ndarray:
-    """Complement of a proposed-mode bracket Jacobian over (Omega, lambda), in [theta, v, zeta] order."""
-    n = J.shape[0] // 5
-    order = np.arange(5 * n).reshape(5, n)[[0, 2, 4, 1, 3]].ravel()
-    return _schur(J[np.ix_(order, order)], 2 * n)
+    """Complement of a proposed-mode bracket Jacobian over ``FAST``, in ``SLOW`` order."""
+    n = J.shape[0] // len(STATE["proposed"].lengths)
+    at, index = STATE["proposed"].at(n), np.arange(J.shape[0])
+    order = np.concatenate([index[getattr(at, b)] for b in (*SLOW.lengths, *FAST)])
+    return _schur(J[np.ix_(order, order)], SLOW.dim(n))
 
 
 def _transform(n: int):
@@ -102,15 +109,16 @@ def _transform(n: int):
 
 
 def _relative(S: np.ndarray) -> np.ndarray:
-    """Rows and columns [r_theta, v, r_zeta] of S.
+    """The ``RELATIVE`` rows and columns [r_theta, v, r_zeta] of S, in ``SLOW`` order.
 
     r = D x holds the n-1 neighbour differences of x, and x = 1 x_av + N r,
     where the complement annihilates the uniform shift 1.
     """
-    n = S.shape[0] // 3
+    n = S.shape[0] // len(SLOW.lengths)
     D, N = _transform(n)
-    X = np.vstack([D @ S[:n], S[n:2 * n], D @ S[2 * n:]])
-    return np.hstack([X[:, :n] @ N, X[:, n:2 * n], X[:, 2 * n:] @ N])
+    s = SLOW.at(n)
+    X = np.vstack([D @ S[s.theta], S[s.v], D @ S[s.zeta]])
+    return np.hstack([X[:, s.theta] @ N, X[:, s.v], X[:, s.zeta] @ N])
 
 
 def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.ndarray:
@@ -126,8 +134,11 @@ def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.nda
 def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:
     """The relative complement at the voltage state v, derived from R, the one at v = 0."""
     H, drho_v = saturation_derivatives(params, v)
-    ones, zeros = np.ones(params.n - 1), np.zeros(params.n - 1)
-    return R * np.concatenate([ones, H, ones]) - np.diag(np.concatenate([zeros, drho_v, zeros]))
+    rv = RELATIVE.at(params.n).v
+    A = R.copy()
+    A[:, rv] *= H
+    A[rv, rv] -= np.diag(drho_v)
+    return A
 
 
 def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndarray:
@@ -136,23 +147,23 @@ def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndar
     Ratio 0 is the quasi-steady dual limit: r_zeta is eliminated, leaving the
     slow reduced system [r_theta, v].
     """
-    m = params.n - 1
+    r = RELATIVE.at(params.n)
     if ratio == 0:
-        A = _schur(R, m)
-        A[m:] /= params.tau_v
+        A = _schur(R, r.r_zeta.start)
+        A[r.v] /= params.tau_v
         return A
-    tau = np.repeat([1.0, params.tau_v, ratio * params.tau_v], [m, params.n, m])
+    tau = np.repeat([1.0, params.tau_v, ratio * params.tau_v], [b.stop - b.start for b in r])
     return R / tau[:, None]
 
 
 def _blocks(R: np.ndarray, p: IbrParams) -> ReducedBlocks:
     """Cascade blocks read off the relative complement R at v = 0."""
-    n, m = p.n, p.n - 1
-    R = np.concatenate([R[:m + n], R[m + n:] / p.tau_v])
-    th, v, ze = slice(0, m), slice(m, m + n), slice(-m, None)
-    new = _schur(R, m)[v]
+    th, v, ze = RELATIVE.at(p.n)
+    R = R.copy()
+    R[ze] /= p.tau_v
+    new = _schur(R, ze.start)[v]
     return ReducedBlocks(R_theta=R[th, th], R_thetaV=R[th, v], R_zeta=R[ze, ze],
-                         R_vtheta_new=new[:, th], R_vV_new=new[:, v] + p.beta * np.eye(n))
+                         R_vtheta_new=new[:, th], R_vV_new=new[:, v] + p.beta * np.eye(p.n))
 
 
 def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:

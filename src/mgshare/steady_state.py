@@ -33,13 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import controller as ctrl
-from .controller import IbrParams
+from .controller import N, N_1, ONE, IbrParams, Layout
 from .errors import ConvergenceError
 from .graph import CommGraph, Record, laplacian
 from .network import ReducedNetwork, power_flow
 from .network import jacobians  # noqa: F401  unused; kept for tools that patch names per module
 
 __all__ = ["Equilibrium", "PropertyReport", "solve_equilibrium", "verify_properties"]
+
+# Newton's unknowns, as the module docstring sets them out
+UNKNOWNS = {"droop": Layout(theta_rel=N_1, Omega_common=ONE, v=N),
+            "proposed": Layout(theta_rel=N_1, Omega_common=ONE, v=N, c=ONE)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,42 +135,47 @@ def solve_equilibrium(
 ) -> Equilibrium:
     """Newton solve of the steady-state equations in the primal unknowns.
 
-    The unknowns are y = [theta_rel (n-1), Omega_common, v, c] (proposed)
-    or [theta_rel, Omega_common, v] (droop); ``initial_guess`` packs them
-    likewise and defaults to a flat start. The state is E y: theta_1 = 0,
-    Omega = Omega_common 1, lambda = c 1 and zeta = 0. The residual is
+    The unknowns y come from the declaration ``UNKNOWNS[mode]``, and
+    ``initial_guess`` packs them likewise; it defaults to a flat start. The
+    state is E y: theta_1 = 0, Omega = Omega_common 1, lambda = c 1 and
+    zeta = 0. The residual is
     ``ClosedLoop.brackets`` at E y folded to one row per unknown: the
     Omega and v rows, and the mean of the lambda rows, mean(Q/S) - c. The
-    zeta rows, L lambda = 0, hold at lambda = c 1 and are dropped. After
+    theta rows, dtheta/dt = Omega, fix no unknown, and the zeta rows,
+    L lambda = 0, hold at lambda = c 1; both are dropped. After
     the solve zeta solves L zeta = Q/S - lambda with sum(zeta) = zeta_sum.
     ``Equilibrium.residual`` is the infinity norm of the folded residual.
     """
     n = params.n
     model = ctrl.ClosedLoop(mode, params, net, laplacian(g))
     proposed = mode == "proposed"
-    m = 2 * n + proposed
-    # state = E y; fold keeps the Omega and v rows and averages the lambda
-    # rows (the c column and the averaged row are empty slices in droop)
-    E = np.zeros((model.dim, m))
-    E[1:n, : n - 1] = np.eye(n - 1)
-    E[n:2 * n, n - 1] = 1.0
-    E[2 * n:3 * n, n:2 * n] = np.eye(n)
-    E[3 * n:4 * n, 2 * n:] = 1.0
-    fold = np.zeros((m, model.dim - n))
-    fold[:2 * n, :2 * n] = np.eye(2 * n)
-    fold[2 * n:, 2 * n:3 * n] = 1.0 / n
+    s, u = model.at, UNKNOWNS[mode].at(n)
+    m = u[-1].stop
+    # state = E y; fold keeps the Omega rows (one per theta_rel and Omega_common)
+    # and the v rows, and averages the lambda rows into the c row
+    E, fold = np.zeros((model.dim, m)), np.zeros((m, model.dim))
+    E[s.theta, u.theta_rel] = np.eye(n)[:, 1:]
+    E[s.Omega, u.Omega_common] = 1.0
+    E[s.v, u.v] = np.eye(n)
+    fold[:u.Omega_common.stop, s.Omega] = np.eye(n)
+    fold[u.v, s.v] = np.eye(n)
+    if proposed:
+        E[s.lam, u.c] = 1.0
+        fold[u.c, s.lam] = 1.0 / n
+    rows = slice(s.theta.stop, None)
+    fold = fold[:, rows].copy()
 
     def residual(y):
-        return fold @ model.brackets(E @ y)[n:]
+        return fold @ model.brackets(E @ y)[rows]
 
     def jacobian(y):
-        return fold @ model.brackets_jac(E @ y)[n:] @ E
+        return fold @ model.brackets_jac(E @ y)[rows] @ E
 
     def kink_step(y, dy):
         # first trial step at which some unit's v reaches +/-3 Delta (the
         # leakage kink); a unit within round-off of its kink does not limit
         # it, so a landing is not repeated
-        v, dv = y[n:2 * n], dy[n:2 * n]
+        v, dv = y[u.v], dy[u.v]
         step = 1.0
         for kink in (3.0 * params.delta, -3.0 * params.delta):
             gap = kink - v
@@ -178,17 +187,17 @@ def solve_equilibrium(
 
     y0 = np.zeros(m) if initial_guess is None else np.asarray(initial_guess, float)
     if y0.shape != (m,):
-        layout = "theta_rel, Omega_common, v" + (", c" if proposed else "")
+        layout = ", ".join(u._fields)
         raise ValueError(f"initial_guess must be [{layout}] of length {m}, got shape {y0.shape}")
     y, norm, iterations = _newton(residual, jacobian, y0, step_limit=kink_step if proposed else None,
                                   max_stalled_cuts=2 * n)
     x = E @ y
-    theta, Omega, v = x[:n], x[n:2 * n], x[2 * n:3 * n]
+    theta, Omega, v = (model.block(x, b) for b in ("theta", "Omega", "v"))
     V = model.voltage(v)
     P, Q = power_flow(net, theta, V)
     rho, lam, zeta = np.zeros(n), np.zeros(n), np.zeros(n)
     if proposed:
-        rho, lam = ctrl.leakage(params, v), x[3 * n:4 * n]
+        rho, lam = ctrl.leakage(params, v), model.block(x, "lam")
         # (L + 1 1^T/n) zeta = Q/S - lambda + zeta_sum/n: L zeta = Q/S - lambda, 1^T zeta = zeta_sum
         zeta = np.linalg.solve(model.L + 1.0 / n, Q / params.s_rated - lam + zeta_sum / n)
     return Equilibrium(

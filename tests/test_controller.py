@@ -233,3 +233,21 @@ def test_bad_limits_rejected():
 def test_zero_rating_rejected():
     with pytest.raises(ValueError, match="s_rated must be positive"):
         make_params(s_rated=np.array([1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("mode, names", [("droop", ["theta", "Omega", "v"]),
+                                         ("proposed", ["theta", "Omega", "v", "lam", "zeta"])])
+def test_state_views_follow_the_documented_order(ring3_reduced, lv5_reduced, mode, names):
+    """Block k of a state is x[k n:(k + 1) n], on one state and on a batch; ``state`` inverts it."""
+    rng = np.random.default_rng(3)
+    for red in (ring3_reduced, lv5_reduced):
+        n = red.n
+        model = ctrl.ClosedLoop(mode, make_params(n), red, mg.laplacian(mg.CommGraph.ring(n)))
+        assert model.dim == len(names) * n
+        x, X = rng.normal(size=model.dim), rng.normal(size=(4, model.dim))
+        for k, name in enumerate(names):
+            assert np.array_equal(model.block(x, name), x[k * n:(k + 1) * n])
+            assert np.array_equal(model.block(X, name), X[:, k * n:(k + 1) * n])
+        assert np.array_equal(model.state(**{name: model.block(x, name) for name in names}), x)
+        assert np.array_equal(model.state(v=x[2 * n:3 * n]), np.r_[np.zeros(2 * n), x[2 * n:3 * n],
+                                                                    np.zeros((len(names) - 3) * n)])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import mgshare as mg
 import mgshare.simulate as sim
+from mgshare.controller import ClosedLoop
 from mgshare.simulate import CSV_HEADER, _check_containment
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "timeline-lv5.npz"
@@ -93,15 +94,16 @@ def test_case1_integration_cost(lv5, monkeypatch):
     assert sum(nfev) < 10_000
 
 
-def test_containment_check_on_accepted_steps(lv5):
+def test_containment_check_on_accepted_steps(lv5, lv5_reduced):
     """A proposed-mode step with V at v_max raises at that step's time; droop is unchecked."""
     n = lv5.params.n
     y = np.zeros((5 * n, 4))
     y[2 * n + 3, 2] = 1.0          # tanh(v/Delta) rounds to 1: V == v_max
     sol = SimpleNamespace(t=np.array([0.0, 0.1, 0.25, 0.4]), y=y)
-    _check_containment("droop", lv5.params, sol)
+    L = mg.laplacian(lv5.graph)
+    _check_containment(ClosedLoop("droop", lv5.params, lv5_reduced, L), sol)
     with pytest.raises(mg.SimulationError) as err:
-        _check_containment("proposed", lv5.params, sol)
+        _check_containment(ClosedLoop("proposed", lv5.params, lv5_reduced, L), sol)
     assert err.value.time == 0.25
 
 

@@ -198,8 +198,9 @@ def test_start_on_kink_converges(lv5, lv5_reduced, lv5_equilibrium):
 @pytest.mark.parametrize("mode, length", [("proposed", 11), ("droop", 10)])
 def test_initial_guess_length_checked(lv5, lv5_reduced, mode, length):
     """The guess is [theta_rel, Omega_common, v] plus c in proposed mode: 2n + 1 or 2n."""
+    layout = "theta_rel, Omega_common, v" + (", c" if mode == "proposed" else "")
     for bad in (length - 1, length + 1, 4 * lv5.params.n):
-        with pytest.raises(ValueError, match=f"initial_guess must be .* of length {length}"):
+        with pytest.raises(ValueError, match=rf"initial_guess must be \[{layout}\] of length {length}"):
             mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params,
                                  initial_guess=np.zeros(bad), mode=mode)
     eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params,
