@@ -40,6 +40,13 @@ process may run on two or more CPUs (``os.sched_getaffinity``, else
 alternate blocks, each into its own buffer. The caller writes the blocks in
 row order; at most one formatted block waits to be written, so memory stays
 at a few blocks whatever the run's length. With one CPU there is no helper.
+A block is 2,048 rows. Between its ~100 numpy calls a formatter needs the
+GIL back, and every hand-off to the other formatter costs a context switch.
+On 250k rows on a 2-CPU host, two threads with 1,024-row blocks switched
+~9,400 times and ran only 1.25x faster than one; with 2,048-row blocks they
+switched ~3,100 times and ran 1.5x faster. At 4,096 rows a block's
+temporaries outgrow the cache, and it is slower again. One thread is as
+fast at any of these sizes.
 
 This is the only module that imports scipy: ``solve_ivp`` is imported at
 the top, so the integrator loads with ``mgshare.simulate`` and never inside
@@ -126,11 +133,13 @@ class TimeSeries:
         newline.
 
         When the process may use two or more CPUs, the calling thread and
-        one helper thread format alternate blocks, each into its own
-        buffer, and the caller writes them in row order; with one CPU the
-        caller formats every block. At most one formatted block waits to be
-        written. An error in either thread is raised here, and the helper
-        has exited when this returns or raises.
+        one helper thread format alternate blocks of ``_CSV_BLOCK_ROWS``
+        (2,048) rows, each into its own buffer, and the caller writes them
+        in row order; with one CPU the caller formats every block. The
+        block is that large so the two formatters hand the GIL to each
+        other less often (see the module docstring). At most one formatted
+        block waits to be written. An error in either thread is raised
+        here, and the helper has exited when this returns or raises.
         """
         S, n = self.theta.shape
         rows = S * n
@@ -166,7 +175,7 @@ class TimeSeries:
 
 _CSV_CHANNELS = ("theta", "omega_dev", "f", "v", "lam", "zeta",
                  "V", "P", "Q", "p_ratio", "q_ratio", "rho")
-_CSV_BLOCK_ROWS = 1024
+_CSV_BLOCK_ROWS = 2048    # rows per formatted block; the module docstring says why
 
 # A value renders into a 24-byte field, three little-endian uint64 words;
 # zero bytes are pads, dropped before writing:

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, artifacts, exit codes."""
 
 import csv
+import math
 import re
 
+import numpy as np
 import pytest
 
 from mgshare import serialize_scenario
@@ -44,6 +46,17 @@ def test_steady_state_proposed(capsys):
     assert "equilibrium (proposed)" in out
     assert out.splitlines()[0].endswith(" Newton iterations")
     assert "overall                   : PASS" in out
+
+
+def test_steady_state_prints_the_api_equilibrium(lv5, lv5_equilibrium, capsys):
+    """The Hz and Q/S lines are the API's omega_syn_dev / 2 pi and Q / S_rated."""
+    eq = lv5_equilibrium
+    assert main(["steady-state", "lv5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    hz = eq.omega_syn_dev / (2 * math.pi)
+    assert f"sync frequency deviation  : {hz:+.5f} Hz" in lines
+    q_ratio = np.array2string(eq.Q / lv5.params.s_rated, precision=5)
+    assert f"Q ratio                   : {q_ratio}" in lines
 
 
 def test_steady_state_no_operating_point_exits_1(lv5_overloaded, tmp_path, capsys):

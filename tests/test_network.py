@@ -121,6 +121,12 @@ def test_asymmetric_reduced_network_rejected(lv5_reduced):
         replace(lv5_reduced, **{name: a})
 
 
+def test_negative_definite_conductance_rejected():
+    """A reduced network whose conductance is -I generates power: not passive."""
+    with pytest.raises(mg.NetworkDataError, match="negative eigenvalue"):
+        mg.ReducedNetwork(G=-np.eye(2), B=np.eye(2))
+
+
 def test_load_admittance_draws_rated_power():
     y = load_admittance(0.9, 0.85)
     s = np.conj(y) * 1.0  # S = V^2 conj(y) at V = 1

@@ -17,7 +17,8 @@ import mgshare.simulate as sim
 from mgshare.controller import ClosedLoop
 from mgshare.simulate import CSV_HEADER, _check_containment
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "timeline-lv5.npz"
+# the Case-1 trajectory every 100 ms, seed0_V and seed0_q_ratio (501 x 5 each)
+REFERENCE = Path(__file__).resolve().parent / "data" / "case1-reference.npz"
 CSV_CHANNELS = ("theta", "omega_dev", "f", "v", "lam", "zeta",
                 "V", "P", "Q", "p_ratio", "q_ratio", "rho")
 
@@ -72,10 +73,10 @@ def test_segments_match_events(case1_timeseries):
 
 def test_case1_matches_stored_reference(case1_timeseries):
     """Case-1 agrees with the stored 100 ms reference trajectory to 1e-7 in V and Q/S."""
-    ref = np.load(REFERENCE)
     ts = case1_timeseries
-    assert np.abs(ts.V[::10] - ref["seed0_V"]).max() <= 1e-7
-    assert np.abs(ts.q_ratio[::10] - ref["seed0_q_ratio"]).max() <= 1e-7
+    with np.load(REFERENCE) as ref:
+        assert np.abs(ts.V[::10] - ref["seed0_V"]).max() <= 1e-7
+        assert np.abs(ts.q_ratio[::10] - ref["seed0_q_ratio"]).max() <= 1e-7
 
 
 def test_case1_integration_cost(lv5, monkeypatch):
@@ -320,13 +321,18 @@ def _savetxt_oracle(ts, path) -> bytes:
 
 
 @pytest.mark.parametrize("t_end, n_samples", [(1.0, 1001), (5e-4, 1)])
-def test_csv_matches_savetxt_oracle(tmp_path, lv5, t_end, n_samples):
-    """to_csv is byte-identical to np.savetxt(fmt="%.12g"), over blocks and for one sample."""
+def test_csv_matches_savetxt_oracle(tmp_path, lv5, monkeypatch, t_end, n_samples):
+    """to_csv is byte-identical to np.savetxt(fmt="%.12g") at the default block
+    size, by the caller alone and with a helper: over two full blocks and a
+    partial one (5,005 rows = 2 x 2,048 + 909), and for one sample."""
     ts = mg.simulate(replace(lv5, t_end=t_end, sample_ms=1.0, events=()))
     assert ts.t.size == n_samples
     assert (n_samples * ts.n) % sim._CSV_BLOCK_ROWS != 0
-    ts.to_csv(tmp_path / "ts.csv")
-    assert (tmp_path / "ts.csv").read_bytes() == _savetxt_oracle(ts, tmp_path / "oracle.csv")
+    oracle = _savetxt_oracle(ts, tmp_path / "oracle.csv")
+    for cpus in (1, 2):
+        monkeypatch.setattr(sim, "_cpus", lambda c=cpus: c)
+        ts.to_csv(tmp_path / "ts.csv")
+        assert (tmp_path / "ts.csv").read_bytes() == oracle, f"{cpus} CPUs"
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -422,3 +428,12 @@ def test_detect_saturated_and_sharing_error(case1_timeseries):
     err = mg.sharing_error(case1_timeseries, 24.0)
     assert err.shape == (5,)
     assert np.all(err >= 0)
+
+
+def test_sharing_error_is_the_distance_from_the_mean():
+    """Q/S values 0.1 and 0.3 lie 0.1 either side of their mean 0.2."""
+    one = np.zeros((1, 2))
+    ts = sim.TimeSeries(t=np.zeros(1), mode=np.zeros(1, dtype=int),
+                        **{name: one for name in sim._STATE_CHANNELS if name != "q_ratio"},
+                        q_ratio=np.array([[0.1, 0.3]]))
+    assert mg.sharing_error(ts, 0.0) == pytest.approx([0.1, 0.1], abs=1e-15)

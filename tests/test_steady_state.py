@@ -45,6 +45,23 @@ def test_active_sharing_exact(lv5, lv5_equilibrium):
     assert p_ratio.max() - p_ratio.min() <= 1e-9
 
 
+def test_alpha_p_is_the_common_active_ratio(lv5, lv5_equilibrium):
+    """alpha_P is the P_i/S_i every unit shares (S_i ranges over 0.6-1.3 on lv5)."""
+    eq = lv5_equilibrium
+    assert np.abs(eq.P / lv5.params.s_rated - eq.alpha_P).max() <= 1e-12
+
+
+def test_property_report_allows_ten_tol_of_active_spread():
+    """The active-ratio spread passes up to 10 tol: 5 tol passes, 20 tol fails."""
+    def report(spread):
+        return mg.PropertyReport(
+            p_ratio_spread=spread, containment_margin_low=0.01, containment_margin_high=0.01,
+            sharing_identity_error=np.zeros(0), sharing_bound_slack=np.zeros(0),
+            unsaturated=(), saturated=(), tol=1e-6)
+    assert report(5e-6).all_pass
+    assert not report(20e-6).all_pass
+
+
 def test_strict_containment(lv5, lv5_equilibrium):
     eq = lv5_equilibrium
     assert np.all(eq.V > lv5.params.v_min) and np.all(eq.V < lv5.params.v_max)

@@ -52,6 +52,13 @@ def test_unreachable_budget_rejected():
         mg.tune(reference_spec(beta_error_budget=1e-25), ring5(), 0.95, 1.05)
 
 
+def test_unreachable_budget_quotes_the_beta_it_needs(lv5):
+    """On lv5's band, Delta / V_star = 0.05 / 1.0, so a 1e-30 budget needs beta < 2e-29."""
+    p = lv5.params
+    with pytest.raises(mg.MgshareError, match=r"needs beta < 2\.000e-29\)"):
+        mg.tune(reference_spec(beta_error_budget=1e-30), lv5.graph, p.v_min, p.v_max)
+
+
 def test_tau_v_range_warning():
     tuned = mg.tune(reference_spec(rocof_star=0.05), ring5(), 0.95, 1.05)
     assert tuned.tau_v > 10.0
@@ -88,6 +95,19 @@ def test_validate_flags_violations():
     report = mg.validate(p)
     assert not report.ok
     assert len(report.violations) == 2
+
+
+def test_validate_sharing_rule_divides_by_v_star():
+    """At V_star = 0.5, beta * Delta / V_star = 0.01 * 0.05 / 0.5 = 1e-3: a 5e-4
+    budget fails, and 2e-3 passes."""
+    p = mg.IbrParams(
+        s_rated=np.ones(2), m_omega=np.ones(2), m_v=np.full(2, 0.05),
+        v_min=np.full(2, 0.45), v_max=np.full(2, 0.55),
+        tau_omega=0.1, tau_v=1.0, tau_p=0.01, tau_d=0.1, beta=0.01, k=1.0,
+    )
+    failed = mg.validate(p, beta_error_budget=5e-4).violations
+    assert len(failed) == 1 and failed[0].startswith("beta * Delta / V_star")
+    assert mg.validate(p, beta_error_budget=2e-3).ok
 
 
 def test_bad_spec_rejected():
