@@ -56,7 +56,7 @@ class IbrParams(Record):
     ``v_min``, ``v_max``. Scalars: time constants and the gains beta, k.
     Derived once and outside equality: the band centre
     ``v_star`` and half-width ``delta``. Equality compares the other
-    fields by value.
+    fields by value. Every field must be finite.
     """
 
     s_rated: np.ndarray
@@ -84,19 +84,21 @@ class IbrParams(Record):
             if a.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "v_star", 0.5 * (self.v_max + self.v_min))
+        object.__setattr__(self, "delta", 0.5 * (self.v_max - self.v_min))
+        arrays = ("s_rated", "m_omega", "m_v", "v_min", "v_max", "v_star", "delta")
+        if not np.isfinite(np.concatenate([getattr(self, name) for name in arrays])).all():
+            name = next(name for name in arrays if not np.isfinite(getattr(self, name)).all())
+            raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not np.all(self.s_rated > 0):
             raise ValueError("s_rated must be positive")
         if not np.all(self.v_min < self.v_max):
             raise ValueError("need v_min < v_max for every unit")
-        for name in ("tau_omega", "tau_v", "tau_p", "tau_d"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.beta >= 0:
-            raise ValueError("beta must be nonnegative")
-        if not self.k > 0:
-            raise ValueError("k must be positive")
-        object.__setattr__(self, "v_star", 0.5 * (self.v_max + self.v_min))
-        object.__setattr__(self, "delta", 0.5 * (self.v_max - self.v_min))
+        for name in ("tau_omega", "tau_v", "tau_p", "tau_d", "k"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be nonnegative and finite")
         super().__post_init__()
 
     @property

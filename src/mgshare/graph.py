@@ -1,18 +1,25 @@
 """Undirected weighted communication graph between inverter units.
 
 Provides the Laplacian algebra used by the distributed optimizer and the
-stability machinery: L = D - A and the algebraic connectivity sigma_2.
+stability machinery: L = D - A, which a graph computes once when it is built,
+and the algebraic connectivity sigma_2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import DisconnectedGraphError
 
 __all__ = ["CommGraph", "laplacian", "algebraic_connectivity"]
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 def value_eq(a, b) -> bool:
@@ -40,7 +47,7 @@ class Record:
         for name in self.__dataclass_fields__:
             a = getattr(self, name)
             if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+                read_only(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,10 +56,13 @@ class CommGraph(Record):
 
     ``adjacency`` is the symmetric nonnegative matrix [a_ij] with zero
     diagonal; one node per inverter unit. Construction fails on a
-    disconnected graph so downstream consensus results are well defined.
+    non-finite weight, and on a disconnected graph so downstream consensus
+    results are well defined. ``L``, the Laplacian D - A, is derived once and
+    is outside equality; ``laplacian`` hands out writable copies of it.
     """
 
     adjacency: np.ndarray
+    L: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.adjacency, dtype=float)
@@ -60,6 +70,10 @@ class CommGraph(Record):
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         if a.shape[0] < 2:
             raise ValueError("graph needs at least 2 nodes")
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            found = ", ".join(f"{a[i, j]} at ({i}, {j})" for i, j in bad)
+            raise ValueError(f"edge weights must be finite, got {found}")
         if np.any(a < 0):
             raise ValueError("edge weights must be nonnegative")
         if not np.array_equal(a, a.T):
@@ -71,6 +85,7 @@ class CommGraph(Record):
             raise DisconnectedGraphError(
                 "communication graph is disconnected; consensus is impossible"
             )
+        object.__setattr__(self, "L", np.diag(a.sum(axis=1)) - a)
         super().__post_init__()
 
     @property
@@ -123,13 +138,12 @@ def _connected(a: np.ndarray) -> bool:
 
 
 def laplacian(g: CommGraph) -> np.ndarray:
-    """Graph Laplacian L = D - A with D = diag of row sums of A."""
-    a = g.adjacency
-    return np.diag(a.sum(axis=1)) - a
+    """Graph Laplacian L = D - A with D = diag of row sums of A, as a new writable array."""
+    return g.L.copy()
 
 
 def algebraic_connectivity(g: CommGraph) -> float:
     """Second-smallest Laplacian eigenvalue sigma_2 (> 0: graph is connected)."""
-    w = np.linalg.eigvalsh(laplacian(g))
+    w = np.linalg.eigvalsh(g.L)
     return float(w[1])
 

@@ -69,7 +69,6 @@ from scipy.integrate import solve_ivp
 
 from . import controller as ctrl
 from .errors import SimulationError
-from .graph import laplacian
 from .network import kron_reduce, power_flow
 from .scenario_io import Event, Scenario
 
@@ -324,7 +323,7 @@ def simulate(s: Scenario) -> TimeSeries:
         **{name: np.empty((n_samples, n)) for name in _STATE_CHANNELS},
         segment_starts=[start for start, *_ in plan],
     )
-    L = laplacian(s.graph)
+    L = s.graph.L
     model = scale = None
     ends = ts.segment_starts[1:] + [s.t_end]
     # each segment's samples lie in [start, end); the last one's also include t_end

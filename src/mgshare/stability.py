@@ -29,13 +29,14 @@ runs the whole pass for one operating point. The module checks:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import chain
 
 import numpy as np
 
 from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
-from .graph import CommGraph, Record, laplacian
+from .graph import CommGraph, Record, read_only
 from .network import LinearizedModel, ReducedNetwork, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
@@ -93,19 +94,26 @@ def _schur(M: np.ndarray, k: int) -> np.ndarray:
     return M[:k, :k] - M[:k, k:] @ np.linalg.solve(M[k:, k:], M[k:, :k])
 
 
+@cache
+def _fast_last(n: int) -> np.ndarray:
+    """The proposed-mode state indices for n units in ``SLOW`` order, then ``FAST``; read-only."""
+    at, index = STATE["proposed"].at(n), np.arange(STATE["proposed"].dim(n))
+    return read_only(np.concatenate([index[getattr(at, b)] for b in (*SLOW.lengths, *FAST)]))
+
+
 def _eliminate_fast(J: np.ndarray) -> np.ndarray:
     """Complement of a proposed-mode bracket Jacobian over ``FAST``, in ``SLOW`` order."""
     n = J.shape[0] // len(STATE["proposed"].lengths)
-    at, index = STATE["proposed"].at(n), np.arange(J.shape[0])
-    order = np.concatenate([index[getattr(at, b)] for b in (*SLOW.lengths, *FAST)])
-    return _schur(J[np.ix_(order, order)], SLOW.dim(n))
+    order = _fast_last(n)
+    return _schur(J[order[:, None], order], SLOW.dim(n))
 
 
+@cache
 def _transform(n: int):
     """(D, N): the averaging/difference transform T = [1^T/n; D] and its
-    closed-form inverse [1, N], without their average row and column."""
+    closed-form inverse [1, N], without their average row and column; read-only."""
     j = np.arange(n)
-    return np.diff(np.eye(n), axis=0), (j / n - (j[:, None] < j))[:, 1:]
+    return read_only(np.diff(np.eye(n), axis=0)), read_only((j / n - (j[:, None] < j))[:, 1:])
 
 
 def _relative(S: np.ndarray) -> np.ndarray:
@@ -126,7 +134,7 @@ def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.nda
 
     ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
     """
-    L = laplacian(g)
+    L = g.L
     _check_angle_shift_invariance(lin, L)
     return _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, np.zeros(lin.n))))
 

@@ -29,13 +29,14 @@ running out of iterations or a singular Jacobian raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import controller as ctrl
 from .controller import N, N_1, ONE, IbrParams, Layout
 from .errors import ConvergenceError
-from .graph import CommGraph, Record, laplacian
+from .graph import CommGraph, Record, read_only
 from .network import ReducedNetwork, power_flow
 from .network import jacobians  # noqa: F401  unused; kept for tools that patch names per module
 
@@ -125,6 +126,58 @@ def _newton(residual, jacobian, x0, step_limit=None, max_stalled_cuts=0, tol=1e-
     )
 
 
+@cache
+def _embedding(mode: str, n: int):
+    """(E, fold, rows) for ``mode`` at n units, built once and read-only.
+
+    The state is E y for the unknowns y. Of the brackets' ``rows`` (all but
+    theta's), fold keeps the Omega rows, one per theta_rel and Omega_common,
+    and the v rows, and averages the lambda rows into the c row.
+    """
+    s, u = ctrl.STATE[mode].at(n), UNKNOWNS[mode].at(n)
+    E, fold = np.zeros((s[-1].stop, u[-1].stop)), np.zeros((u[-1].stop, s[-1].stop))
+    E[s.theta, u.theta_rel] = np.eye(n)[:, 1:]
+    E[s.Omega, u.Omega_common] = 1.0
+    E[s.v, u.v] = np.eye(n)
+    fold[:u.Omega_common.stop, s.Omega] = np.eye(n)
+    fold[u.v, s.v] = np.eye(n)
+    if mode == "proposed":
+        E[s.lam, u.c] = 1.0
+        fold[u.c, s.lam] = 1.0 / n
+    rows = slice(s.theta.stop, None)
+    return read_only(E), read_only(fold[:, rows].copy()), rows
+
+
+def _kink_search(v, dv, delta) -> float:
+    """First step in (0, 1] at which some unit's v + step dv reaches +/-3 Delta.
+
+    Those are the leakage kinks. A unit within round-off of its kink does not
+    limit the step, so a landing is not repeated; 1.0 when nothing crosses.
+    """
+    step = 1.0
+    for kink in (3.0 * delta, -3.0 * delta):
+        gap = kink - v
+        cross = (gap * dv > 0) & (np.abs(gap) < np.abs(dv))
+        cross &= np.abs(gap) > 1e-12 * np.abs(kink)
+        if cross.any():
+            step = min(step, float(np.min(gap[cross] / dv[cross])))
+    return step
+
+
+def _kink_step(v, dv, delta) -> float:
+    """``_kink_search``, which returns 1.0 straight away when every |v| and |v + dv| is below 3 Delta.
+
+    No margin is needed. With k = 3 Delta and v in (-k, k), a crossing of k
+    needs dv > 0 and the rounded k - v below dv; no float lies between the
+    exact k - v and its rounding, so dv > k - v, v + dv > k, and the rounded
+    v + dv is at least k. The -k side mirrors this.
+    """
+    kink = 3.0 * delta
+    if (np.abs(v) < kink).all() and (np.abs(v + dv) < kink).all():
+        return 1.0
+    return _kink_search(v, dv, delta)
+
+
 def solve_equilibrium(
     net: ReducedNetwork,
     g: CommGraph,
@@ -147,23 +200,11 @@ def solve_equilibrium(
     ``Equilibrium.residual`` is the infinity norm of the folded residual.
     """
     n = params.n
-    model = ctrl.ClosedLoop(mode, params, net, laplacian(g))
+    model = ctrl.ClosedLoop(mode, params, net, g.L)
     proposed = mode == "proposed"
-    s, u = model.at, UNKNOWNS[mode].at(n)
+    u = UNKNOWNS[mode].at(n)
     m = u[-1].stop
-    # state = E y; fold keeps the Omega rows (one per theta_rel and Omega_common)
-    # and the v rows, and averages the lambda rows into the c row
-    E, fold = np.zeros((model.dim, m)), np.zeros((m, model.dim))
-    E[s.theta, u.theta_rel] = np.eye(n)[:, 1:]
-    E[s.Omega, u.Omega_common] = 1.0
-    E[s.v, u.v] = np.eye(n)
-    fold[:u.Omega_common.stop, s.Omega] = np.eye(n)
-    fold[u.v, s.v] = np.eye(n)
-    if proposed:
-        E[s.lam, u.c] = 1.0
-        fold[u.c, s.lam] = 1.0 / n
-    rows = slice(s.theta.stop, None)
-    fold = fold[:, rows].copy()
+    E, fold, rows = _embedding(mode, n)
 
     def residual(y):
         return fold @ model.brackets(E @ y)[rows]
@@ -172,18 +213,7 @@ def solve_equilibrium(
         return fold @ model.brackets_jac(E @ y)[rows] @ E
 
     def kink_step(y, dy):
-        # first trial step at which some unit's v reaches +/-3 Delta (the
-        # leakage kink); a unit within round-off of its kink does not limit
-        # it, so a landing is not repeated
-        v, dv = y[u.v], dy[u.v]
-        step = 1.0
-        for kink in (3.0 * params.delta, -3.0 * params.delta):
-            gap = kink - v
-            cross = (gap * dv > 0) & (np.abs(gap) < np.abs(dv))
-            cross &= np.abs(gap) > 1e-12 * np.abs(kink)
-            if cross.any():
-                step = min(step, float(np.min(gap[cross] / dv[cross])))
-        return step
+        return _kink_step(y[u.v], dy[u.v], params.delta)
 
     y0 = np.zeros(m) if initial_guess is None else np.asarray(initial_guess, float)
     if y0.shape != (m,):

@@ -230,6 +230,26 @@ def test_bad_limits_rejected():
         make_params(v_min=1.05, v_max=0.95)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", [f.name for f in fields(mg.IbrParams) if f.init])
+def test_non_finite_params_rejected(name, bad):
+    """Every field must be finite; one bad entry of a per-unit array is enough."""
+    value = getattr(make_params(), name)
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[1] = bad
+    else:
+        value = bad
+    with pytest.raises(ValueError, match=rf"^{name} must be (\w+ and )?finite"):
+        make_params(**{name: value})
+
+
+def test_band_overflowing_to_infinity_rejected():
+    """Finite limits whose half-width overflows (numpy warns) leave a non-finite delta, rejected."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^delta must be finite"):
+        make_params(v_min=-1e308, v_max=1e308)
+
+
 def test_zero_rating_rejected():
     with pytest.raises(ValueError, match="s_rated must be positive"):
         make_params(s_rated=np.array([1.0, 0.0, 1.0]))

@@ -71,6 +71,31 @@ def test_negative_weight_rejected():
         CommGraph(A)
 
 
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_rejected(weight):
+    """A non-finite weight is named, not left to the sign and symmetry checks or to eigvalsh."""
+    A = np.array([[0.0, weight, 1.0], [weight, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=rf"edge weights must be finite, got {weight} at \(0, 1\), "
+                                         rf"{weight} at \(1, 0\)$"):
+        CommGraph(A)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_laplacian_is_a_new_copy_of_the_graphs_own(n):
+    """The graph holds L = D - A read-only; ``laplacian`` returns a new writable copy each call."""
+    rng = np.random.default_rng(n)
+    g = CommGraph.from_edges(n, [(i, (i + 1) % n, rng.uniform(0.5, 2.0)) for i in range(n - 1)]
+                             + [(0, n - 1, 1.0)] * (n > 2))
+    expected = np.diag(g.adjacency.sum(axis=1)) - g.adjacency
+    with pytest.raises(ValueError, match="read-only"):
+        g.L[0, 0] = 0.0
+    first, second = laplacian(g), laplacian(g)
+    assert first is not second and not np.shares_memory(first, g.L)
+    assert np.array_equal(first, expected) and np.array_equal(second, expected)
+    first[0, 0] = 99.0
+    assert np.array_equal(g.L, expected) and np.array_equal(laplacian(g), expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(3, 8), seed=st.integers(0, 10_000))
 def test_random_connected_graph_properties(n, seed):

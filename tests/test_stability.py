@@ -7,7 +7,7 @@ import pytest
 
 import mgshare as mg
 from mgshare import stability as st
-from mgshare.controller import ClosedLoop, brackets_jacobian, leakage, voltage_output
+from mgshare.controller import STATE, ClosedLoop, brackets_jacobian, leakage, voltage_output
 from mgshare.errors import MgshareError
 from mgshare.network import jacobians
 from mgshare.scenario_io import parse_scenario_text
@@ -52,6 +52,24 @@ def test_transform_maps_ones_to_e1():
         e1[0] = 1.0
         assert np.allclose(T @ np.ones(n), e1, atol=1e-12)
         assert np.allclose(T @ Tinv, np.eye(n), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_transform_and_elimination_order_are_cached_read_only(n):
+    """(D, N) and the FAST-last order are built once per n; D N = I, D 1 = 0, SLOW then FAST."""
+    D, N = st._transform(n)
+    order = st._fast_last(n)
+    assert st._transform(n)[0] is D and st._transform(n)[1] is N and st._fast_last(n) is order
+    for a in (D, N, order):
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+    assert np.allclose(D @ N, np.eye(n - 1), rtol=0, atol=1e-15)
+    assert np.array_equal(D @ np.ones(n), np.zeros(n - 1))
+    at, slow = STATE["proposed"].at(n), st.SLOW.dim(n)
+    fast = np.concatenate([np.arange(at.zeta.stop)[getattr(at, b)] for b in st.FAST])
+    assert np.array_equal(np.sort(order), np.arange(at.zeta.stop))
+    assert np.array_equal(order[slow:], fast)
+    assert np.all(np.diff(order[:slow]) > 0)    # the SLOW blocks keep their STATE order
 
 
 def literal_blocks(lin, w, g, params):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mgshare as mg
 from mgshare import controller as ctrl
+from mgshare import steady_state as ss
 from mgshare.graph import laplacian
 
 from conftest import kkt_residual
@@ -210,6 +211,62 @@ def test_start_on_kink_converges(lv5, lv5_reduced, lv5_equilibrium):
         assert np.abs(eq.V - lv5_equilibrium.V).max() <= 1e-8
         iterations.append(eq.iterations)
     assert max(iterations[1:]) <= iterations[0], iterations
+
+
+# a point's relative offset from a kink: on it, within round-off or 1e-12 of it, or
+# anywhere from -3 Delta, through the band, to past +3 Delta
+KINK_OFFSET = st.one_of(
+    st.sampled_from([0.0, 2.0**-53, -(2.0**-53), 2.0**-52, -(2.0**-52), 1e-12, -1e-12]),
+    st.floats(-1e-15, 1e-15), st.floats(-1e-11, 1e-11), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def near_kinks(draw):
+    """(v, dv, delta) with v and v + dv each drawn around +3 Delta or -3 Delta per unit,
+    and dv then moved by up to two ulps, so v + dv can round onto a kink it passes."""
+    n = draw(st.integers(1, 6))
+    delta = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+
+    def point():
+        return np.array([draw(st.sampled_from([3.0, -3.0])) * (1.0 + draw(KINK_OFFSET))
+                         for _ in range(n)]) * delta
+
+    v = point()
+    dv = point() - v
+    for _ in range(draw(st.integers(0, 2))):
+        dv = np.nextafter(dv, draw(st.sampled_from([np.inf, -np.inf])))
+    return v, dv, delta
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=near_kinks())
+# v + dv passes 3 Delta = 0.15000000000000002 by less than half an ulp and rounds onto it
+@example(case=(np.array([0.1]), np.array([np.nextafter(3.0 * 0.05 - 0.1, 1.0)]), np.array([0.05])))
+def test_kink_step_fast_path_matches_the_search(case):
+    """Newton's kink step returns exactly what the full crossing search returns."""
+    v, dv, delta = case
+    assert ss._kink_step(v, dv, delta) == ss._kink_search(v, dv, delta)
+
+
+@pytest.mark.parametrize("mode", ["proposed", "droop"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_embedding_is_cached_read_only_and_places_the_unknowns(mode, n):
+    """E y puts theta_1 = 0, Omega = Omega_common 1, v = v and, proposed, lambda = c 1, zeta = 0."""
+    E, fold, rows = ss._embedding(mode, n)
+    assert ss._embedding(mode, n)[0] is E and ss._embedding(mode, n)[1] is fold
+    for a in (E, fold):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    s, u = ctrl.STATE[mode].at(n), ss.UNKNOWNS[mode].at(n)
+    y = np.random.default_rng(n).uniform(0.5, 1.5, u[-1].stop)
+    x = E @ y
+    assert x[s.theta][0] == 0.0 and np.array_equal(x[s.theta][1:], y[u.theta_rel])
+    assert np.array_equal(x[s.Omega], np.repeat(y[u.Omega_common], n))
+    assert np.array_equal(x[s.v], y[u.v])
+    if mode == "proposed":
+        assert np.array_equal(x[s.lam], np.repeat(y[u.c], n))
+        assert np.array_equal(x[s.zeta], np.zeros(n))
+    assert rows == slice(s.theta.stop, None) and fold.shape == (u[-1].stop, x[rows].size)
 
 
 @pytest.mark.parametrize("mode, length", [("proposed", 11), ("droop", 10)])
