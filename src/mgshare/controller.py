@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import network
-from .graph import Record
+from .graph import Record, diagonal
 
 __all__ = [
     "IbrParams",
@@ -84,8 +84,9 @@ class IbrParams(Record):
             if a.shape != (n,):
                 raise ValueError(f"{name} must have length {n}")
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "v_star", 0.5 * (self.v_max + self.v_min))
-        object.__setattr__(self, "delta", 0.5 * (self.v_max - self.v_min))
+        with np.errstate(over="ignore"):    # an overflow leaves v_star or delta inf, named below
+            object.__setattr__(self, "v_star", 0.5 * (self.v_max + self.v_min))
+            object.__setattr__(self, "delta", 0.5 * (self.v_max - self.v_min))
         arrays = ("s_rated", "m_omega", "m_v", "v_min", "v_max", "v_star", "delta")
         if not np.isfinite(np.concatenate([getattr(self, name) for name in arrays])).all():
             name = next(name for name in arrays if not np.isfinite(getattr(self, name)).all())
@@ -133,9 +134,9 @@ def leakage(p: IbrParams, v) -> np.ndarray:
 
 def saturation_derivatives(p: IbrParams, v):
     """(dV/dv, d(rho(v) v)/dv) elementwise, outward one-sided at the kink |v| = 3 Delta."""
-    v = np.asarray(v, dtype=float)
-    u = np.abs(v) / p.delta
-    return 1.0 / np.cosh(v / p.delta) ** 2, np.where(u >= 3.0, 2.0 * u - 3.0, 0.0)
+    u = np.asarray(v, dtype=float) / p.delta
+    a = np.abs(u)     # |v| / Delta, bitwise: rounding is symmetric in sign
+    return 1.0 / np.cosh(u) ** 2, np.where(a >= 3.0, 2.0 * a - 3.0, 0.0)
 
 
 class Layout:
@@ -216,13 +217,18 @@ class ClosedLoop(Record):
         return 1.0 + v if self.mode == "droop" else voltage_output(self.params, v)
 
     def brackets(self, x) -> np.ndarray:
-        at = self.at
+        at, p = self.at, self.params
         v = x[at.v]
-        P, Q = network.power_flow(self.net, x[at.theta], self.voltage(v))
+        if self.mode == "droop":
+            V = 1.0 + v
+        else:   # voltage_output and leakage from one v / Delta and one tanh
+            u = v / p.delta
+            tanh_u = np.tanh(u)
+            V = p.v_star + p.delta * tanh_u
+        P, Q = network.power_flow(self.net, x[at.theta], V)
         out = self.M @ x + self.K @ np.concatenate([P, Q])
         if self.mode == "proposed":
-            p = self.params
-            out[at.v] -= p.beta * p.delta * np.tanh(v / p.delta) + leakage(p, v) * v
+            out[at.v] -= p.beta * p.delta * tanh_u + np.maximum(np.abs(u) - 3.0, 0.0) * v
         return out
 
     def brackets_jac(self, x) -> np.ndarray:
@@ -268,7 +274,7 @@ def _jacobian(mode: str, p: IbrParams, at, M, K, lin: network.LinearizedModel, v
     H = 1.0
     if mode == "proposed":
         H, drho_v = saturation_derivatives(p, v)
-        J[at.v, at.v] -= np.diag(p.beta * H + drho_v)
+        diagonal(J)[at.v] -= p.beta * H + drho_v
     J[:, at.v] += K @ np.concatenate([lin.J_V_P, lin.J_V_Q]) * H
     return J
 

@@ -1,8 +1,8 @@
 """Undirected weighted communication graph between inverter units.
 
 Provides the Laplacian algebra used by the distributed optimizer and the
-stability machinery: L = D - A, which a graph computes once when it is built,
-and the algebraic connectivity sigma_2.
+stability machinery: L = D - A and the algebraic connectivity sigma_2, which
+a graph computes once when it is built.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only in place."""
     a.setflags(write=False)
     return a
+
+
+def diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of the C-contiguous square array a."""
+    return a.reshape(-1)[::a.shape[1] + 1]
 
 
 def value_eq(a, b) -> bool:
@@ -57,12 +62,14 @@ class CommGraph(Record):
     ``adjacency`` is the symmetric nonnegative matrix [a_ij] with zero
     diagonal; one node per inverter unit. Construction fails on a
     non-finite weight, and on a disconnected graph so downstream consensus
-    results are well defined. ``L``, the Laplacian D - A, is derived once and
-    is outside equality; ``laplacian`` hands out writable copies of it.
+    results are well defined. ``L``, the Laplacian D - A, and ``sigma2``, its
+    second-smallest eigenvalue, are derived once and are outside equality;
+    ``laplacian`` hands out writable copies of L.
     """
 
     adjacency: np.ndarray
     L: np.ndarray = field(init=False, compare=False, repr=False)
+    sigma2: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         a = np.array(self.adjacency, dtype=float)
@@ -86,6 +93,7 @@ class CommGraph(Record):
                 "communication graph is disconnected; consensus is impossible"
             )
         object.__setattr__(self, "L", np.diag(a.sum(axis=1)) - a)
+        object.__setattr__(self, "sigma2", float(np.linalg.eigvalsh(self.L)[1]))
         super().__post_init__()
 
     @property
@@ -143,7 +151,6 @@ def laplacian(g: CommGraph) -> np.ndarray:
 
 
 def algebraic_connectivity(g: CommGraph) -> float:
-    """Second-smallest Laplacian eigenvalue sigma_2 (> 0: graph is connected)."""
-    w = np.linalg.eigvalsh(g.L)
-    return float(w[1])
+    """Second-smallest Laplacian eigenvalue sigma_2 (> 0: graph is connected), held by the graph."""
+    return g.sigma2
 

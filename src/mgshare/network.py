@@ -2,8 +2,10 @@
 
 ``NetworkData`` holds impedances and loads in per unit of its ``bases``;
 the scenario parser converts ohm and VA tables once, as it reads them.
-The module assembles the full nodal admittance matrix from these tables,
-Kron-reduces it onto the inverter internal buses, and evaluates the
+The module assembles the full nodal admittance matrix Y from these tables
+(``NetworkData`` stamps its lines, then its connectors, into ``Y_branch`` once;
+``full_admittance`` adds each load's scaled shunt to a copy, in table order),
+Kron-reduces Y onto the inverter internal buses, and evaluates the
 nonlinear power flow in phasor form, S = P + jQ = E conj(I) with
 E = V e^{j theta}, I = Y E and Y = G + jB. Its linearization,
 ``LinearizedModel``, is the analytic Jacobians alone, in complex matrix
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NetworkDataError
-from .graph import Record, _connected
+from .graph import Record, _connected, diagonal, read_only
 
 __all__ = [
     "Bases",
@@ -92,7 +94,9 @@ class NetworkData:
     """Network description mirroring the scenario file tables.
 
     Line and connector impedances are in per unit of ``bases.z_base``, and
-    load apparent powers in per unit of ``bases.s_base``.
+    load apparent powers in per unit of ``bases.s_base``. ``Y_branch``, the
+    nodal admittance of the lines and connectors alone over [internal buses |
+    main buses], is derived once, read-only and outside equality.
     """
 
     bases: Bases
@@ -100,6 +104,7 @@ class NetworkData:
     lines: tuple[Line, ...]
     connectors: tuple[Connector, ...]
     loads: tuple[Load, ...]
+    Y_branch: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_bus < 1:
@@ -118,12 +123,20 @@ class NetworkData:
             self._check_bus(ld.bus, "load")
             if not (0 <= ld.s < math.inf and 0 < ld.pf <= 1):
                 raise NetworkDataError(f"load at bus {ld.bus} needs a finite s >= 0 and pf in (0,1]")
-        a = np.zeros((self.n_bus + self.n_ibr,) * 2)    # main buses, then internal buses
-        ends = [(ln.from_bus, ln.to_bus) for ln in self.lines]
-        for i, j in ends + [(c.bus, self.n_bus + c.ibr) for c in self.connectors]:
-            a[i - 1, j - 1] = a[j - 1, i - 1] = 1.0
+        n = self.n_ibr
+        Y = np.zeros((n + self.n_bus,) * 2, dtype=complex)    # internal buses, then main buses
+        a = np.zeros(Y.shape)
+        ends = [(n + ln.from_bus - 1, n + ln.to_bus - 1, ln) for ln in self.lines]
+        for i, j, branch in ends + [(c.ibr - 1, n + c.bus - 1, c) for c in self.connectors]:
+            a[i, j] = a[j, i] = 1.0
+            y = 1.0 / complex(branch.r, branch.x)
+            Y[i, i] += y
+            Y[j, j] += y
+            Y[i, j] -= y
+            Y[j, i] -= y
         if not _connected(a):
             raise NetworkDataError("electrical graph (buses+lines+connectors) is disconnected")
+        object.__setattr__(self, "Y_branch", read_only(Y))
 
     def _check_bus(self, b: int, kind: str):
         if not (1 <= b <= self.n_bus):
@@ -154,6 +167,8 @@ class ReducedNetwork(Record):
         B = np.array(self.B, dtype=float)
         if G.shape != B.shape or G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise NetworkDataError("G and B must be equal-size square matrices")
+        if not (np.isfinite(G).all() and np.isfinite(B).all()):
+            raise NetworkDataError("reduced admittance G + jB must be finite")
         if any(np.abs(a - a.T).max() > 1e-9 * max(1.0, np.abs(a).max()) for a in (G, B)):
             raise NetworkDataError("reduced admittance must be symmetric (reciprocal network)")
         # passivity sanity: conductance part must not be negative definite
@@ -174,24 +189,16 @@ def load_admittance(s: float, pf: float) -> complex:
 
 
 def full_admittance(data: NetworkData, load_scale=None) -> np.ndarray:
-    """Nodal admittance over [internal buses | main buses], loads as shunts."""
+    """Nodal admittance over [internal buses | main buses]: ``data.Y_branch`` plus the loads as
+    shunts, each scaled by its bus's ``load_scale`` factor, which must be finite and >= 0."""
     n = data.n_ibr
     nb = data.n_bus
     scale = np.ones(nb) if load_scale is None else np.asarray(load_scale, dtype=float)
     if scale.shape != (nb,):
         raise NetworkDataError(f"load_scale must have length {nb}")
-    Y = np.zeros((n + nb, n + nb), dtype=complex)
-
-    def stamp(a, b, y):
-        Y[a, a] += y
-        Y[b, b] += y
-        Y[a, b] -= y
-        Y[b, a] -= y
-
-    for ln in data.lines:
-        stamp(n + ln.from_bus - 1, n + ln.to_bus - 1, 1.0 / complex(ln.r, ln.x))
-    for c in data.connectors:
-        stamp(c.ibr - 1, n + c.bus - 1, 1.0 / complex(c.r, c.x))
+    if not np.all((scale >= 0) & (scale < np.inf)):
+        raise NetworkDataError(f"load_scale must be finite and nonnegative, got {scale}")
+    Y = data.Y_branch.copy()
     for ld in data.loads:
         Y[n + ld.bus - 1, n + ld.bus - 1] += scale[ld.bus - 1] * load_admittance(ld.s, ld.pf)
     return Y
@@ -274,6 +281,9 @@ def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> Linear
     U = np.exp(1j * theta0)
     E = V0 * U
     I = net.Y @ E
-    dS_dtheta = 1j * E[:, None] * np.conj(np.diag(I) - net.Y * E)
-    dS_dV = E[:, None] * np.conj(net.Y * U) + np.diag(np.conj(I) * U)
+    A = -(net.Y * E)
+    diagonal(A)[:] += I     # diag(I) - Y diag(E), its diagonal term added in place
+    dS_dtheta = 1j * E[:, None] * np.conj(A)
+    dS_dV = E[:, None] * np.conj(net.Y * U)
+    diagonal(dS_dV)[:] += np.conj(I) * U
     return LinearizedModel(dS_dtheta.real, dS_dV.real, dS_dtheta.imag, dS_dV.imag)

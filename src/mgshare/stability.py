@@ -28,7 +28,7 @@ runs the whole pass for one operating point. The module checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
-from .graph import CommGraph, Record, read_only
+from .graph import CommGraph, Record, diagonal, read_only
 from .network import LinearizedModel, ReducedNetwork, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
@@ -145,7 +145,7 @@ def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:
     rv = RELATIVE.at(params.n).v
     A = R.copy()
     A[:, rv] *= H
-    A[rv, rv] -= np.diag(drho_v)
+    diagonal(A)[rv] -= drho_v
     return A
 
 
@@ -200,11 +200,16 @@ class LmiCertificate(Record):
 
     def verify(self, blocks: ReducedBlocks, beta: float) -> bool:
         """Re-check all three conditions by direct eigenvalue computation."""
-        ok = np.linalg.eigvalsh(self.P_theta).min() > 0
-        ok &= np.diag(self.D_v).min() > 0
-        Q = _q_matrix(blocks, beta, self.P_theta, np.diag(self.D_v))
-        ok &= np.linalg.eigvalsh(Q + Q.T).max() < 0
-        return bool(ok)
+        return _verify(blocks, beta, self.P_theta, np.diag(self.D_v))
+
+
+def _verify(blocks: ReducedBlocks, beta: float, P: np.ndarray, d: np.ndarray) -> bool:
+    """P > 0, d > 0 and Q + Q^T < 0 for the pair (P, diag(d)), each by its own eigenvalues."""
+    ok = np.linalg.eigvalsh(P).min() > 0
+    ok &= d.min() > 0
+    Q = _q_matrix(blocks, beta, P, d)
+    ok &= np.linalg.eigvalsh(Q + Q.T).max() < 0
+    return bool(ok)
 
 
 def _q_matrix(blocks: ReducedBlocks, beta: float, P: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -218,12 +223,13 @@ def _q_matrix(blocks: ReducedBlocks, beta: float, P: np.ndarray, d: np.ndarray) 
 
 
 def _certificate(blocks: ReducedBlocks, beta: float, P: np.ndarray, d: np.ndarray) -> LmiCertificate:
-    """Candidate scaled by 1 / max(max|P|, max d); feasible only if it verifies."""
+    """Candidate scaled by 1 / max(max|P|, max d); feasible only if the scaled pair verifies."""
     Q = _q_matrix(blocks, beta, P, d)
     f = np.linalg.eigh(Q + Q.T)[0][-1]
     scale = 1.0 / max(np.abs(P).max(), d.max())
-    cert = LmiCertificate(P * scale, np.diag(d * scale), float(f * scale), float(-f * scale), False)
-    return replace(cert, feasible=cert.verify(blocks, beta))
+    P, d = P * scale, d * scale
+    feasible = _verify(blocks, beta, P, d)
+    return LmiCertificate(P, np.diag(d), float(f * scale), float(-f * scale), feasible)
 
 
 def _riccati_candidates(blocks: ReducedBlocks, beta: float):

@@ -89,7 +89,7 @@ def _newton(residual, jacobian, x0, step_limit=None, max_stalled_cuts=0, tol=1e-
     """
     x = np.asarray(x0, dtype=float).copy()
     F = residual(x)
-    norm = float(np.linalg.norm(F, np.inf))
+    norm = float(np.abs(F).max())
     iterations = 0
     last_norm = np.inf
     stalled = 0
@@ -108,7 +108,7 @@ def _newton(residual, jacobian, x0, step_limit=None, max_stalled_cuts=0, tol=1e-
         while True:
             x_new = x + step * dx
             F_new = residual(x_new)
-            norm_new = float(np.linalg.norm(F_new, np.inf))
+            norm_new = float(np.abs(F_new).max())
             if norm_new < norm or step < 2e-6:    # at most 20 trials from step 1
                 break
             step *= 0.5

@@ -149,6 +149,25 @@ def test_primal_dual_rhs_oracle(ring3_reduced):
     assert np.allclose(b[12:], L @ lam)
 
 
+@pytest.mark.parametrize("mode", ["droop", "proposed"])
+def test_brackets_are_the_affine_part_minus_s(lv5, lv5_reduced, mode):
+    """brackets = M x + K [P; Q] - (beta Delta tanh(v/Delta) + rho(v) v), bitwise, with v past +/-3 Delta."""
+    p = lv5.params
+    model = ctrl.ClosedLoop(mode, p, lv5_reduced, lv5.graph.L)
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        x = rng.normal(0.0, 0.05, model.dim)
+        v = p.delta * rng.uniform(-6.0, 6.0, p.n)
+        v[:2] = p.delta[:2] * np.array([-4.5, 3.5])    # past both kinks
+        x[model.at.v] = v
+        V = 1.0 + v if mode == "droop" else ctrl.voltage_output(p, v)
+        P, Q = mg.power_flow(lv5_reduced, model.block(x, "theta"), V)
+        expect = model.M @ x + model.K @ np.concatenate([P, Q])
+        if mode == "proposed":
+            expect[model.at.v] -= p.beta * p.delta * np.tanh(v / p.delta) + ctrl.leakage(p, v) * v
+        assert np.array_equal(model.brackets(x), expect)
+
+
 def test_closed_loop_jac_matches_central_differences(lv5, lv5_reduced, lv5_equilibrium):
     """Analytic model Jacobian against central differences of the model rhs.
 
@@ -245,8 +264,8 @@ def test_non_finite_params_rejected(name, bad):
 
 
 def test_band_overflowing_to_infinity_rejected():
-    """Finite limits whose half-width overflows (numpy warns) leave a non-finite delta, rejected."""
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^delta must be finite"):
+    """Finite limits whose half-width overflows leave a non-finite delta: the named error, no warning."""
+    with pytest.raises(ValueError, match="^delta must be finite"):
         make_params(v_min=-1e308, v_max=1e308)
 
 

@@ -111,3 +111,13 @@ def test_random_connected_graph_properties(n, seed):
     assert w[0] == pytest.approx(0.0, abs=1e-9)
     assert w[1] > 1e-9
     assert algebraic_connectivity(g) == pytest.approx(w[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_sigma2_is_held_by_the_graph(n):
+    """algebraic_connectivity reads the graph's own sigma2, bitwise eigvalsh(g.L)[1], outside equality."""
+    rng = np.random.default_rng(n)
+    a = np.triu(rng.uniform(0.5, 2.0, (n, n)), 1)
+    g = CommGraph(a + a.T)
+    assert algebraic_connectivity(g) == g.sigma2 == np.linalg.eigvalsh(g.L)[1]
+    assert type(g.sigma2) is float and "sigma2" not in repr(g)

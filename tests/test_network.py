@@ -103,6 +103,59 @@ def test_kron_load_scale_locality(lv5):
     assert not np.allclose(red_a.B, red_b.B)
 
 
+def test_full_admittance_is_a_fresh_stamp():
+    """Lines, then connectors, then loads, two of them on one bus, stamped from zero: bitwise.
+
+    With these values, stamping the connectors first or the loads in reverse changes the sums' bits.
+    """
+    data = mg.NetworkData(
+        bases=mg.Bases(1.0, 1.0, 50.0), n_bus=3,
+        lines=(mg.Line(1, 2, 0.1, 0.2), mg.Line(2, 3, 0.05, 0.3), mg.Line(1, 3, 0.2, 0.1)),
+        connectors=(mg.Connector(2, 3, 0.04, 0.12), mg.Connector(1, 1, 0.05, 0.15)),
+        loads=(mg.Load(3, 0.5, 0.9), mg.Load(2, 0.3, 0.8), mg.Load(3, 0.7, 0.85)),
+    )
+    scale = np.array([1.0, 0.7, 1.3])
+    Y = np.zeros((5, 5), dtype=complex)    # [internal buses | main buses]
+    branches = [(2 + ln.from_bus - 1, 2 + ln.to_bus - 1, ln) for ln in data.lines]
+    for a, b, br in branches + [(c.ibr - 1, 2 + c.bus - 1, c) for c in data.connectors]:
+        y = 1.0 / complex(br.r, br.x)
+        Y[a, a] += y
+        Y[b, b] += y
+        Y[a, b] -= y
+        Y[b, a] -= y
+    for ld in data.loads:
+        Y[2 + ld.bus - 1, 2 + ld.bus - 1] += scale[ld.bus - 1] * load_admittance(ld.s, ld.pf)
+    assert np.array_equal(full_admittance(data, scale), Y)
+    assert not np.array_equal(full_admittance(data), Y)
+    full_admittance(data, scale)[:] = 0.0     # a writable copy: the data's own array is untouched
+    assert np.array_equal(full_admittance(data, scale), Y)
+    with pytest.raises(ValueError):
+        data.Y_branch[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("factor, match", [
+    (np.nan, "load_scale must be finite and nonnegative"),
+    (np.inf, "load_scale must be finite and nonnegative"),
+    (-np.inf, "load_scale must be finite and nonnegative"),
+    (-1.0, "load_scale must be finite and nonnegative"),
+    (None, "load_scale must have length 5"),
+], ids=["nan", "inf", "-inf", "negative", "short"])
+def test_bad_load_scale_rejected(lv5, factor, match):
+    """Every load factor must be finite and >= 0, as the scenario parser's scale-load factors are."""
+    scale = np.ones(4) if factor is None else np.array([1.0, 1.0, 1.0, 1.0, factor])
+    with pytest.raises(mg.NetworkDataError, match=match):
+        mg.kron_reduce(lv5.network, scale)
+
+
+@pytest.mark.parametrize("name, bad", [("G", np.nan), ("G", np.inf), ("B", np.nan), ("B", -np.inf)])
+def test_non_finite_reduced_admittance_rejected(name, bad):
+    """A non-finite G or B is a NetworkDataError before the passivity eigvalsh sees it."""
+    a = {"G": 2.0 * np.eye(2) - 1.0, "B": np.full((2, 2), -4.0)}
+    a[name][0, 1] = a[name][1, 0] = bad
+    with pytest.raises(mg.NetworkDataError, match=r"reduced admittance G \+ jB must be finite"):
+        mg.ReducedNetwork(**a)
+
+
 def test_reduced_symmetry_and_passivity(lv5_reduced):
     red = lv5_reduced
     assert np.allclose(red.G, red.G.T)
@@ -302,6 +355,22 @@ def test_phasor_form_matches_trig_oracle(any_reduced):
         lin = jacobians(net, theta, V)
         for name, ref in trig_jacobians(net, theta, V).items():
             assert_close_relative(getattr(lin, name), ref)
+
+
+def test_jacobians_are_the_docstring_expressions(any_reduced):
+    """Every jacobians array bitwise from the module docstring's MATPOWER expressions, np.diag and all."""
+    net = any_reduced
+    rng = np.random.default_rng(5)
+    for theta, V in zip(rng.normal(0, 0.2, (4, net.n)), 1 + rng.normal(0, 0.05, (4, net.n))):
+        U = np.exp(1j * theta)
+        E = V * U
+        I = net.Y @ E
+        dS_dtheta = 1j * E[:, None] * np.conj(np.diag(I) - net.Y * E)
+        dS_dV = E[:, None] * np.conj(net.Y * U) + np.diag(np.conj(I) * U)
+        lin = jacobians(net, theta, V)
+        for got, want in ((lin.J_theta_P, dS_dtheta.real), (lin.J_theta_Q, dS_dtheta.imag),
+                          (lin.J_V_P, dS_dV.real), (lin.J_V_Q, dS_dV.imag)):
+            assert np.array_equal(got, want)
 
 
 def test_linearization_is_the_four_jacobians(lv5_reduced):
