@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import network
-from .graph import Record, diagonal
+from .graph import Record
 
 __all__ = [
     "IbrParams",
@@ -113,7 +113,11 @@ class IbrParams(Record):
 
 def voltage_output(p: IbrParams, v):
     """Saturated voltage V = V_star + Delta tanh(v/Delta), strictly inside limits."""
-    return p.v_star + p.delta * np.tanh(np.asarray(v, dtype=float) / p.delta)
+    return _voltage(p, np.tanh(np.asarray(v, dtype=float) / p.delta))
+
+
+def _voltage(p: IbrParams, tanh_u):     # voltage_output given tanh(u), u = v/Delta
+    return p.v_star + p.delta * tanh_u
 
 
 def v_from_voltage(p: IbrParams, V) -> np.ndarray:
@@ -129,7 +133,11 @@ def v_from_voltage(p: IbrParams, V) -> np.ndarray:
 
 def leakage(p: IbrParams, v) -> np.ndarray:
     """Anti-wind-up coefficient rho(v) = max(|v/Delta| - 3, 0), elementwise."""
-    return np.maximum(np.abs(np.asarray(v, dtype=float) / p.delta) - 3.0, 0.0)
+    return _rho(np.asarray(v, dtype=float) / p.delta)
+
+
+def _rho(u) -> np.ndarray:     # leakage given u = v/Delta
+    return np.maximum(np.abs(u) - 3.0, 0.0)
 
 
 def saturation_derivatives(p: IbrParams, v):
@@ -224,11 +232,11 @@ class ClosedLoop(Record):
         else:   # voltage_output and leakage from one v / Delta and one tanh
             u = v / p.delta
             tanh_u = np.tanh(u)
-            V = p.v_star + p.delta * tanh_u
+            V = _voltage(p, tanh_u)
         P, Q = network.power_flow(self.net, x[at.theta], V)
         out = self.M @ x + self.K @ np.concatenate([P, Q])
         if self.mode == "proposed":
-            out[at.v] -= p.beta * p.delta * tanh_u + np.maximum(np.abs(u) - 3.0, 0.0) * v
+            out[at.v] -= p.beta * p.delta * tanh_u + _rho(u) * v
         return out
 
     def brackets_jac(self, x) -> np.ndarray:
@@ -274,7 +282,7 @@ def _jacobian(mode: str, p: IbrParams, at, M, K, lin: network.LinearizedModel, v
     H = 1.0
     if mode == "proposed":
         H, drho_v = saturation_derivatives(p, v)
-        diagonal(J)[at.v] -= p.beta * H + drho_v
+        np.einsum("ii->i", J)[at.v] -= p.beta * H + drho_v     # J's diagonal, as a view
     J[:, at.v] += K @ np.concatenate([lin.J_V_P, lin.J_V_Q]) * H
     return J
 

@@ -22,11 +22,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def diagonal(a: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of the C-contiguous square array a."""
-    return a.reshape(-1)[::a.shape[1] + 1]
-
-
 def value_eq(a, b) -> bool:
     """``__eq__`` of a dataclass with array fields: same type, compared fields equal by value."""
     return type(a) is type(b) and all(
@@ -62,9 +57,9 @@ class CommGraph(Record):
     ``adjacency`` is the symmetric nonnegative matrix [a_ij] with zero
     diagonal; one node per inverter unit. Construction fails on a
     non-finite weight, and on a disconnected graph so downstream consensus
-    results are well defined. ``L``, the Laplacian D - A, and ``sigma2``, its
-    second-smallest eigenvalue, are derived once and are outside equality;
-    ``laplacian`` hands out writable copies of L.
+    results are well defined. The Laplacian ``L`` = D - A and its second-smallest
+    eigenvalue ``sigma2`` are derived once, outside equality; ``laplacian``
+    hands out writable copies of L.
     """
 
     adjacency: np.ndarray

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NetworkDataError
-from .graph import Record, _connected, diagonal, read_only
+from .graph import Record, _connected, read_only
 
 __all__ = [
     "Bases",
@@ -94,9 +94,8 @@ class NetworkData:
     """Network description mirroring the scenario file tables.
 
     Line and connector impedances are in per unit of ``bases.z_base``, and
-    load apparent powers in per unit of ``bases.s_base``. ``Y_branch``, the
-    nodal admittance of the lines and connectors alone over [internal buses |
-    main buses], is derived once, read-only and outside equality.
+    load apparent powers in per unit of ``bases.s_base``. ``Y_branch`` holds the
+    lines' and connectors' nodal admittance, derived once, outside equality.
     """
 
     bases: Bases
@@ -189,8 +188,7 @@ def load_admittance(s: float, pf: float) -> complex:
 
 
 def full_admittance(data: NetworkData, load_scale=None) -> np.ndarray:
-    """Nodal admittance over [internal buses | main buses]: ``data.Y_branch`` plus the loads as
-    shunts, each scaled by its bus's ``load_scale`` factor, which must be finite and >= 0."""
+    """Nodal admittance over [internal buses | main buses]: ``data.Y_branch`` plus scaled load shunts."""
     n = data.n_ibr
     nb = data.n_bus
     scale = np.ones(nb) if load_scale is None else np.asarray(load_scale, dtype=float)
@@ -282,8 +280,8 @@ def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> Linear
     E = V0 * U
     I = net.Y @ E
     A = -(net.Y * E)
-    diagonal(A)[:] += I     # diag(I) - Y diag(E), its diagonal term added in place
+    np.einsum("ii->i", A)[:] += I     # diag(I) - Y diag(E), through a view of A's diagonal
     dS_dtheta = 1j * E[:, None] * np.conj(A)
     dS_dV = E[:, None] * np.conj(net.Y * U)
-    diagonal(dS_dV)[:] += np.conj(I) * U
+    np.einsum("ii->i", dS_dV)[:] += np.conj(I) * U
     return LinearizedModel(dS_dtheta.real, dS_dV.real, dS_dtheta.imag, dS_dV.imag)

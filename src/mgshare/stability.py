@@ -36,7 +36,7 @@ import numpy as np
 
 from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
-from .graph import CommGraph, Record, diagonal, read_only
+from .graph import CommGraph, Record, read_only
 from .network import LinearizedModel, ReducedNetwork, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
@@ -145,7 +145,7 @@ def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:
     rv = RELATIVE.at(params.n).v
     A = R.copy()
     A[:, rv] *= H
-    diagonal(A)[rv] -= drho_v
+    np.einsum("ii->i", A)[rv] -= drho_v     # A's diagonal, as a view
     return A
 
 

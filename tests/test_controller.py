@@ -151,7 +151,10 @@ def test_primal_dual_rhs_oracle(ring3_reduced):
 
 @pytest.mark.parametrize("mode", ["droop", "proposed"])
 def test_brackets_are_the_affine_part_minus_s(lv5, lv5_reduced, mode):
-    """brackets = M x + K [P; Q] - (beta Delta tanh(v/Delta) + rho(v) v), bitwise, with v past +/-3 Delta."""
+    """brackets = M x + K [P; Q] - (beta Delta tanh(v/Delta) + rho(v) v), bitwise, with v past +/-3 Delta.
+
+    voltage_output and leakage, whose laws brackets shares, are also pinned bitwise to their docstrings.
+    """
     p = lv5.params
     model = ctrl.ClosedLoop(mode, p, lv5_reduced, lv5.graph.L)
     rng = np.random.default_rng(29)
@@ -165,6 +168,8 @@ def test_brackets_are_the_affine_part_minus_s(lv5, lv5_reduced, mode):
         expect = model.M @ x + model.K @ np.concatenate([P, Q])
         if mode == "proposed":
             expect[model.at.v] -= p.beta * p.delta * np.tanh(v / p.delta) + ctrl.leakage(p, v) * v
+            assert np.array_equal(V, p.v_star + p.delta * np.tanh(v / p.delta))
+            assert np.array_equal(ctrl.leakage(p, v), np.maximum(np.abs(v / p.delta) - 3.0, 0.0))
         assert np.array_equal(model.brackets(x), expect)
 
 

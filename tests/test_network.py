@@ -357,9 +357,12 @@ def test_phasor_form_matches_trig_oracle(any_reduced):
             assert_close_relative(getattr(lin, name), ref)
 
 
-def test_jacobians_are_the_docstring_expressions(any_reduced):
-    """Every jacobians array bitwise from the module docstring's MATPOWER expressions, np.diag and all."""
-    net = any_reduced
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_jacobians_are_the_docstring_expressions(any_reduced, order):
+    """Every jacobians array bitwise from the module docstring's MATPOWER expressions, np.diag and
+    all, also when the reduced network holds Fortran-ordered G and B (as ``G.T`` would give)."""
+    net = mg.ReducedNetwork(*(np.asarray(a, order=order) for a in (any_reduced.G, any_reduced.B)))
+    assert net.Y.flags[f"{order}_CONTIGUOUS"]
     rng = np.random.default_rng(5)
     for theta, V in zip(rng.normal(0, 0.2, (4, net.n)), 1 + rng.normal(0, 0.05, (4, net.n))):
         U = np.exp(1j * theta)
