@@ -23,7 +23,7 @@ from .errors import (
     ScenarioFormatError,
     SimulationError,
 )
-from .graph import CommGraph, algebraic_connectivity, laplacian
+from .graph import CommGraph
 from .network import (
     Bases,
     Connector,
@@ -56,7 +56,7 @@ __all__ = [
     "IbrParams", "leakage", "voltage_output",
     "MgshareError", "DisconnectedGraphError", "NetworkDataError",
     "ScenarioFormatError", "ConvergenceError", "SimulationError",
-    "CommGraph", "laplacian", "algebraic_connectivity",
+    "CommGraph",
     "Bases", "Line", "Connector", "Load", "NetworkData", "ReducedNetwork",
     "LinearizedModel", "kron_reduce", "power_flow", "jacobians",
     "parse_scenario", "serialize_scenario", "bundled_scenario_path",

@@ -14,7 +14,7 @@ Both modes share the droop frequency channel. ``STATE`` declares each
 mode's state blocks, the one place that sets their order; every module
 reads and builds states through ``ClosedLoop``'s named views. ``ClosedLoop``
 writes the whole loop down once, as brackets(x) = M x + K [P; Q] - s(v): M
-and K are constant per mode, parameters and Laplacian, (P, Q) is the power flow at
+and K are constant per mode, parameters and graph, (P, Q) is the power flow at
 (theta, V(v)), and s(v) = beta Delta tanh(v/Delta) + rho(v) v sits on the v
 rows in proposed mode (droop has V = 1 + v and no s). The right-hand side
 is brackets / tau; its Jacobian, from the same M and K, is built by
@@ -32,7 +32,7 @@ from functools import cache
 import numpy as np
 
 from . import network
-from .graph import Record
+from .graph import CommGraph, Record
 
 __all__ = [
     "IbrParams",
@@ -182,24 +182,25 @@ class ClosedLoop(Record):
     The state is laid out as ``STATE[mode]``, which alone sets the order:
     ``at`` holds the block slices, ``block`` views a block and ``state``
     builds a state. theta is the angle in the frame rotating at omega_nom,
-    and L the communication Laplacian. ``brackets`` are the pre-tau
+    and ``graph`` the communication graph. ``brackets`` are the pre-tau
     right-hand sides; ``tau`` holds each block's ``TAU`` per unit, and
-    ``rhs`` = brackets / tau.
+    ``rhs`` = brackets / tau. tau, at, M and K are derived, outside equality.
     """
 
     mode: str
     params: IbrParams
     net: network.ReducedNetwork
-    L: np.ndarray
-    tau: np.ndarray = field(init=False)
-    at: tuple = field(init=False, repr=False)
-    M: np.ndarray = field(init=False, repr=False)
-    K: np.ndarray = field(init=False, repr=False)
+    graph: CommGraph
+    tau: np.ndarray = field(init=False, compare=False, repr=False)
+    at: tuple = field(init=False, compare=False, repr=False)
+    M: np.ndarray = field(init=False, compare=False, repr=False)
+    K: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         p = self.params
-        object.__setattr__(self, "L", np.array(self.L, dtype=float))
-        for name, a in zip(("at", "M", "K"), _affine_part(self.mode, p, self.L)):
+        if not isinstance(self.graph, CommGraph):
+            raise TypeError(f"graph must be a CommGraph, got {type(self.graph).__name__}")
+        for name, a in zip(("at", "M", "K"), _affine_part(self.mode, p, self.graph.L)):
             object.__setattr__(self, name, a)
         taus = [1.0 if TAU[b] is None else getattr(p, TAU[b]) for b in self.at._fields]
         object.__setattr__(self, "tau", np.repeat(taus, p.n))
@@ -287,11 +288,12 @@ def _jacobian(mode: str, p: IbrParams, at, M, K, lin: network.LinearizedModel, v
     return J
 
 
-def brackets_jacobian(mode: str, p: IbrParams, L, lin: network.LinearizedModel, v) -> np.ndarray:
+def brackets_jacobian(mode: str, p: IbrParams, graph: CommGraph, lin: network.LinearizedModel,
+                      v) -> np.ndarray:
     """Jacobian of ``ClosedLoop.brackets`` given the power-flow derivatives there.
 
     ``lin`` linearizes the power flow at the state's (theta, V(v)); the
     result does not depend on Omega, lambda or zeta. Rows and columns follow
     ``STATE[mode]``.
     """
-    return _jacobian(mode, p, *_affine_part(mode, p, L), lin, v)
+    return _jacobian(mode, p, *_affine_part(mode, p, graph.L), lin, v)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError
 
-__all__ = ["CommGraph", "laplacian", "algebraic_connectivity"]
+__all__ = ["CommGraph"]
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -58,8 +58,7 @@ class CommGraph(Record):
     diagonal; one node per inverter unit. Construction fails on a
     non-finite weight, and on a disconnected graph so downstream consensus
     results are well defined. The Laplacian ``L`` = D - A and its second-smallest
-    eigenvalue ``sigma2`` are derived once, outside equality; ``laplacian``
-    hands out writable copies of L.
+    eigenvalue ``sigma2`` are derived once, read-only and outside equality.
     """
 
     adjacency: np.ndarray
@@ -138,14 +137,3 @@ def _connected(a: np.ndarray) -> bool:
                 seen[j] = True
                 stack.append(int(j))
     return bool(seen.all())
-
-
-def laplacian(g: CommGraph) -> np.ndarray:
-    """Graph Laplacian L = D - A with D = diag of row sums of A, as a new writable array."""
-    return g.L.copy()
-
-
-def algebraic_connectivity(g: CommGraph) -> float:
-    """Second-smallest Laplacian eigenvalue sigma_2 (> 0: graph is connected), held by the graph."""
-    return g.sigma2
-

@@ -307,10 +307,15 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     for bus, *_ in rows["loads"]:
         if not (1 <= bus <= n_bus):
             semantic.append(f"load references unknown bus {bus}")
+    edges = set()
     for i, j, _ in rows["graph"]:
         for b in (i, j):
             if not (1 <= b <= n):
                 semantic.append(f"graph edge ({i},{j}) references unknown IBR {b}")
+        i, j = sorted((i, j))
+        if (i, j) in edges:
+            semantic.append(f"graph edge ({i},{j}) listed twice")
+        edges.add((i, j))
     for ev in events:
         if ev.kind == "scale-load" and not (1 <= ev.bus <= n_bus):
             semantic.append(f"event at t={ev.time} references unknown bus {ev.bus}")

@@ -68,7 +68,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import controller as ctrl
-from .errors import SimulationError
+from .errors import NetworkDataError, SimulationError
+from .graph import value_eq
 from .network import kron_reduce, power_flow
 from .scenario_io import Event, Scenario
 
@@ -88,9 +89,12 @@ CSV_HEADER = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class TimeSeries:
-    """Sampled trajectory; all channel arrays are (n_samples, n_ibr)."""
+    """Sampled trajectory, compared by value and unhashable; channels are (n_samples, n_ibr)."""
+
+    __eq__ = value_eq
+    __hash__ = None
 
     t: np.ndarray
     mode: np.ndarray              # 0 = droop, 1 = proposed, per sample
@@ -323,7 +327,6 @@ def simulate(s: Scenario) -> TimeSeries:
         **{name: np.empty((n_samples, n)) for name in _STATE_CHANNELS},
         segment_starts=[start for start, *_ in plan],
     )
-    L = s.graph.L
     model = scale = None
     ends = ts.segment_starts[1:] + [s.t_end]
     # each segment's samples lie in [start, end); the last one's also include t_end
@@ -332,13 +335,13 @@ def simulate(s: Scenario) -> TimeSeries:
         if load_scale is not scale:    # the plan shares one array until a load step
             try:
                 red = kron_reduce(s.network, load_scale)
-            except Exception as exc:
+            except NetworkDataError as exc:
                 raise SimulationError(f"network re-reduction failed: {exc}") from exc
             scale = load_scale
-        old = model or ctrl.ClosedLoop(s.initial_mode, s.params, red, L)   # before t = 0 events
+        old = model or ctrl.ClosedLoop(s.initial_mode, s.params, red, s.graph)   # before t = 0 events
         if x is None:
             x = old.state(theta=0.0 if s.initial_theta is None else s.initial_theta)
-        model = ctrl.ClosedLoop(mode, params, red, L)
+        model = ctrl.ClosedLoop(mode, params, red, s.graph)
         x = _carry(x, old, model)
         sol = solve_ivp(
             model.rhs, (t_now, t_next), x, method="LSODA", jac=model.jac,

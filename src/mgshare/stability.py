@@ -134,9 +134,8 @@ def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.nda
 
     ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
     """
-    L = g.L
-    _check_angle_shift_invariance(lin, L)
-    return _relative(_eliminate_fast(brackets_jacobian("proposed", params, L, lin, np.zeros(lin.n))))
+    _check_angle_shift_invariance(lin, g.L)
+    return _relative(_eliminate_fast(brackets_jacobian("proposed", params, g, lin, np.zeros(lin.n))))
 
 
 def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:

@@ -200,7 +200,7 @@ def solve_equilibrium(
     ``Equilibrium.residual`` is the infinity norm of the folded residual.
     """
     n = params.n
-    model = ctrl.ClosedLoop(mode, params, net, g.L)
+    model = ctrl.ClosedLoop(mode, params, net, g)
     proposed = mode == "proposed"
     u = UNKNOWNS[mode].at(n)
     m = u[-1].stop
@@ -229,7 +229,7 @@ def solve_equilibrium(
     if proposed:
         rho, lam = ctrl.leakage(params, v), model.block(x, "lam")
         # (L + 1 1^T/n) zeta = Q/S - lambda + zeta_sum/n: L zeta = Q/S - lambda, 1^T zeta = zeta_sum
-        zeta = np.linalg.solve(model.L + 1.0 / n, Q / params.s_rated - lam + zeta_sum / n)
+        zeta = np.linalg.solve(g.L + 1.0 / n, Q / params.s_rated - lam + zeta_sum / n)
     return Equilibrium(
         mode=mode,
         theta=theta,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import MgshareError
-from .graph import CommGraph, Record, algebraic_connectivity
+from .graph import CommGraph, Record
 
 __all__ = ["TuningSpec", "TunedParams", "tune", "validate", "ValidationReport"]
 
@@ -75,8 +75,7 @@ def tune(spec: TuningSpec, g: CommGraph, v_min, v_max) -> TunedParams:
     tau_omega = m_star / (2.0 * math.pi * spec.rocof_star)
     tau_d = max(10.0 * spec.tau_p, TAU_D_FLOOR)
     tau_v = max(10.0 * tau_omega, 10.0 * tau_d)
-    sigma2 = algebraic_connectivity(g)
-    k = spec.k_d / sigma2
+    k = spec.k_d / g.sigma2
 
     beta = BETA_CAP
     worst = float(np.max(delta / v_star))
@@ -105,7 +104,7 @@ def tune(spec: TuningSpec, g: CommGraph, v_min, v_max) -> TunedParams:
         tau_d=tau_d,
         tau_v=tau_v,
         k=k,
-        sigma2=sigma2,
+        sigma2=g.sigma2,
         beta=beta,
         warnings=tuple(warnings),
     )

@@ -16,7 +16,7 @@ def kkt_residual(g, k, lam, zeta, q_ratio):
 
     Both vanish exactly at (and only at) the optimizer's equilibria.
     """
-    L = mg.laplacian(g)
+    L = g.L
     stationarity = lam - q_ratio + L @ zeta + k * (L @ lam)
     consensus = L @ lam
     return stationarity, consensus
@@ -35,7 +35,7 @@ def lv5_reduced(lv5):
 @pytest.fixture(scope="session")
 def ring3_reduced():
     """Reduced network of a uniform 3-bus line ring with a small shunt at every bus."""
-    lap = mg.laplacian(mg.CommGraph.ring(3))
+    lap = mg.CommGraph.ring(3).L
     return mg.ReducedNetwork(G=2.0 * lap + 0.5 * np.eye(3), B=-8.0 * lap - 0.2 * np.eye(3))
 
 

@@ -106,7 +106,7 @@ def test_droop_rhs_oracle(ring3_reduced):
     theta = np.array([0.02, 0.0, -0.01])
     Omega = np.array([0.1, 0.0, -0.2])
     v = np.array([0.01, 0.0, -0.01])
-    model = ctrl.ClosedLoop("droop", p, red, mg.laplacian(mg.CommGraph.ring(3)))
+    model = ctrl.ClosedLoop("droop", p, red, mg.CommGraph.ring(3))
     b = model.brackets(np.concatenate([theta, Omega, v]))
     P, Q = mg.power_flow(red, theta, 1.0 + v)
     assert np.allclose(b[:3], Omega)
@@ -118,7 +118,7 @@ def test_integrator_rhs_components(ring3_reduced):
     """v rows of the proposed brackets: V_star (lam - Q/S) - beta Delta tanh(v/Delta) - rho(v) v."""
     p = make_params()
     d = p.delta[0]
-    model = ctrl.ClosedLoop("proposed", p, ring3_reduced, mg.laplacian(mg.CommGraph.ring(3)))
+    model = ctrl.ClosedLoop("proposed", p, ring3_reduced, mg.CommGraph.ring(3))
     theta = np.array([0.02, 0.0, -0.01])
     # unit 0 unsaturated (leakage term absent); unit 1 saturated, rho = 2
     v = np.array([d, 5.0 * d, 0.0])
@@ -133,14 +133,14 @@ def test_integrator_rhs_components(ring3_reduced):
 
 def test_primal_dual_rhs_oracle(ring3_reduced):
     g = mg.CommGraph.ring(3)
-    L = mg.laplacian(g)
+    L = g.L
     p = make_params(k=2.0)
     red = ring3_reduced
     theta = np.array([0.02, 0.0, -0.01])
     v = np.array([0.01, 0.0, -0.01])
     lam = np.array([0.3, 0.5, 0.1])
     zeta = np.array([0.0, 0.2, -0.2])
-    model = ctrl.ClosedLoop("proposed", p, red, L)
+    model = ctrl.ClosedLoop("proposed", p, red, g)
     b = model.brackets(np.concatenate([theta, np.zeros(3), v, lam, zeta]))
     _, Q = mg.power_flow(red, theta, ctrl.voltage_output(p, v))
     assert np.allclose(b[6:9], p.v_star * (lam - Q / p.s_rated)
@@ -156,7 +156,7 @@ def test_brackets_are_the_affine_part_minus_s(lv5, lv5_reduced, mode):
     voltage_output and leakage, whose laws brackets shares, are also pinned bitwise to their docstrings.
     """
     p = lv5.params
-    model = ctrl.ClosedLoop(mode, p, lv5_reduced, lv5.graph.L)
+    model = ctrl.ClosedLoop(mode, p, lv5_reduced, lv5.graph)
     rng = np.random.default_rng(29)
     for _ in range(8):
         x = rng.normal(0.0, 0.05, model.dim)
@@ -182,13 +182,12 @@ def test_closed_loop_jac_matches_central_differences(lv5, lv5_reduced, lv5_equil
     """
     p = lv5.params
     n = p.n
-    L = mg.laplacian(lv5.graph)
     rng = np.random.default_rng(7)
     eq = {"proposed": lv5_equilibrium,
           "droop": mg.solve_equilibrium(lv5_reduced, lv5.graph, p, mode="droop")}
     h = 1e-7
     for mode in ("droop", "proposed"):
-        model = ctrl.ClosedLoop(mode, p, lv5_reduced, L)
+        model = ctrl.ClosedLoop(mode, p, lv5_reduced, lv5.graph)
         e = eq[mode]
         states = [np.concatenate([e.theta, e.Omega, e.v, e.lam, e.zeta][: model.dim // n])]
         for _ in range(4):
@@ -213,18 +212,24 @@ def test_free_brackets_jacobian_is_the_model_jacobian(lv5, lv5_reduced):
     """``brackets_jacobian`` at the state's linearization equals ``brackets_jac`` bitwise."""
     p = lv5.params
     n = p.n
-    L = mg.laplacian(lv5.graph)
     rng = np.random.default_rng(19)
     for mode in ("droop", "proposed"):
-        model = ctrl.ClosedLoop(mode, p, lv5_reduced, L)
+        model = ctrl.ClosedLoop(mode, p, lv5_reduced, lv5.graph)
         for _ in range(3):
             x = rng.normal(0.0, 0.05, model.dim)
             x[2 * n:3 * n] = p.delta * rng.uniform(-5.0, 5.0, n)
             v = x[2 * n:3 * n]
             lin = mg.jacobians(lv5_reduced, x[:n], model.voltage(v))
-            J = ctrl.brackets_jacobian(mode, p, L, lin, v)
+            J = ctrl.brackets_jacobian(mode, p, lv5.graph, lin, v)
             assert J.shape == (model.dim, model.dim)
             assert np.array_equal(J, model.brackets_jac(x)), mode
+
+
+def test_closed_loop_takes_a_comm_graph(lv5, lv5_reduced):
+    """A bare matrix, which no graph has checked, is refused when the loop is built."""
+    with pytest.raises(TypeError, match="^graph must be a CommGraph, got ndarray$"):
+        ctrl.ClosedLoop("proposed", lv5.params, lv5_reduced, np.ones((5, 5)))
+    assert ctrl.ClosedLoop("proposed", lv5.params, lv5_reduced, lv5.graph).graph is lv5.graph
 
 
 def test_kkt_zero_iff_consensus():
@@ -234,8 +239,7 @@ def test_kkt_zero_iff_consensus():
     # consensus residual vanishes; stationarity fixes L zeta = q - mean
     r_stat, r_cons = kkt_residual(g, 2.0, lam, np.zeros(4), q)
     assert np.allclose(r_cons, 0.0, atol=1e-12)
-    L = mg.laplacian(g)
-    zeta = np.linalg.lstsq(L, q - lam, rcond=None)[0]
+    zeta = np.linalg.lstsq(g.L, q - lam, rcond=None)[0]
     r_stat, r_cons = kkt_residual(g, 2.0, lam, zeta, q)
     assert np.allclose(r_stat, 0.0, atol=1e-10)
     assert np.allclose(r_cons, 0.0, atol=1e-12)
@@ -286,7 +290,7 @@ def test_state_views_follow_the_documented_order(ring3_reduced, lv5_reduced, mod
     rng = np.random.default_rng(3)
     for red in (ring3_reduced, lv5_reduced):
         n = red.n
-        model = ctrl.ClosedLoop(mode, make_params(n), red, mg.laplacian(mg.CommGraph.ring(n)))
+        model = ctrl.ClosedLoop(mode, make_params(n), red, mg.CommGraph.ring(n))
         assert model.dim == len(names) * n
         x, X = rng.normal(size=model.dim), rng.normal(size=(4, model.dim))
         for k, name in enumerate(names):

@@ -5,32 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgshare import (
-    CommGraph,
-    DisconnectedGraphError,
-    algebraic_connectivity,
-    laplacian,
-)
+from mgshare import CommGraph, DisconnectedGraphError
 
 RING5_SIGMA2 = 2.0 - 2.0 * np.cos(2.0 * np.pi / 5.0)  # frozen spectral oracle
 
 
 def test_ring_laplacian_structure():
     g = CommGraph.ring(5)
-    L = laplacian(g)
+    L = g.L
     assert np.allclose(L @ np.ones(5), 0.0)
     assert np.allclose(L, L.T)
     assert np.allclose(np.diag(L), 2.0)
 
 
 def test_ring5_algebraic_connectivity_oracle():
-    assert algebraic_connectivity(CommGraph.ring(5)) == pytest.approx(RING5_SIGMA2, abs=1e-12)
+    assert CommGraph.ring(5).sigma2 == pytest.approx(RING5_SIGMA2, abs=1e-12)
 
 
 def test_two_node_connectivity():
     g = CommGraph.from_edges(2, [(0, 1)])
     # path graph K2: sigma2 = 2 (eigenvalues 0, 2)
-    assert algebraic_connectivity(g) == pytest.approx(2.0, abs=1e-12)
+    assert g.sigma2 == pytest.approx(2.0, abs=1e-12)
 
 
 def test_disconnected_rejected():
@@ -82,18 +77,14 @@ def test_non_finite_weight_rejected(weight):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_laplacian_is_a_new_copy_of_the_graphs_own(n):
-    """The graph holds L = D - A read-only; ``laplacian`` returns a new writable copy each call."""
+    """The graph holds its own L = D - A, a new read-only array."""
     rng = np.random.default_rng(n)
     g = CommGraph.from_edges(n, [(i, (i + 1) % n, rng.uniform(0.5, 2.0)) for i in range(n - 1)]
                              + [(0, n - 1, 1.0)] * (n > 2))
     expected = np.diag(g.adjacency.sum(axis=1)) - g.adjacency
     with pytest.raises(ValueError, match="read-only"):
         g.L[0, 0] = 0.0
-    first, second = laplacian(g), laplacian(g)
-    assert first is not second and not np.shares_memory(first, g.L)
-    assert np.array_equal(first, expected) and np.array_equal(second, expected)
-    first[0, 0] = 99.0
-    assert np.array_equal(g.L, expected) and np.array_equal(laplacian(g), expected)
+    assert np.array_equal(g.L, expected) and not np.shares_memory(g.L, g.adjacency)
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,18 +97,17 @@ def test_random_connected_graph_properties(n, seed):
         i, j = rng.choice(n, 2, replace=False)
         edges.append((int(i), int(j)))
     g = CommGraph.from_edges(n, [(i, j) for i, j in edges if i != j])
-    L = laplacian(g)
-    w = np.linalg.eigvalsh(L)
+    w = np.linalg.eigvalsh(g.L)
     assert w[0] == pytest.approx(0.0, abs=1e-9)
     assert w[1] > 1e-9
-    assert algebraic_connectivity(g) == pytest.approx(w[1], abs=1e-9)
+    assert g.sigma2 == pytest.approx(w[1], abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_sigma2_is_held_by_the_graph(n):
-    """algebraic_connectivity reads the graph's own sigma2, bitwise eigvalsh(g.L)[1], outside equality."""
+    """The graph holds sigma2, bitwise eigvalsh(g.L)[1], outside equality."""
     rng = np.random.default_rng(n)
     a = np.triu(rng.uniform(0.5, 2.0, (n, n)), 1)
     g = CommGraph(a + a.T)
-    assert algebraic_connectivity(g) == g.sigma2 == np.linalg.eigvalsh(g.L)[1]
+    assert g.sigma2 == np.linalg.eigvalsh(g.L)[1]
     assert type(g.sigma2) is float and "sigma2" not in repr(g)

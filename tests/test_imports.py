@@ -89,7 +89,8 @@ def test_lazy_names_listed_and_shared():
 def test_every_all_entry_resolves():
     """No module lists a name it does not define; the deleted model copies stay gone."""
     gone = {"reduced_rhs", "lyapunov_value", "integrator_rhs", "consensus_gain_matrix",
-            "spectral_abscissa", "kkt_residual", "transform_matrix", "to_per_unit"}
+            "spectral_abscissa", "kkt_residual", "transform_matrix", "to_per_unit",
+            "laplacian", "algebraic_connectivity"}
     modules = [mg] + [importlib.import_module(f"mgshare.{m.name}")
                       for m in pkgutil.iter_modules(mg.__path__)]
     for module in modules:

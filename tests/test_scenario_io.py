@@ -62,7 +62,7 @@ def test_parser_units():
 def test_lv5_graph_is_unit_ring(lv5):
     A = lv5.graph.adjacency
     assert A.sum() == pytest.approx(10.0)  # 5 edges, weight 1, symmetric
-    assert mg.algebraic_connectivity(lv5.graph) == pytest.approx(
+    assert lv5.graph.sigma2 == pytest.approx(
         2 - 2 * np.cos(2 * np.pi / 5), abs=1e-12)
 
 
@@ -133,7 +133,7 @@ def _records(lv5):
     report = mg.verify_properties(result.equilibrium, lv5.params)
     tuned = mg.tune(mg.TuningSpec(delta_f_max=0.005, rocof_star=2.5), lv5.graph,
                     lv5.params.v_min, lv5.params.v_max)
-    model = ClosedLoop("proposed", lv5.params, red, mg.laplacian(lv5.graph))
+    model = ClosedLoop("proposed", lv5.params, red, lv5.graph)
     scenario = replace(lv5, initial_theta=np.zeros(5), initial_state=np.zeros(15))
     records = (lv5.graph, lv5.params, red, result.lin, scenario, result.equilibrium,
                result.blocks, result.certificate, report, tuned, model, result)
@@ -163,15 +163,14 @@ def test_records_keep_their_own_copy_of_a_callers_arrays(lv5):
     red = mg.kron_reduce(lv5.network)
     adjacency, G, B = lv5.graph.adjacency.copy(), red.G.copy(), red.B.copy()
     s_rated, v_min = lv5.params.s_rated.copy(), lv5.params.v_min.copy()
-    L, theta, x0 = mg.laplacian(lv5.graph), np.zeros(5), np.zeros(15)
+    theta, x0 = np.zeros(5), np.zeros(15)
     graph = mg.CommGraph(adjacency)
     net = mg.ReducedNetwork(G=G, B=B)
     params = replace(lv5.params, s_rated=s_rated, v_min=v_min)
-    model = ClosedLoop("proposed", lv5.params, red, L)
     with_theta = replace(lv5, initial_theta=theta)
     with_state = replace(lv5, initial_state=x0)
     for given, stored in ((adjacency, graph.adjacency), (G, net.G), (B, net.B),
-                          (s_rated, params.s_rated), (v_min, params.v_min), (L, model.L),
+                          (s_rated, params.s_rated), (v_min, params.v_min),
                           (theta, with_theta.initial_theta), (x0, with_state.initial_state)):
         kept = stored.copy()
         given += 1.0    # raises ValueError if the constructor froze the caller's array
@@ -180,11 +179,14 @@ def test_records_keep_their_own_copy_of_a_callers_arrays(lv5):
 
 def test_closed_loop_and_analysis_compare_by_value(lv5):
     """Records built from equal inputs are equal, and differ when an input does."""
-    red, L = mg.kron_reduce(lv5.network), mg.laplacian(lv5.graph)
-    model = ClosedLoop("proposed", lv5.params, red, L)
-    assert model == ClosedLoop("proposed", lv5.params, mg.kron_reduce(lv5.network), L.copy())
-    assert model != ClosedLoop("droop", lv5.params, red, L)
-    assert model != ClosedLoop("proposed", lv5.params.with_limits(0.96, 1.05), red, L)
+    red, g = mg.kron_reduce(lv5.network), lv5.graph
+    model = ClosedLoop("proposed", lv5.params, red, g)
+    assert model == ClosedLoop("proposed", lv5.params, mg.kron_reduce(lv5.network),
+                               mg.CommGraph(g.adjacency.copy()))
+    assert model != ClosedLoop("droop", lv5.params, red, g)
+    assert model != ClosedLoop("proposed", lv5.params.with_limits(0.96, 1.05), red, g)
+    assert model != ClosedLoop("proposed", lv5.params, red, mg.CommGraph.ring(5, weight=2.0))
+    assert all(f", {name}=" not in repr(model) for name in ("tau", "at", "M", "K"))
     result = mg.analyze(red, lv5.graph, lv5.params, [0.1, 0])
     assert result == mg.analyze(mg.kron_reduce(lv5.network), lv5.graph, lv5.params, [0.1, 0])
     assert result != mg.analyze(red, lv5.graph, lv5.params, [0.1])
@@ -239,6 +241,19 @@ def test_repeated_section_rejected(old, new, section):
     lineno = max(i for i, ln in enumerate(lines, 1) if ln.startswith(f"[{section}]"))
     with pytest.raises(ScenarioFormatError, match=rf"line {lineno}: repeated section \[{section}\]"):
         sio.parse_scenario_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("[graph]\n", "[graph]\n2 1 5.0\n"),    # the weight 5.0 would be lost to 1 2's default 1.0
+    ("[graph]\n", "[graph]\n1 2\n"),
+    ("5 1\n", "5 1\n2 1 5.0\n"),
+], ids=["reversed-before", "same-before", "reversed-after"])
+def test_repeated_graph_edge_rejected(old, new):
+    """An edge listed twice, in either order, is a semantic error, not a silent overwrite."""
+    text = sio.bundled_scenario_path("lv5").read_text()
+    assert text.count(old) == 1
+    with pytest.raises(ScenarioFormatError, match=r"- graph edge \(1,2\) listed twice$"):
+        sio.parse_scenario_text(text.replace(old, new))
 
 
 def test_data_before_section():

@@ -101,11 +101,37 @@ def test_containment_check_on_accepted_steps(lv5, lv5_reduced):
     y = np.zeros((5 * n, 4))
     y[2 * n + 3, 2] = 1.0          # tanh(v/Delta) rounds to 1: V == v_max
     sol = SimpleNamespace(t=np.array([0.0, 0.1, 0.25, 0.4]), y=y)
-    L = mg.laplacian(lv5.graph)
-    _check_containment(ClosedLoop("droop", lv5.params, lv5_reduced, L), sol)
+    _check_containment(ClosedLoop("droop", lv5.params, lv5_reduced, lv5.graph), sol)
     with pytest.raises(mg.SimulationError) as err:
-        _check_containment(ClosedLoop("proposed", lv5.params, lv5_reduced, L), sol)
+        _check_containment(ClosedLoop("proposed", lv5.params, lv5_reduced, lv5.graph), sol)
     assert err.value.time == 0.25
+
+
+@pytest.mark.parametrize("error, wrapped", [(RuntimeError, False), (mg.NetworkDataError, True)])
+def test_only_network_data_errors_become_simulation_errors(lv5, monkeypatch, error, wrapped):
+    """kron_reduce reports bad data as NetworkDataError, a SimulationError here; other errors pass."""
+    def failing_kron_reduce(*args):
+        raise error("stub")
+
+    monkeypatch.setattr(sim, "kron_reduce", failing_kron_reduce)
+    with pytest.raises(Exception) as err:
+        mg.simulate(replace(lv5, t_end=1.0, events=()))
+    if wrapped:
+        assert type(err.value) is mg.SimulationError
+        assert str(err.value) == "network re-reduction failed: stub"
+        assert type(err.value.__cause__) is error
+    else:
+        assert type(err.value) is error and str(err.value) == "stub"
+
+
+def test_time_series_compares_by_value(lv5):
+    """Two runs of one scenario are equal, a run on another grid is not, and hash() is refused."""
+    s = replace(lv5, t_end=1.0, events=())
+    ts = mg.simulate(s)
+    assert ts == mg.simulate(s)
+    assert ts != mg.simulate(replace(s, sample_ms=5.0))
+    with pytest.raises(TypeError, match="unhashable type: 'TimeSeries'"):
+        hash(ts)
 
 
 def test_droop_phase_reaches_droop_equilibrium(lv5, lv5_reduced):

@@ -84,7 +84,7 @@ def literal_blocks(lin, w, g, params):
     T = transform(n)
     Tinv = np.linalg.inv(T)
     Ir = np.hstack([np.zeros((n - 1, 1)), np.eye(n - 1)])
-    L = mg.laplacian(g)
+    L = g.L
     K = np.linalg.inv(np.eye(n) + params.k * L)
     invS = np.diag(1.0 / params.s_rated)
     mS = np.diag(params.m_omega / params.s_rated)
@@ -184,7 +184,7 @@ def test_derived_complement_matches_direct_build(name):
     p = sc.params
     # lv5 has two units past the leakage kink, so d(rho v)/dv is exercised
     assert np.any(leakage(p, eq.v) > 0) == (name == "lv5")
-    J = brackets_jacobian("proposed", p, mg.laplacian(sc.graph), lin, eq.v)
+    J = brackets_jacobian("proposed", p, sc.graph, lin, eq.v)
     direct = st._relative(st._eliminate_fast(J))
     derived = st._at_voltage(st._complement(lin, sc.graph, p), p, eq.v)
     assert np.abs(derived - direct).max() <= 1e-15 * np.abs(direct).max()
@@ -485,7 +485,7 @@ def test_sweep_matches_full_coordinate_oracle(name):
     zero modes dropped."""
     sc, lin, eq = bundled_lin(name)
     p = sc.params
-    S = st._eliminate_fast(brackets_jacobian("proposed", p, mg.laplacian(sc.graph), lin, eq.v))
+    S = st._eliminate_fast(brackets_jacobian("proposed", p, sc.graph, lin, eq.v))
     ratios = [0.5, 0.2, 0.1, 0.05, 0.01]
     for r, a in st.epsilon_sweep(lin, sc.graph, p, eq.v, ratios):
         tau = np.repeat([1.0, p.tau_v, r * p.tau_v], lin.n)
@@ -500,7 +500,7 @@ def test_sweep_is_singular_limit_of_full_model(lv5, lv5_reduced, lv5_lin, lv5_eq
     p = lv5.params
     fast = replace(p, tau_omega=1e-3 * p.tau_omega, tau_p=1e-3 * p.tau_p, tau_d=0.1 * p.tau_v)
     eq = lv5_equilibrium
-    model = ClosedLoop("proposed", fast, lv5_reduced, mg.laplacian(lv5.graph))
+    model = ClosedLoop("proposed", fast, lv5_reduced, lv5.graph)
     J = model.jac(0.0, np.concatenate([eq.theta, eq.Omega, eq.v, eq.lam, eq.zeta]))
     a_full = abscissa_without_zero_modes(J)
     [(_, a_sweep)] = st.epsilon_sweep(lv5_lin, lv5.graph, p, eq.v, [0.1])

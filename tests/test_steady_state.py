@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import mgshare as mg
 from mgshare import controller as ctrl
 from mgshare import steady_state as ss
-from mgshare.graph import laplacian
 
 from conftest import kkt_residual
 
@@ -28,7 +27,7 @@ def test_equilibrium_satisfies_dynamics(lv5, lv5_reduced, lv5_equilibrium):
     eq = lv5_equilibrium
     P, Q = mg.power_flow(lv5_reduced, eq.theta, eq.V)
     assert np.allclose(P, eq.P, atol=1e-10) and np.allclose(Q, eq.Q, atol=1e-10)
-    model = ctrl.ClosedLoop("proposed", lv5.params, lv5_reduced, laplacian(lv5.graph))
+    model = ctrl.ClosedLoop("proposed", lv5.params, lv5_reduced, lv5.graph)
     f = model.rhs(0.0, np.concatenate([eq.theta, eq.Omega, eq.v, eq.lam, eq.zeta]))
     assert np.array_equal(f[: eq.n], eq.Omega)
     assert np.allclose(f[eq.n:], 0.0, atol=1e-9)
@@ -144,7 +143,7 @@ def _check_solution(eq, red, graph, params, zeta_sum=0.0):
     assert report.all_pass, "\n".join(report.lines())
     assert np.abs(eq.lam - eq.alpha_Q).max() <= 1e-8
     assert eq.residual < 1e-11
-    model = ctrl.ClosedLoop(eq.mode, params, red, laplacian(graph))
+    model = ctrl.ClosedLoop(eq.mode, params, red, graph)
     f = model.rhs(0.0, np.concatenate([eq.theta, eq.Omega, eq.v, eq.lam, eq.zeta]))
     assert np.abs(f[eq.n:]).max() <= 1e-9
     for part in kkt_residual(graph, params.k, eq.lam, eq.zeta, eq.Q / params.s_rated):
