@@ -194,14 +194,12 @@ def _cmd_steady_state(args, scenario) -> int:
 def _cmd_stability(args, scenario) -> int:
     red = kron_reduce(scenario.network)
     try:
-        ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
-        result = stability.analyze(red, scenario.graph, scenario.params, ratios)
-    except np.linalg.LinAlgError:
-        raise
+        ratios = stability._ratios(r for r in args.ratios.split(",") if r.strip())
     except ValueError:
         print("error: --ratios must be comma-separated nonnegative finite numbers, "
               f"got {args.ratios!r}", file=sys.stderr)
         return 2
+    result = stability.analyze(red, scenario.graph, scenario.params, ratios)
     cert = result.certificate
     print(f"LMI certificate           : {'feasible' if cert.feasible else 'INFEASIBLE'} "
           f"(margin {cert.margin:+.3e}, alpha_s {cert.alpha_s:.3e})")

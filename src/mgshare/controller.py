@@ -185,6 +185,7 @@ class ClosedLoop(Record):
     and ``graph`` the communication graph. ``brackets`` are the pre-tau
     right-hand sides; ``tau`` holds each block's ``TAU`` per unit, and
     ``rhs`` = brackets / tau. tau, at, M and K are derived, outside equality.
+    Construction fails unless params, net and graph agree on the number of units.
     """
 
     mode: str
@@ -200,6 +201,9 @@ class ClosedLoop(Record):
         p = self.params
         if not isinstance(self.graph, CommGraph):
             raise TypeError(f"graph must be a CommGraph, got {type(self.graph).__name__}")
+        if not p.n == self.net.n == self.graph.n:
+            raise ValueError(f"params, net and graph must agree on n, got {p.n}, {self.net.n} "
+                             f"and {self.graph.n} units")
         for name, a in zip(("at", "M", "K"), _affine_part(self.mode, p, self.graph.L)):
             object.__setattr__(self, name, a)
         taus = [1.0 if TAU[b] is None else getattr(p, TAU[b]) for b in self.at._fields]

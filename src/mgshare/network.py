@@ -210,17 +210,20 @@ def kron_reduce(data: NetworkData, load_scale=None) -> ReducedNetwork:
     """
     n = data.n_ibr
     Y = full_admittance(data, load_scale)
-    Yaa, Yab = Y[:n, :n], Y[:n, n:]
-    Yba, Ybb = Y[n:, :n], Y[n:, n:]
     try:
-        Yred = Yaa - Yab @ np.linalg.solve(Ybb, Yba)
+        Yred = _schur(Y, n)
     except np.linalg.LinAlgError:
-        bad = _singular_buses(Ybb)
+        bad = _singular_buses(Y[n:, n:])
         raise NetworkDataError(
             f"cannot eliminate main buses {bad}: eliminated block is singular"
         ) from None
     Yred = 0.5 * (Yred + Yred.T)  # symmetrize round-off
     return ReducedNetwork(G=Yred.real, B=Yred.imag)
+
+
+def _schur(M: np.ndarray, k: int) -> np.ndarray:
+    """Schur complement of M over its rows and columns from k on."""
+    return M[:k, :k] - M[:k, k:] @ np.linalg.solve(M[k:, k:], M[k:, :k])
 
 
 def _singular_buses(Ybb: np.ndarray) -> list[int]:

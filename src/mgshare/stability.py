@@ -3,15 +3,17 @@
 Every matrix here comes from the one closed-loop model,
 ``controller.brackets_jacobian``. Its Schur complement over the fast states
 (Omega, lambda) is the linearized (theta, v, zeta) system, i.e. the limit
-tau_omega, tau_p -> 0. Projecting theta and zeta onto n-1 difference
-coordinates through the averaging/difference transform T removes the
-uniform angle and dual shifts, the two zero modes. ``_complement`` builds
-this relative complement R once per operating point, at v = 0, for the
-cascade blocks. The sweep's complement at the equilibrium v is R with its v
-columns scaled by sech^2(v/Delta) and d(rho(v) v)/dv subtracted on the v
-diagonal, exactly: M has no v columns, column scaling commutes with the
-Schur complement over (Omega, lambda), and T leaves v alone. ``analyze``
-runs the whole pass for one operating point. The module checks:
+tau_omega, tau_p -> 0. One change of basis T maps theta and zeta onto their
+n-1 neighbour differences, which drops the uniform angle and dual shifts,
+the two zero modes, and puts the fast states last. The relative complement
+R is then one Schur complement of T J Ti, the same ``_schur`` that Kron
+reduction takes. ``_complement`` builds R once per operating point, at
+v = 0, for the cascade blocks. The sweep's complement at the equilibrium v
+is R with its v columns scaled by sech^2(v/Delta) and d(rho(v) v)/dv
+subtracted on the v diagonal, exactly: M has no v columns, column scaling
+commutes with the Schur complement over (Omega, lambda), and T leaves v
+alone. ``analyze`` runs the whole pass for one operating point. The module
+checks:
 
 * an LMI certificate (P_theta > 0, D_v > 0 diagonal, Q + Q^T < 0) for the
   slow reduced dynamics, taken from closed-form candidates without a
@@ -37,7 +39,7 @@ import numpy as np
 from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian, saturation_derivatives
 from .errors import MgshareError
 from .graph import CommGraph, Record, read_only
-from .network import LinearizedModel, ReducedNetwork, jacobians
+from .network import LinearizedModel, ReducedNetwork, _schur, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
 __all__ = [
@@ -51,11 +53,11 @@ __all__ = [
     "analyze",
 ]
 
-# the fast states, which the timescale separation eliminates, and the slow ones in STATE order
+# the fast states, which the timescale separation eliminates
 FAST = ("Omega", "lam")
-SLOW = Layout(**{b: a for b, a in STATE["proposed"].lengths.items() if b not in FAST})
-# the relative complement's rows and columns
+# the relative complement's rows and columns; BASIS, which _relative_maps maps to, puts FAST last
 RELATIVE = Layout(r_theta=N_1, v=N, r_zeta=N_1)
+BASIS = Layout(**RELATIVE.lengths, **{b: STATE["proposed"].lengths[b] for b in FAST})
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,44 +91,24 @@ def _check_angle_shift_invariance(lin: LinearizedModel, L: np.ndarray):
         )
 
 
-def _schur(M: np.ndarray, k: int) -> np.ndarray:
-    """Schur complement of M over its rows and columns from k on."""
-    return M[:k, :k] - M[:k, k:] @ np.linalg.solve(M[k:, k:], M[k:, :k])
-
-
 @cache
-def _fast_last(n: int) -> np.ndarray:
-    """The proposed-mode state indices for n units in ``SLOW`` order, then ``FAST``; read-only."""
-    at, index = STATE["proposed"].at(n), np.arange(STATE["proposed"].dim(n))
-    return read_only(np.concatenate([index[getattr(at, b)] for b in (*SLOW.lengths, *FAST)]))
+def _relative_maps(n: int):
+    """(T, Ti): the change of basis from a proposed-mode state to ``BASIS``, and back; read-only.
 
-
-def _eliminate_fast(J: np.ndarray) -> np.ndarray:
-    """Complement of a proposed-mode bracket Jacobian over ``FAST``, in ``SLOW`` order."""
-    n = J.shape[0] // len(STATE["proposed"].lengths)
-    order = _fast_last(n)
-    return _schur(J[order[:, None], order], SLOW.dim(n))
-
-
-@cache
-def _transform(n: int):
-    """(D, N): the averaging/difference transform T = [1^T/n; D] and its
-    closed-form inverse [1, N], without their average row and column; read-only."""
-    j = np.arange(n)
-    return read_only(np.diff(np.eye(n), axis=0)), read_only((j / n - (j[:, None] < j))[:, 1:])
-
-
-def _relative(S: np.ndarray) -> np.ndarray:
-    """The ``RELATIVE`` rows and columns [r_theta, v, r_zeta] of S, in ``SLOW`` order.
-
-    r = D x holds the n-1 neighbour differences of x, and x = 1 x_av + N r,
-    where the complement annihilates the uniform shift 1.
+    T takes [theta, Omega, v, lam, zeta] to [r_theta, v, r_zeta, Omega, lam]:
+    r = D x holds the n-1 neighbour differences of x, and Ti puts x = N r
+    back, so that T Ti = I. Ti drops the uniform shift 1 x_av, which the
+    bracket Jacobian annihilates in the theta and zeta columns.
     """
-    n = S.shape[0] // len(SLOW.lengths)
-    D, N = _transform(n)
-    s = SLOW.at(n)
-    X = np.vstack([D @ S[s.theta], S[s.v], D @ S[s.zeta]])
-    return np.hstack([X[:, s.theta] @ N, X[:, s.v], X[:, s.zeta] @ N])
+    at, to = STATE["proposed"].at(n), BASIS.at(n)
+    I, D, j = np.eye(n), np.diff(np.eye(n), axis=0), np.arange(n)
+    N = (j / n - (j[:, None] < j))[:, 1:]
+    T = np.zeros((to[-1].stop, at[-1].stop))
+    Ti = np.zeros(T.shape[::-1])
+    for dst, src, forth, back in zip(to, [getattr(at, b) for b in ("theta", "v", "zeta", *FAST)],
+                                     (D, I, D, I, I), (N, I, N, I, I)):
+        T[dst, src], Ti[src, dst] = forth, back
+    return read_only(T), read_only(Ti)
 
 
 def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.ndarray:
@@ -135,7 +117,9 @@ def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.nda
     ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
     """
     _check_angle_shift_invariance(lin, g.L)
-    return _relative(_eliminate_fast(brackets_jacobian("proposed", params, g, lin, np.zeros(lin.n))))
+    T, Ti = _relative_maps(lin.n)
+    J = brackets_jacobian("proposed", params, g, lin, np.zeros(lin.n))
+    return _schur(T @ J @ Ti, RELATIVE.dim(lin.n))
 
 
 def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:

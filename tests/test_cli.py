@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from mgshare import serialize_scenario
+from mgshare import serialize_scenario, stability
 from mgshare.cli import main
 from mgshare.errors import ScenarioFormatError
 from mgshare.scenario_io import bundled_scenario_path, parse_scenario_text
@@ -181,6 +181,16 @@ def test_bad_ratios_exits_2(capsys):
         captured = capsys.readouterr()
         assert "--ratios must be comma-separated nonnegative finite numbers" in captured.err
         assert captured.out == ""
+
+
+def test_stability_passes_analysis_errors_through(monkeypatch):
+    """A ValueError from inside analyze is not reported as a bad --ratios."""
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(stability, "analyze", boom)
+    with pytest.raises(ValueError, match="^boom$"):
+        main(["stability", "lv5"])
 
 
 def test_no_command_exits_2():

@@ -232,6 +232,18 @@ def test_closed_loop_takes_a_comm_graph(lv5, lv5_reduced):
     assert ctrl.ClosedLoop("proposed", lv5.params, lv5_reduced, lv5.graph).graph is lv5.graph
 
 
+@pytest.mark.parametrize("mode, net, graph, sizes", [
+    ("droop", "lv5", 3, "5, 5 and 3"),
+    ("proposed", "lv5", 3, "5, 5 and 3"),
+    ("proposed", "ring3", 5, "5, 3 and 5"),
+], ids=["droop-graph", "proposed-graph", "proposed-net"])
+def test_closed_loop_inputs_agree_on_n(lv5, lv5_reduced, ring3_reduced, mode, net, graph, sizes):
+    """lv5's params with a 3-unit graph or network is refused when the loop is built, in either mode."""
+    red = {"lv5": lv5_reduced, "ring3": ring3_reduced}[net]
+    with pytest.raises(ValueError, match=f"^params, net and graph must agree on n, got {sizes} units$"):
+        ctrl.ClosedLoop(mode, lv5.params, red, mg.CommGraph.ring(graph))
+
+
 def test_kkt_zero_iff_consensus():
     g = mg.CommGraph.ring(4)
     q = np.array([0.5, 0.3, 0.6, 0.2])
@@ -270,6 +282,15 @@ def test_non_finite_params_rejected(name, bad):
         value = bad
     with pytest.raises(ValueError, match=rf"^{name} must be (\w+ and )?finite"):
         make_params(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["m_omega", "m_v", "v_min", "v_max"])
+def test_per_unit_lengths_must_agree(name):
+    """s_rated sets n; another per-unit array of a different length (not one scalar) is refused."""
+    p = make_params()
+    kw = {f.name: getattr(p, f.name) for f in fields(p) if f.init}
+    with pytest.raises(ValueError, match=f"^{name} must have length 3$"):
+        mg.IbrParams(**{**kw, name: kw[name][:2]})
 
 
 def test_band_overflowing_to_infinity_rejected():

@@ -66,6 +66,16 @@ def test_negative_weight_rejected():
         CommGraph(A)
 
 
+@pytest.mark.parametrize("A, match", [
+    (np.zeros((2, 3)), r"^adjacency must be square, got shape \(2, 3\)$"),
+    (np.zeros((1, 1)), "^graph needs at least 2 nodes$"),
+    (np.ones((3, 3)), "^adjacency diagonal must be zero$"),
+], ids=["not-square", "one-node", "self-loop"])
+def test_malformed_adjacency_rejected(A, match):
+    with pytest.raises(ValueError, match=match):
+        CommGraph(A)
+
+
 @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
 def test_non_finite_weight_rejected(weight):
     """A non-finite weight is named, not left to the sign and symmetry checks or to eigvalsh."""

@@ -67,6 +67,20 @@ def test_non_finite_network_values_rejected(lv5, field, value, match):
         replace(net, **{field: rows})
 
 
+@pytest.mark.parametrize("edit, match", [
+    (lambda net: {"n_bus": 0}, "^need at least one main bus$"),
+    (lambda net: {"connectors": net.connectors[1:]}, "^connector ibr ids must be 1..n without gaps$"),
+    (lambda net: {"lines": net.lines + (mg.Line(5, 6, 0.1, 0.2),)}, "^line references unknown bus 6$"),
+    (lambda net: {"connectors": (mg.Connector(1, 0, 0.03, 0.1),) + net.connectors[1:]},
+     "^connector references unknown bus 0$"),
+    (lambda net: {"loads": net.loads + (mg.Load(7, 0.5, 0.9),)}, "^load references unknown bus 7$"),
+], ids=["no-bus", "ibr-gap", "line-bus", "connector-bus", "load-bus"])
+def test_bad_network_tables_rejected(lv5, edit, match):
+    """Each table may only reference the declared main buses, and the IBRs are numbered 1..n."""
+    with pytest.raises(mg.NetworkDataError, match=match):
+        replace(lv5.network, **edit(lv5.network))
+
+
 # ---------------------------------------------------------------------------
 # Kron reduction
 # ---------------------------------------------------------------------------
@@ -101,6 +115,15 @@ def test_kron_load_scale_locality(lv5):
     assert np.allclose(red_a.B, Yred.imag, atol=1e-12)
     red_b = mg.kron_reduce(lv5.network)
     assert not np.allclose(red_a.B, red_b.B)
+
+
+def test_singular_eliminated_block_names_its_buses(lv5):
+    """A bus 6 tied to bus 5 by j0.1 and -j0.1 in parallel has an all-zero admittance row."""
+    net = lv5.network
+    net = replace(net, n_bus=6, lines=net.lines + (mg.Line(5, 6, 0.0, 0.1), mg.Line(5, 6, 0.0, -0.1)))
+    with pytest.raises(mg.NetworkDataError,
+                       match=r"^cannot eliminate main buses \[6\]: eliminated block is singular$"):
+        mg.kron_reduce(net)
 
 
 def test_full_admittance_is_a_fresh_stamp():
@@ -154,6 +177,13 @@ def test_non_finite_reduced_admittance_rejected(name, bad):
     a[name][0, 1] = a[name][1, 0] = bad
     with pytest.raises(mg.NetworkDataError, match=r"reduced admittance G \+ jB must be finite"):
         mg.ReducedNetwork(**a)
+
+
+@pytest.mark.parametrize("G, B", [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))),
+                                  (np.ones(2), np.ones(2))], ids=["sizes", "not-square", "vector"])
+def test_reduced_admittance_must_be_square(G, B):
+    with pytest.raises(mg.NetworkDataError, match="^G and B must be equal-size square matrices$"):
+        mg.ReducedNetwork(G=G, B=B)
 
 
 def test_reduced_symmetry_and_passivity(lv5_reduced):

@@ -9,7 +9,7 @@ import mgshare as mg
 from mgshare import stability as st
 from mgshare.controller import STATE, ClosedLoop, brackets_jacobian, leakage, voltage_output
 from mgshare.errors import MgshareError
-from mgshare.network import jacobians
+from mgshare.network import _schur, jacobians
 from mgshare.scenario_io import parse_scenario_text
 
 
@@ -44,32 +44,38 @@ def flow_offset(net, lin, theta0, V0):
 
 
 def test_transform_maps_ones_to_e1():
-    """The relative coordinates' (D, N) complete to T and its inverse."""
+    """The relative maps' (D, N) complete to the averaging/difference transform
+    and its inverse, and T annihilates uniform theta and zeta shifts exactly."""
     for n in (2, 3, 5, 8):
-        D, N = st._transform(n)
-        T, Tinv = np.vstack([np.full(n, 1.0 / n), D]), np.hstack([np.ones((n, 1)), N])
+        T, Ti = st._relative_maps(n)
+        at, to = STATE["proposed"].at(n), st.BASIS.at(n)
+        D, N = T[to.r_theta, at.theta], Ti[at.theta, to.r_theta]
+        full, inverse = np.vstack([np.full(n, 1.0 / n), D]), np.hstack([np.ones((n, 1)), N])
         e1 = np.zeros(n)
         e1[0] = 1.0
-        assert np.allclose(T @ np.ones(n), e1, atol=1e-12)
-        assert np.allclose(T @ Tinv, np.eye(n), atol=1e-12)
+        assert np.allclose(full @ np.ones(n), e1, atol=1e-12)
+        assert np.allclose(full @ inverse, np.eye(n), atol=1e-12)
+        for block in ("theta", "zeta"):
+            shift = np.zeros(at.zeta.stop)
+            shift[getattr(at, block)] = 1.0
+            assert np.array_equal(T @ shift, np.zeros(to.lam.stop)), block
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_transform_and_elimination_order_are_cached_read_only(n):
-    """(D, N) and the FAST-last order are built once per n; D N = I, D 1 = 0, SLOW then FAST."""
-    D, N = st._transform(n)
-    order = st._fast_last(n)
-    assert st._transform(n)[0] is D and st._transform(n)[1] is N and st._fast_last(n) is order
-    for a in (D, N, order):
+    """(T, Ti) is built once per n, read-only; T Ti = I, and FAST comes last in STATE order."""
+    T, Ti = st._relative_maps(n)
+    assert st._relative_maps(n)[0] is T and st._relative_maps(n)[1] is Ti
+    for a in (T, Ti):
         with pytest.raises(ValueError, match="read-only"):
-            a[(0,) * a.ndim] = 1
-    assert np.allclose(D @ N, np.eye(n - 1), rtol=0, atol=1e-15)
-    assert np.array_equal(D @ np.ones(n), np.zeros(n - 1))
-    at, slow = STATE["proposed"].at(n), st.SLOW.dim(n)
+            a[0, 0] = 1
+    assert np.abs(T @ Ti - np.eye(T.shape[0])).max() <= 1e-15
+    at, relative = STATE["proposed"].at(n), st.RELATIVE.dim(n)
     fast = np.concatenate([np.arange(at.zeta.stop)[getattr(at, b)] for b in st.FAST])
-    assert np.array_equal(np.sort(order), np.arange(at.zeta.stop))
-    assert np.array_equal(order[slow:], fast)
-    assert np.all(np.diff(order[:slow]) > 0)    # the SLOW blocks keep their STATE order
+    assert list(st.FAST) == [b for b in at._fields if b in st.FAST]
+    assert np.array_equal(T[relative:], np.eye(at.zeta.stop)[fast])
+    assert np.array_equal(Ti[:, relative:], np.eye(at.zeta.stop)[:, fast])
+    assert not T[:relative, fast].any() and not Ti[fast, :relative].any()
 
 
 def literal_blocks(lin, w, g, params):
@@ -185,7 +191,8 @@ def test_derived_complement_matches_direct_build(name):
     # lv5 has two units past the leakage kink, so d(rho v)/dv is exercised
     assert np.any(leakage(p, eq.v) > 0) == (name == "lv5")
     J = brackets_jacobian("proposed", p, sc.graph, lin, eq.v)
-    direct = st._relative(st._eliminate_fast(J))
+    T, Ti = st._relative_maps(lin.n)
+    direct = _schur(T @ J @ Ti, st.RELATIVE.dim(lin.n))
     derived = st._at_voltage(st._complement(lin, sc.graph, p), p, eq.v)
     assert np.abs(derived - direct).max() <= 1e-15 * np.abs(direct).max()
 
@@ -354,6 +361,41 @@ def test_lmi_certifies_chorded_fleet():
     assert cert.margin <= -1e-3
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lmi_later_epsilon_step_certifies_fleet(seed, monkeypatch):
+    """A 60-unit chorded ring: the identity pair fails by far, the first epsilon
+    step gives no certificate, and the second one's candidate certifies.
+
+    The first step's Hamiltonian has eigenvalues on the imaginary axis to
+    round-off, so whether it yields a candidate at all depends on the last
+    bits of R; when it does, that candidate fails.
+    """
+    sc = parse_scenario_text(chorded_ring_text(60, np.random.default_rng(seed)))
+    red = mg.kron_reduce(sc.network)
+    eq = mg.solve_equilibrium(red, sc.graph, sc.params, mode="proposed")
+    blocks = st.assemble_blocks(jacobians(red, eq.theta, eq.V), sc.graph, sc.params)
+    beta = sc.params.beta
+    identity = st._certificate(blocks, beta, np.eye(59), np.ones(60))
+    assert not identity.feasible and identity.margin > 10
+    steps = []
+    eig = np.linalg.eig
+
+    def counting(a):
+        steps.append(1)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    tried = []     # (epsilon step, feasible) per Riccati candidate, up to the first that certifies
+    for P, d in st._riccati_candidates(blocks, beta):
+        tried.append((len(steps), st._certificate(blocks, beta, P, d)))
+        if tried[-1][1].feasible:
+            break
+    assert [(k, c.feasible) for k, c in tried] in ([(1, False), (2, True)], [(2, True)])
+    cert = st.solve_lmi(blocks, beta)
+    assert cert.feasible and cert.verify(blocks, beta)
+    assert np.array_equal(cert.P_theta, tried[-1][1].P_theta) and cert.margin == tried[-1][1].margin
+
+
 def test_boundary_layer(lv5_blocks):
     P_y, alpha_f = st.boundary_layer_check(lv5_blocks)
     assert alpha_f == pytest.approx(1.0, abs=1e-9)
@@ -485,7 +527,12 @@ def test_sweep_matches_full_coordinate_oracle(name):
     zero modes dropped."""
     sc, lin, eq = bundled_lin(name)
     p = sc.params
-    S = st._eliminate_fast(brackets_jacobian("proposed", p, sc.graph, lin, eq.v))
+    J = brackets_jacobian("proposed", p, sc.graph, lin, eq.v)
+    at, index = STATE["proposed"].at(lin.n), np.arange(J.shape[0])
+    slow = np.concatenate([index[at.theta], index[at.v], index[at.zeta]])
+    fast = np.concatenate([index[at.Omega], index[at.lam]])
+    S = (J[np.ix_(slow, slow)]
+         - J[np.ix_(slow, fast)] @ np.linalg.solve(J[np.ix_(fast, fast)], J[np.ix_(fast, slow)]))
     ratios = [0.5, 0.2, 0.1, 0.05, 0.01]
     for r, a in st.epsilon_sweep(lin, sc.graph, p, eq.v, ratios):
         tau = np.repeat([1.0, p.tau_v, r * p.tau_v], lin.n)

@@ -59,6 +59,13 @@ def test_unreachable_budget_quotes_the_beta_it_needs(lv5):
         mg.tune(reference_spec(beta_error_budget=1e-30), lv5.graph, p.v_min, p.v_max)
 
 
+@pytest.mark.parametrize("v_min, v_max", [(1.05, 0.95), (np.array([0.95, 1.0]), 1.0)],
+                         ids=["inverted", "empty-band"])
+def test_tune_rejects_an_empty_band(v_min, v_max):
+    with pytest.raises(mg.MgshareError, match="^need v_min < v_max$"):
+        mg.tune(reference_spec(), ring5(), v_min, v_max)
+
+
 def test_tau_v_range_warning():
     tuned = mg.tune(reference_spec(rocof_star=0.05), ring5(), 0.95, 1.05)
     assert tuned.tau_v > 10.0
