@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 ATANH_CLIP = 0.999  # used when re-initializing v from a measured voltage
+KINK = 3.0  # the leakage rho(v) is nonzero beyond |v| = KINK Delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,19 +133,19 @@ def v_from_voltage(p: IbrParams, V) -> np.ndarray:
 
 
 def leakage(p: IbrParams, v) -> np.ndarray:
-    """Anti-wind-up coefficient rho(v) = max(|v/Delta| - 3, 0), elementwise."""
+    """Anti-wind-up coefficient rho(v) = max(|v/Delta| - KINK, 0), elementwise."""
     return _rho(np.asarray(v, dtype=float) / p.delta)
 
 
 def _rho(u) -> np.ndarray:     # leakage given u = v/Delta
-    return np.maximum(np.abs(u) - 3.0, 0.0)
+    return np.maximum(np.abs(u) - KINK, 0.0)
 
 
 def saturation_derivatives(p: IbrParams, v):
-    """(dV/dv, d(rho(v) v)/dv) elementwise, outward one-sided at the kink |v| = 3 Delta."""
+    """(dV/dv, d(rho(v) v)/dv) elementwise, outward one-sided at the kink |v| = KINK Delta."""
     u = np.asarray(v, dtype=float) / p.delta
     a = np.abs(u)     # |v| / Delta, bitwise: rounding is symmetric in sign
-    return 1.0 / np.cosh(u) ** 2, np.where(a >= 3.0, 2.0 * a - 3.0, 0.0)
+    return 1.0 / np.cosh(u) ** 2, np.where(a >= KINK, 2.0 * a - KINK, 0.0)
 
 
 class Layout:

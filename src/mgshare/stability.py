@@ -7,13 +7,9 @@ tau_omega, tau_p -> 0. One change of basis T maps theta and zeta onto their
 n-1 neighbour differences, which drops the uniform angle and dual shifts,
 the two zero modes, and puts the fast states last. The relative complement
 R is then one Schur complement of T J Ti, the same ``_schur`` that Kron
-reduction takes. ``_complement`` builds R once per operating point, at
-v = 0, for the cascade blocks. The sweep's complement at the equilibrium v
-is R with its v columns scaled by sech^2(v/Delta) and d(rho(v) v)/dv
-subtracted on the v diagonal, exactly: M has no v columns, column scaling
-commutes with the Schur complement over (Omega, lambda), and T leaves v
-alone. ``analyze`` runs the whole pass for one operating point. The module
-checks:
+reduction takes. ``_complement`` builds R at a voltage state v: the
+cascade blocks take it at v = 0 and the sweep at the equilibrium v.
+``analyze`` runs the whole pass for one operating point. The module checks:
 
 * an LMI certificate (P_theta > 0, D_v > 0 diagonal, Q + Q^T < 0) for the
   slow reduced dynamics, taken from closed-form candidates without a
@@ -36,7 +32,7 @@ from itertools import chain
 
 import numpy as np
 
-from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian, saturation_derivatives
+from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian
 from .errors import MgshareError
 from .graph import CommGraph, Record, read_only
 from .network import LinearizedModel, ReducedNetwork, _schur, jacobians
@@ -111,25 +107,15 @@ def _relative_maps(n: int):
     return read_only(T), read_only(Ti)
 
 
-def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> np.ndarray:
-    """Relative complement of the proposed-mode bracket Jacobian at v = 0.
+def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams, v) -> np.ndarray:
+    """Relative complement of the proposed-mode bracket Jacobian at the voltage state v.
 
     ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
     """
     _check_angle_shift_invariance(lin, g.L)
     T, Ti = _relative_maps(lin.n)
-    J = brackets_jacobian("proposed", params, g, lin, np.zeros(lin.n))
+    J = brackets_jacobian("proposed", params, g, lin, v)
     return _schur(T @ J @ Ti, RELATIVE.dim(lin.n))
-
-
-def _at_voltage(R: np.ndarray, params: IbrParams, v) -> np.ndarray:
-    """The relative complement at the voltage state v, derived from R, the one at v = 0."""
-    H, drho_v = saturation_derivatives(params, v)
-    rv = RELATIVE.at(params.n).v
-    A = R.copy()
-    A[:, rv] *= H
-    np.einsum("ii->i", A)[rv] -= drho_v     # A's diagonal, as a view
-    return A
 
 
 def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndarray:
@@ -147,16 +133,6 @@ def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndar
     return R / tau[:, None]
 
 
-def _blocks(R: np.ndarray, p: IbrParams) -> ReducedBlocks:
-    """Cascade blocks read off the relative complement R at v = 0."""
-    th, v, ze = RELATIVE.at(p.n)
-    R = R.copy()
-    R[ze] /= p.tau_v
-    new = _schur(R, ze.start)[v]
-    return ReducedBlocks(R_theta=R[th, th], R_thetaV=R[th, v], R_zeta=R[ze, ze],
-                         R_vtheta_new=new[:, th], R_vV_new=new[:, v] + p.beta * np.eye(p.n))
-
-
 def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
     """Cascade blocks of the closed loop around the flow linearized by ``lin``.
 
@@ -164,7 +140,12 @@ def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> Re
     no leakage slope); beta is split out of R_vV_new, as ``_q_matrix`` applies it.
     That R_zeta is Hurwitz is left to ``boundary_layer_check``.
     """
-    return _blocks(_complement(lin, g, params), params)
+    th, v, ze = RELATIVE.at(params.n)
+    R = _complement(lin, g, params, np.zeros(params.n))
+    R[ze] /= params.tau_v
+    new = _schur(R, ze.start)[v]
+    return ReducedBlocks(R_theta=R[th, th], R_thetaV=R[th, v], R_zeta=R[ze, ze],
+                         R_vtheta_new=new[:, th], R_vV_new=new[:, v] + params.beta * np.eye(params.n))
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +207,11 @@ def _riccati_candidates(blocks: ReducedBlocks, beta: float):
     and H = (D R_vtheta_new)^T W^-1 D R_vtheta_new. Its equation with
     H + eps I is solved from the stable invariant subspace [X1; X2] of the
     Hamiltonian [[A, G], [-(H + eps I), -A^T]] as P = X2 X1^-1 (Potter
-    1966), from eps = 10^-1.5 max|A| down by factors of 10. Nothing is
-    yielded when u or w is not positive, and a LinAlgError ends the
-    candidates.
+    1966), from eps = 10^-1.5 max|A| down by factors of 10. A step yields
+    nothing when some eigenvalue's |Re| is at most 1e-8 times the
+    Hamiltonian's largest entry, where round-off decides the stable count.
+    Nothing is yielded when u or w is not positive, and a LinAlgError ends
+    the candidates.
     """
     n, m = blocks.n, blocks.n - 1
     R = blocks.R_vV_new - beta * np.eye(n)
@@ -245,9 +228,10 @@ def _riccati_candidates(blocks: ReducedBlocks, beta: float):
         H = B.T @ X[:, :m]
         eps = 10**-1.5 * np.abs(A).max()
         for _ in range(8):
-            lam, V = np.linalg.eig(np.block([[A, G], [-H - eps * np.eye(m), -A.T]]))
+            Ham = np.block([[A, G], [-H - eps * np.eye(m), -A.T]])
+            lam, V = np.linalg.eig(Ham)
             stable = lam.real < 0
-            if stable.sum() == m:
+            if stable.sum() == m and np.abs(lam.real).min() > 1e-8 * np.abs(Ham).max():
                 P = np.linalg.solve(V[:m, stable].T, V[m:, stable].T).T.real
                 yield 0.5 * (P + P.T), d
             eps /= 10
@@ -307,14 +291,6 @@ def _ratios(ratios) -> list[float]:
     return ratios
 
 
-def _sweep(R: np.ndarray, params: IbrParams, ratios: list[float]) -> list[tuple[float, float]]:
-    """(ratio, spectral abscissa) per ratio of R; the nonzero ratios share one stacked ``eigvals``."""
-    A = [_timescale_matrix(R, params, r) for r in ratios]
-    stacked = [a for r, a in zip(ratios, A) if r]
-    w = iter(np.linalg.eigvals(np.stack(stacked)).real.max(axis=1) if stacked else ())
-    return [(r, float(next(w) if r else np.linalg.eigvals(a).real.max())) for r, a in zip(ratios, A)]
-
-
 def epsilon_sweep(
     lin: LinearizedModel,
     g: CommGraph,
@@ -324,13 +300,18 @@ def epsilon_sweep(
 ) -> list[tuple[float, float]]:
     """Spectral abscissa of the reduced closed loop per timescale ratio tau_d/tau_v.
 
-    The (theta, v, zeta) system is taken in relative coordinates, which drop
-    the uniform angle and uniform dual shifts, so it has no structural zero
-    eigenvalues. ratio == 0 is the quasi-steady dual limit, the slow reduced
+    The (theta, v, zeta) system is the relative complement at v_bar, whose
+    coordinates drop the uniform angle and uniform dual shifts, so it has no
+    structural zero eigenvalues; the nonzero ratios share one stacked
+    ``eigvals``. ratio == 0 is the quasi-steady dual limit, the slow reduced
     system. Ratios must be nonnegative and finite.
     """
     ratios = _ratios(ratios)
-    return _sweep(_at_voltage(_complement(lin, g, params), params, v_bar), params, ratios)
+    R = _complement(lin, g, params, v_bar)
+    A = [_timescale_matrix(R, params, r) for r in ratios]
+    stacked = [a for r, a in zip(ratios, A) if r]
+    w = iter(np.linalg.eigvals(np.stack(stacked)).real.max(axis=1) if stacked else ())
+    return [(r, float(next(w) if r else np.linalg.eigvals(a).real.max())) for r, a in zip(ratios, A)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +336,7 @@ def analyze(net: ReducedNetwork, g: CommGraph, params: IbrParams, ratios) -> Ana
     ratios = _ratios(ratios)
     eq = solve_equilibrium(net, g, params, mode="proposed")
     lin = jacobians(net, eq.theta, eq.V)
-    R = _complement(lin, g, params)
-    blocks = _blocks(R, params)
+    blocks = assemble_blocks(lin, g, params)
     P_y, alpha_f = boundary_layer_check(blocks)
     return Analysis(eq, lin, blocks, solve_lmi(blocks, params.beta), P_y, alpha_f,
-                    _sweep(_at_voltage(R, params, eq.v), params, ratios))
+                    epsilon_sweep(lin, g, params, eq.v, ratios))

@@ -14,7 +14,7 @@ its sum pinned. The solved state satisfies, among others:
 
 The Newton iteration evaluates the residual once per trial point: the
 accepted trial's residual carries into the next iteration. In proposed
-mode the leakage rho(v) v has a kink at |v| = 3 Delta, where the Jacobian
+mode the leakage rho(v) v has a kink at |v| = KINK Delta, where the Jacobian
 jumps; a full step across it backtracks many times and stalls. So a
 step that would carry some unit's v across its kink is cut to land the
 first such unit on the kink (backtracking halves from there), and a cut
@@ -149,13 +149,13 @@ def _embedding(mode: str, n: int):
 
 
 def _kink_search(v, dv, delta) -> float:
-    """First step in (0, 1] at which some unit's v + step dv reaches +/-3 Delta.
+    """First step in (0, 1] at which some unit's v + step dv reaches +/-KINK Delta.
 
     Those are the leakage kinks. A unit within round-off of its kink does not
     limit the step, so a landing is not repeated; 1.0 when nothing crosses.
     """
     step = 1.0
-    for kink in (3.0 * delta, -3.0 * delta):
+    for kink in (ctrl.KINK * delta, -ctrl.KINK * delta):
         gap = kink - v
         cross = (gap * dv > 0) & (np.abs(gap) < np.abs(dv))
         cross &= np.abs(gap) > 1e-12 * np.abs(kink)
@@ -165,14 +165,14 @@ def _kink_search(v, dv, delta) -> float:
 
 
 def _kink_step(v, dv, delta) -> float:
-    """``_kink_search``, which returns 1.0 straight away when every |v| and |v + dv| is below 3 Delta.
+    """``_kink_search``, which returns 1.0 straight away when every |v| and |v + dv| is below KINK Delta.
 
-    No margin is needed. With k = 3 Delta and v in (-k, k), a crossing of k
+    No margin is needed. With k = KINK Delta and v in (-k, k), a crossing of k
     needs dv > 0 and the rounded k - v below dv; no float lies between the
     exact k - v and its rounding, so dv > k - v, v + dv > k, and the rounded
     v + dv is at least k. The -k side mirrors this.
     """
-    kink = 3.0 * delta
+    kink = ctrl.KINK * delta
     if (np.abs(v) < kink).all() and (np.abs(v + dv) < kink).all():
         return 1.0
     return _kink_search(v, dv, delta)

@@ -3,6 +3,9 @@
 import csv
 import math
 import re
+import runpy
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +91,42 @@ def test_tune_report(capsys):
     assert "k = k_d / sigma2" in out
     assert "7.236" in out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("args, edit, rc, line", [
+    (["--rocof", "0.1"], ("", ""), 0,
+     "warning: tau_v = 25 s is outside the 1-10 s voltage response range of IEEE 1547"),
+    ([], ("tau_d 0.1\n", "tau_d 0.05\n"), 1,
+     "  violated: tau_d >= 10 * tau_p  (slow dual vs primal filter)"),
+])
+def test_tune_prints_warnings_and_violations(tmp_path, capsys, args, edit, rc, line):
+    path = tmp_path / "lv5.scn"
+    text = bundled_scenario_path("lv5").read_text()
+    assert edit[0] in text
+    path.write_text(text.replace(*edit))
+    assert main(["tune", str(path), *args]) == rc
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_stability_without_certificate_exits_1(monkeypatch, capsys):
+    solve_lmi = stability.solve_lmi
+    monkeypatch.setattr(stability, "solve_lmi",
+                        lambda blocks, beta: replace(solve_lmi(blocks, beta), feasible=False))
+    assert main(["stability", "lv5"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("LMI certificate           : INFEASIBLE (margin ")
+    assert out.endswith("\nno certificate found; the sweep above is the empirical fallback\n")
+
+
+def test_module_entry_point(monkeypatch, capsys):
+    """``python -m mgshare.cli`` exits with main's return code. It runs here through
+    runpy, as ``-m`` does, so that a tracer in this process sees it."""
+    monkeypatch.setattr(sys, "argv", ["mgshare", "tune", "lv5"])
+    monkeypatch.delitem(sys.modules, "mgshare.cli")     # runpy warns on a module already imported
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("mgshare.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert "scenario gain validation  : PASS" in capsys.readouterr().out
 
 
 def test_missing_scenario_exits_2(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mgshare as mg
-from mgshare.network import full_admittance, jacobians, load_admittance
+from mgshare.network import _singular_buses, full_admittance, jacobians, load_admittance
 
 Z_BASE_LV = 220.0**2 / 100e3  # 0.484 ohm
 
@@ -124,6 +124,10 @@ def test_singular_eliminated_block_names_its_buses(lv5):
     with pytest.raises(mg.NetworkDataError,
                        match=r"^cannot eliminate main buses \[6\]: eliminated block is singular$"):
         mg.kron_reduce(net)
+
+
+def test_nonsingular_block_names_no_buses():
+    assert _singular_buses(np.array([[2.0, -1.0], [-1.0, 2.0]])) == []
 
 
 def test_full_admittance_is_a_fresh_stamp():

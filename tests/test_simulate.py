@@ -1,5 +1,6 @@
 """Time-domain simulator: events, sampling, conservation, CSV output."""
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -122,6 +123,32 @@ def test_only_network_data_errors_become_simulation_errors(lv5, monkeypatch, err
         assert type(err.value.__cause__) is error
     else:
         assert type(err.value) is error and str(err.value) == "stub"
+
+
+@pytest.mark.parametrize("status, y", [(-1, 0.0), (0, np.nan)])
+def test_failed_integration_raises(lv5, monkeypatch, status, y):
+    """A solver failure, or a non-finite state from a solver that claims success,
+    ends the run with the time the solver reached."""
+    solve_ivp = sim.solve_ivp
+
+    def failing(*args, **kw):
+        sol = solve_ivp(*args, **kw)
+        sol.status, sol.message = status, "stub"
+        sol.y[0, -1] += y
+        return sol
+
+    monkeypatch.setattr(sim, "solve_ivp", failing)
+    with pytest.raises(mg.SimulationError, match="^integration failed near t=0.5: stub$") as err:
+        mg.simulate(replace(lv5, t_end=0.5, events=()))
+    assert err.value.time == 0.5
+
+
+@pytest.mark.parametrize("cpu_count, cpus", [(3, 3), (None, 1)])
+def test_cpus_without_affinity_is_the_cpu_count(monkeypatch, cpu_count, cpus):
+    """Where os has no sched_getaffinity, os.cpu_count() decides, and an unknown count is 1."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert sim._cpus() == cpus
 
 
 def test_time_series_compares_by_value(lv5):

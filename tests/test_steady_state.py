@@ -298,3 +298,16 @@ def test_overload_raises_without_retrying(lv5_overloaded, mode, monkeypatch):
         mg.solve_equilibrium(mg.kron_reduce(sc.network), sc.graph, sc.params, mode=mode)
     assert info.value.residual > 1e-11
     assert 0 < len(solves) <= (20 if mode == "proposed" else 60)
+
+
+def test_newton_singular_jacobian_raises():
+    with pytest.raises(mg.ConvergenceError, match="^singular Jacobian in equilibrium solve$") as info:
+        ss._newton(lambda x: x - 1.0, lambda x: np.zeros((1, 1)), np.zeros(1))
+    assert info.value.residual == 1.0
+
+
+def test_newton_converged_by_its_last_step_returns():
+    """The step that uses up max_iter may converge; that is a solution, not a failure."""
+    x, norm, iterations = ss._newton(lambda x: 2.0 * x - 1.0, lambda x: np.full((1, 1), 2.0),
+                                     np.zeros(1), max_iter=1)
+    assert x.tolist() == [0.5] and norm == 0.0 and iterations == 1
