@@ -28,7 +28,6 @@ from .network import (
     Bases,
     Connector,
     Line,
-    LinearizedModel,
     Load,
     NetworkData,
     ReducedNetwork,
@@ -58,7 +57,7 @@ __all__ = [
     "ScenarioFormatError", "ConvergenceError", "SimulationError",
     "CommGraph",
     "Bases", "Line", "Connector", "Load", "NetworkData", "ReducedNetwork",
-    "LinearizedModel", "kron_reduce", "power_flow", "jacobians",
+    "kron_reduce", "power_flow", "jacobians",
     "parse_scenario", "serialize_scenario", "bundled_scenario_path",
     "Event", "Scenario", "TimeSeries", "simulate", "detect_saturated_set",
     "sharing_error",

@@ -107,12 +107,16 @@ def _cmd_simulate(args, scenario) -> int:
         scenario = replace(scenario, **overrides)
 
     out = Path(scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
     ts = simulate(scenario)
     csv_path = out / f"{scenario.name}_timeseries.csv"
     ts.to_csv(csv_path)
     plot_path = out / f"plot_{scenario.name}.py"
-    plot_path.write_text(_plot_script(csv_path.name, scenario.name))
+    plot_path.write_text(_plot_script(csv_path.name, scenario.name), encoding="utf-8")
 
     t_last = float(ts.t[-1])
     err = sharing_error(ts, t_last)
@@ -196,6 +200,8 @@ def _cmd_stability(args, scenario) -> int:
     try:
         ratios = stability._ratios(r for r in args.ratios.split(",") if r.strip())
     except ValueError:
+        ratios = []
+    if not ratios:
         print("error: --ratios must be comma-separated nonnegative finite numbers, "
               f"got {args.ratios!r}", file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ __all__ = [
     "IbrParams",
     "Layout",
     "STATE",
+    "FLOW",
     "voltage_output",
     "leakage",
     "saturation_derivatives",
@@ -172,6 +173,8 @@ class Layout:
 N, N_1, ONE = (1, 0), (1, -1), (0, 1)     # block lengths n, n - 1 and 1
 STATE = {"droop": Layout(theta=N, Omega=N, v=N),
          "proposed": Layout(theta=N, Omega=N, v=N, lam=N, zeta=N)}
+# the column blocks of network.jacobians, whose rows P, Q are K's column blocks
+FLOW = Layout(theta=N, V=N)
 # each state block's time constant, an IbrParams field; theta's is 1 (dtheta/dt = Omega)
 TAU = {"theta": None, "Omega": "tau_omega", "v": "tau_v", "lam": "tau_p", "zeta": "tau_d"}
 
@@ -281,23 +284,24 @@ def _affine_part(mode: str, p: IbrParams, L):
     return at, M, K.reshape(M.shape[0], -1)
 
 
-def _jacobian(mode: str, p: IbrParams, at, M, K, lin: network.LinearizedModel, v) -> np.ndarray:
+def _jacobian(mode: str, p: IbrParams, at, M, K, lin: np.ndarray, v) -> np.ndarray:
     """M, plus K times the flow derivatives in the theta and v columns, minus ds/dv."""
+    f = FLOW.at(p.n)
     J = M.copy()
-    J[:, at.theta] += K @ np.concatenate([lin.J_theta_P, lin.J_theta_Q])
+    KJ = K @ lin
+    J[:, at.theta] += KJ[:, f.theta]
     H = 1.0
     if mode == "proposed":
         H, drho_v = saturation_derivatives(p, v)
         np.einsum("ii->i", J)[at.v] -= p.beta * H + drho_v     # J's diagonal, as a view
-    J[:, at.v] += K @ np.concatenate([lin.J_V_P, lin.J_V_Q]) * H
+    J[:, at.v] += KJ[:, f.V] * H
     return J
 
 
-def brackets_jacobian(mode: str, p: IbrParams, graph: CommGraph, lin: network.LinearizedModel,
-                      v) -> np.ndarray:
+def brackets_jacobian(mode: str, p: IbrParams, graph: CommGraph, lin: np.ndarray, v) -> np.ndarray:
     """Jacobian of ``ClosedLoop.brackets`` given the power-flow derivatives there.
 
-    ``lin`` linearizes the power flow at the state's (theta, V(v)); the
+    ``lin`` is ``network.jacobians`` at the state's (theta, V(v)); the
     result does not depend on Omega, lambda or zeta. Rows and columns follow
     ``STATE[mode]``.
     """

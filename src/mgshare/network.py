@@ -7,12 +7,16 @@ The module assembles the full nodal admittance matrix Y from these tables
 ``full_admittance`` adds each load's scaled shunt to a copy, in table order),
 Kron-reduces Y onto the inverter internal buses, and evaluates the
 nonlinear power flow in phasor form, S = P + jQ = E conj(I) with
-E = V e^{j theta}, I = Y E and Y = G + jB. Its linearization,
-``LinearizedModel``, is the analytic Jacobians alone, in complex matrix
-notation (Zimmerman, MATPOWER Technical Note 2):
+E = V e^{j theta}, I = Y E and Y = G + jB. Its linearization, ``jacobians``,
+is the Newton Jacobian d(P, Q)/d(theta, V), one (2n, 2n) array with rows P
+then Q and columns theta then V: the real and imaginary parts of (Zimmerman,
+MATPOWER Technical Note 2)
 
     dS/dtheta = j diag(E) conj(diag(I) - Y diag(E))
     dS/dV     = diag(E) conj(Y diag(e^{j theta})) + conj(diag(I)) diag(e^{j theta})
+
+The theta columns annihilate the all-ones vector: uniform angle shifts do
+not change the flow.
 
 Loads are modeled as constant admittances sized to draw the declared apparent
 power at the stated lagging power factor when the bus sits at nominal
@@ -36,7 +40,6 @@ __all__ = [
     "Load",
     "NetworkData",
     "ReducedNetwork",
-    "LinearizedModel",
     "kron_reduce",
     "power_flow",
     "jacobians",
@@ -256,26 +259,8 @@ def power_flow(net: ReducedNetwork, theta: np.ndarray, V: np.ndarray):
     return S.real, S.imag
 
 
-@dataclass(frozen=True, eq=False)
-class LinearizedModel(Record):
-    """The power flow's partial derivatives at one operating point.
-
-    The angle Jacobians annihilate the all-ones vector (uniform angle shifts
-    do not change power flows).
-    """
-
-    J_theta_P: np.ndarray
-    J_V_P: np.ndarray
-    J_theta_Q: np.ndarray
-    J_V_Q: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.J_V_P.shape[0]
-
-
-def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> LinearizedModel:
-    """Analytic partial derivatives of the power flow at one point (theta0, V0)."""
+def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> np.ndarray:
+    """d(P, Q)/d(theta, V) at one point (theta0, V0): rows P then Q, columns theta then V."""
     theta0, V0 = np.asarray(theta0, dtype=float), np.asarray(V0, dtype=float)
     if theta0.shape != (net.n,) or V0.shape != (net.n,):
         raise ValueError(f"theta and V must both have shape ({net.n},)")
@@ -287,4 +272,5 @@ def jacobians(net: ReducedNetwork, theta0: np.ndarray, V0: np.ndarray) -> Linear
     dS_dtheta = 1j * E[:, None] * np.conj(A)
     dS_dV = E[:, None] * np.conj(net.Y * U)
     np.einsum("ii->i", dS_dV)[:] += np.conj(I) * U
-    return LinearizedModel(dS_dtheta.real, dS_dV.real, dS_dtheta.imag, dS_dV.imag)
+    dS = np.concatenate([dS_dtheta, dS_dV], axis=1)
+    return np.concatenate([dS.real, dS.imag])

@@ -177,6 +177,9 @@ class Scenario(Record):
                 raise ScenarioFormatError(f"event at t={e.time}: unknown bus {e.bus}")
             if e.kind == "set-limits" and e.ibr is not None and not (1 <= e.ibr <= n):
                 raise ScenarioFormatError(f"event at t={e.time}: unknown IBR {e.ibr}")
+        if self.initial_theta is not None and self.initial_state is not None:
+            raise ScenarioFormatError("set initial_theta or initial_state, not both: "
+                                      "initial_state holds the angles too")
         for name, size, what in (("initial_theta", n, "one angle per inverter"),
                                  ("initial_state", STATE[self.initial_mode].dim(n),
                                   f"the {self.initial_mode}-mode state")):
@@ -204,7 +207,11 @@ def parse_scenario(path) -> Scenario:
         p = bundled_scenario_path(str(path))
     if not p.exists():
         raise ScenarioFormatError(f"scenario file not found: {path}")
-    return parse_scenario_text(p.read_text(), name=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioFormatError(f"cannot read scenario file {path}: {exc}") from exc
+    return parse_scenario_text(text, name=p.stem)
 
 
 def _tokenize(text: str):

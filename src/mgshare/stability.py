@@ -32,10 +32,10 @@ from itertools import chain
 
 import numpy as np
 
-from .controller import N, N_1, STATE, IbrParams, Layout, brackets_jacobian
+from .controller import FLOW, N, N_1, STATE, IbrParams, Layout, brackets_jacobian
 from .errors import MgshareError
 from .graph import CommGraph, Record, read_only
-from .network import LinearizedModel, ReducedNetwork, _schur, jacobians
+from .network import ReducedNetwork, _schur, jacobians
 from .steady_state import Equilibrium, solve_equilibrium
 
 __all__ = [
@@ -78,9 +78,9 @@ class ReducedBlocks(Record):
         return self.R_vV_new.shape[0]
 
 
-def _check_angle_shift_invariance(lin: LinearizedModel, L: np.ndarray):
-    one = np.ones(lin.n)
-    if max(np.linalg.norm(M @ one) for M in (lin.J_theta_P, lin.J_theta_Q, L)) > 1e-9:
+def _check_angle_shift_invariance(lin: np.ndarray, L: np.ndarray, n: int):
+    one = np.ones(n)
+    if max(np.linalg.norm(M @ one) for M in (lin[:, FLOW.at(n).theta], L)) > 1e-9:
         raise MgshareError(
             "linearized model or Laplacian violates the uniform-angle-shift "
             "invariance; the relative-coordinate structure would break"
@@ -107,15 +107,18 @@ def _relative_maps(n: int):
     return read_only(T), read_only(Ti)
 
 
-def _complement(lin: LinearizedModel, g: CommGraph, params: IbrParams, v) -> np.ndarray:
+def _complement(lin: np.ndarray, g: CommGraph, params: IbrParams, v) -> np.ndarray:
     """Relative complement of the proposed-mode bracket Jacobian at the voltage state v.
 
-    ``lin`` linearizes the power flow; rows and columns are [r_theta, v, r_zeta].
+    ``lin`` is ``network.jacobians`` there; rows and columns are [r_theta, v, r_zeta].
     """
-    _check_angle_shift_invariance(lin, g.L)
-    T, Ti = _relative_maps(lin.n)
+    n = params.n
+    if lin.shape != (FLOW.dim(n),) * 2:
+        raise ValueError(f"lin must have shape {(FLOW.dim(n),) * 2} for {n} units, got {lin.shape}")
+    _check_angle_shift_invariance(lin, g.L, n)
+    T, Ti = _relative_maps(n)
     J = brackets_jacobian("proposed", params, g, lin, v)
-    return _schur(T @ J @ Ti, RELATIVE.dim(lin.n))
+    return _schur(T @ J @ Ti, RELATIVE.dim(n))
 
 
 def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndarray:
@@ -133,7 +136,7 @@ def _timescale_matrix(R: np.ndarray, params: IbrParams, ratio: float) -> np.ndar
     return R / tau[:, None]
 
 
-def assemble_blocks(lin: LinearizedModel, g: CommGraph, params: IbrParams) -> ReducedBlocks:
+def assemble_blocks(lin: np.ndarray, g: CommGraph, params: IbrParams) -> ReducedBlocks:
     """Cascade blocks of the closed loop around the flow linearized by ``lin``.
 
     The relative complement at v = 0 is the loop in V coordinates (dV/dv = 1,
@@ -292,7 +295,7 @@ def _ratios(ratios) -> list[float]:
 
 
 def epsilon_sweep(
-    lin: LinearizedModel,
+    lin: np.ndarray,
     g: CommGraph,
     params: IbrParams,
     v_bar: np.ndarray,
@@ -319,7 +322,7 @@ class Analysis(Record):
     """One operating point's stability pass; ``sweep`` holds (ratio, abscissa) pairs."""
 
     equilibrium: Equilibrium
-    lin: LinearizedModel
+    lin: np.ndarray
     blocks: ReducedBlocks
     certificate: LmiCertificate
     P_y: np.ndarray

@@ -14,7 +14,8 @@ imports ``mgshare`` from this checkout's ``src/`` and the seeded inputs from
 * the bytes of the ``timeline-lv5`` and ``export-droop`` CSVs of the seed.
 
 A record is hashed field by field, its derived fields included, and an array
-by its dtype, shape and bytes. To check that a change leaves every result
+by its dtype, shape and bytes; ``jacobians`` returns one (2n, 2n) array, so
+it is hashed as one array. To check that a change leaves every result
 bitwise the same, run the script in a checkout of each side on the same host
 and compare the output. The bits depend on the BLAS build, so no digest is
 pinned anywhere; BLAS runs on one thread, as in the benchmark.

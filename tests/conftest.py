@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mgshare as mg
+from mgshare.controller import FLOW
 
 RUNTIMES: dict[str, float] = {}
 
@@ -20,6 +21,14 @@ def kkt_residual(g, k, lam, zeta, q_ratio):
     stationarity = lam - q_ratio + L @ zeta + k * (L @ lam)
     consensus = L @ lam
     return stationarity, consensus
+
+
+def flow_blocks(lin):
+    """(dP/dtheta, dP/dV, dQ/dtheta, dQ/dV): the n x n blocks of a ``jacobians`` array."""
+    n = lin.shape[0] // 2
+    f = FLOW.at(n)
+    P, Q = lin[:n], lin[n:]
+    return P[:, f.theta], P[:, f.V], Q[:, f.theta], Q[:, f.V]
 
 
 @pytest.fixture(scope="session")

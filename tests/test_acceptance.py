@@ -12,9 +12,10 @@ import numpy as np
 
 import mgshare as mg
 from mgshare import stability as st
+from mgshare.controller import FLOW
 from mgshare.network import jacobians
 
-from conftest import RUNTIMES
+from conftest import RUNTIMES, flow_blocks
 
 SHARING_TOL = 0.01 * 0.05 / 1.0 + 1e-3   # beta * Delta / V_star + 1e-3 = 1.5e-3
 
@@ -164,28 +165,24 @@ def test_ac07_jacobian_correctness(lv5_reduced):
     h = 1e-6
     worst = 0.0
     rot = 0.0
+    shapes = set()
+
+    def flow(x):    # [P; Q] at x = [theta; V]
+        return np.concatenate(mg.power_flow(lv5_reduced, x[:5], x[5:]))
+
     for _ in range(50):
-        theta = rng.normal(0, 0.1, 5)
-        V = 1 + rng.normal(0, 0.04, 5)
-        lin = jacobians(lv5_reduced, theta, V)
-        pairs = []
-        for k in range(5):
-            e = np.zeros(5)
+        x = np.concatenate([rng.normal(0, 0.1, 5), 1 + rng.normal(0, 0.04, 5)])
+        lin = jacobians(lv5_reduced, x[:5], x[5:])
+        shapes.add((type(lin), lin.dtype, lin.shape))
+        J_theta_P, _, _, J_V_Q = flow_blocks(lin)
+        scale = max(np.abs(J_theta_P).max(), np.abs(J_V_Q).max(), 1.0)
+        for k in range(10):
+            e = np.zeros(10)
             e[k] = h
-            Pp, Qp = mg.power_flow(lv5_reduced, theta + e, V)
-            Pm, Qm = mg.power_flow(lv5_reduced, theta - e, V)
-            pairs.append(((Pp - Pm) / (2 * h), lin.J_theta_P[:, k]))
-            pairs.append(((Qp - Qm) / (2 * h), lin.J_theta_Q[:, k]))
-            Pp, Qp = mg.power_flow(lv5_reduced, theta, V + e)
-            Pm, Qm = mg.power_flow(lv5_reduced, theta, V - e)
-            pairs.append(((Pp - Pm) / (2 * h), lin.J_V_P[:, k]))
-            pairs.append(((Qp - Qm) / (2 * h), lin.J_V_Q[:, k]))
-        scale = max(np.abs(lin.J_theta_P).max(), np.abs(lin.J_V_Q).max(), 1.0)
-        for fd, an in pairs:
-            worst = max(worst, float(np.abs(fd - an).max()) / scale)
-        rot = max(rot, float(np.linalg.norm(lin.J_theta_P @ np.ones(5))),
-                  float(np.linalg.norm(lin.J_theta_Q @ np.ones(5))))
-    ok = worst <= 1e-5 and rot <= 1e-9
+            fd = (flow(x + e) - flow(x - e)) / (2 * h)
+            worst = max(worst, float(np.abs(fd - lin[:, k]).max()) / scale)
+        rot = max(rot, float(np.linalg.norm(lin[:, FLOW.at(5).theta] @ np.ones(5))))
+    ok = shapes == {(np.ndarray, np.dtype(float), (10, 10))} and worst <= 1e-5 and rot <= 1e-9
     verdict("AC-7 Jacobians", ok, f"worst rel err {worst:.1e}, rotation residual {rot:.1e}")
 
 

@@ -129,9 +129,24 @@ def test_module_entry_point(monkeypatch, capsys):
     assert "scenario gain validation  : PASS" in capsys.readouterr().out
 
 
-def test_missing_scenario_exits_2(capsys):
+def test_missing_scenario_exits_2(tmp_path, capsys, monkeypatch):
+    """A file that cannot be read or written is bad input: exit 2 with a message, no traceback."""
     assert main(["simulate", "/no/such/file.scn"]) == 2
     assert "error" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.scn"
+    latin1.write_bytes("# café\n".encode("latin-1") + bundled_scenario_path("lv5").read_bytes())
+    for path in (tmp_path, latin1):
+        assert main(["steady-state", str(path)]) == 2, path
+        assert f"error: cannot read scenario file {path}" in capsys.readouterr().err
+
+    def no_simulate(*_args):
+        raise AssertionError("simulated before the output directory was made")
+
+    monkeypatch.setattr("mgshare.simulate.simulate", no_simulate)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert main(["simulate", "lv5", "--out-dir", str(a_file)]) == 2
+    assert f"error: cannot create output directory {a_file}" in capsys.readouterr().err
 
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
@@ -215,7 +230,7 @@ def test_bad_tune_option_exits_2(capsys, flag, value, field):
 
 
 def test_bad_ratios_exits_2(capsys):
-    for ratios in ("a,b", "nan", "-0.1", "inf", "0.1,-inf"):
+    for ratios in ("a,b", "nan", "-0.1", "inf", "0.1,-inf", "", ","):
         assert main(["stability", "lv5", "--ratios", ratios]) == 2, ratios
         captured = capsys.readouterr()
         assert "--ratios must be comma-separated nonnegative finite numbers" in captured.err

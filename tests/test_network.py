@@ -1,12 +1,14 @@
 """Electrical network: per-unit conversion, Kron reduction, power flow, Jacobians."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import mgshare as mg
 from mgshare.network import _singular_buses, full_admittance, jacobians, load_admittance
+
+from conftest import flow_blocks
 
 Z_BASE_LV = 220.0**2 / 100e3  # 0.484 ohm
 
@@ -307,9 +309,9 @@ def test_jacobian_rotational_invariance(lv5_reduced):
     rng = np.random.default_rng(7)
     theta = rng.normal(0, 0.1, 5)
     V = 1 + rng.normal(0, 0.05, 5)
-    lin = jacobians(lv5_reduced, theta, V)
-    assert np.linalg.norm(lin.J_theta_P @ np.ones(5)) <= 1e-9
-    assert np.linalg.norm(lin.J_theta_Q @ np.ones(5)) <= 1e-9
+    J_theta_P, _, J_theta_Q, _ = flow_blocks(jacobians(lv5_reduced, theta, V))
+    assert np.linalg.norm(J_theta_P @ np.ones(5)) <= 1e-9
+    assert np.linalg.norm(J_theta_Q @ np.ones(5)) <= 1e-9
 
 
 def test_jacobians_match_finite_differences(lv5_reduced):
@@ -318,18 +320,18 @@ def test_jacobians_match_finite_differences(lv5_reduced):
     for _ in range(10):
         theta = rng.normal(0, 0.1, 5)
         V = 1 + rng.normal(0, 0.04, 5)
-        lin = jacobians(lv5_reduced, theta, V)
+        J_theta_P, J_V_P, J_theta_Q, J_V_Q = flow_blocks(jacobians(lv5_reduced, theta, V))
         for k in range(5):
             e = np.zeros(5)
             e[k] = h
             Pp, Qp = mg.power_flow(lv5_reduced, theta + e, V)
             Pm, Qm = mg.power_flow(lv5_reduced, theta - e, V)
-            assert np.allclose((Pp - Pm) / (2 * h), lin.J_theta_P[:, k], atol=1e-6)
-            assert np.allclose((Qp - Qm) / (2 * h), lin.J_theta_Q[:, k], atol=1e-6)
+            assert np.allclose((Pp - Pm) / (2 * h), J_theta_P[:, k], atol=1e-6)
+            assert np.allclose((Qp - Qm) / (2 * h), J_theta_Q[:, k], atol=1e-6)
             Pp, Qp = mg.power_flow(lv5_reduced, theta, V + e)
             Pm, Qm = mg.power_flow(lv5_reduced, theta, V - e)
-            assert np.allclose((Pp - Pm) / (2 * h), lin.J_V_P[:, k], atol=1e-6)
-            assert np.allclose((Qp - Qm) / (2 * h), lin.J_V_Q[:, k], atol=1e-6)
+            assert np.allclose((Pp - Pm) / (2 * h), J_V_P[:, k], atol=1e-6)
+            assert np.allclose((Qp - Qm) / (2 * h), J_V_Q[:, k], atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def trig_power_flow(net, theta, V):
 
 
 def trig_jacobians(net, theta0, V0):
-    """The four LinearizedModel arrays from the P_i = sum_j V_i V_j (...) formulas."""
+    """The four flow_blocks of jacobians from the P_i = sum_j V_i V_j (...) formulas."""
     MP, MQ = trig_flow_kernels(net, theta0)
     MPV, MQV = MP @ V0, MQ @ V0
     VV = np.outer(V0, V0)
@@ -361,7 +363,7 @@ def trig_jacobians(net, theta0, V0):
     np.fill_diagonal(Jt_Q, -Jt_Q.sum(axis=1))
     Jv_P = V0[:, None] * MP + np.diag(MPV)
     Jv_Q = V0[:, None] * MQ + np.diag(MQV)
-    return {"J_theta_P": Jt_P, "J_V_P": Jv_P, "J_theta_Q": Jt_Q, "J_V_Q": Jv_Q}
+    return Jt_P, Jv_P, Jt_Q, Jv_Q
 
 
 def assert_close_relative(a, b, rtol=1e-12):
@@ -386,9 +388,9 @@ def test_phasor_form_matches_trig_oracle(any_reduced):
     for theta, V in zip(thetas, Vs):
         for P, P_ref in zip(mg.power_flow(net, theta, V), trig_power_flow(net, theta, V)):
             assert_close_relative(P, P_ref)
-        lin = jacobians(net, theta, V)
-        for name, ref in trig_jacobians(net, theta, V).items():
-            assert_close_relative(getattr(lin, name), ref)
+        blocks = flow_blocks(jacobians(net, theta, V))
+        for got, ref in zip(blocks, trig_jacobians(net, theta, V), strict=True):
+            assert_close_relative(got, ref)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -404,16 +406,17 @@ def test_jacobians_are_the_docstring_expressions(any_reduced, order):
         I = net.Y @ E
         dS_dtheta = 1j * E[:, None] * np.conj(np.diag(I) - net.Y * E)
         dS_dV = E[:, None] * np.conj(net.Y * U) + np.diag(np.conj(I) * U)
-        lin = jacobians(net, theta, V)
-        for got, want in ((lin.J_theta_P, dS_dtheta.real), (lin.J_theta_Q, dS_dtheta.imag),
-                          (lin.J_V_P, dS_dV.real), (lin.J_V_Q, dS_dV.imag)):
+        J_theta_P, J_V_P, J_theta_Q, J_V_Q = flow_blocks(jacobians(net, theta, V))
+        for got, want in ((J_theta_P, dS_dtheta.real), (J_theta_Q, dS_dtheta.imag),
+                          (J_V_P, dS_dV.real), (J_V_Q, dS_dV.imag)):
             assert np.array_equal(got, want)
 
 
 def test_linearization_is_the_four_jacobians(lv5_reduced):
-    """LinearizedModel holds the flow's derivatives only: no constant term, no operating point."""
+    """jacobians is the flow's derivatives only, one float (2n, 2n) array: no constant term,
+    no operating point."""
     lin = jacobians(lv5_reduced, np.zeros(5), np.ones(5))
-    assert [f.name for f in fields(lin)] == ["J_theta_P", "J_V_P", "J_theta_Q", "J_V_Q"]
+    assert type(lin) is np.ndarray and lin.dtype == float and lin.shape == (10, 10)
     assert not hasattr(lin, "predict")
 
 
@@ -433,8 +436,3 @@ def test_reduced_network_and_linearization_value_equality(lv5, lv5_reduced):
     assert np.array_equal(red.Y, red.G + 1j * red.B)
     with pytest.raises(ValueError):
         red.Y[0, 0] = 0.0
-    theta = np.linspace(0.0, 0.04, 5)
-    lin = jacobians(red, theta, np.ones(5))
-    assert lin == jacobians(lv5_reduced, theta.copy(), np.ones(5))
-    assert lin != jacobians(red, theta, np.full(5, 1.01))
-    assert lin != replace(lin, J_V_P=np.nextafter(lin.J_V_P, np.inf))

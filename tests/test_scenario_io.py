@@ -127,17 +127,19 @@ def test_scenario_value_equality(lv5):
 
 
 def _records(lv5):
-    """One instance of each of the twelve record types, the frozen dataclasses that hold arrays."""
+    """One instance of each of the eleven record types, the frozen dataclasses that hold arrays;
+    two scenarios, one with initial_theta and one with initial_state."""
     red = mg.kron_reduce(lv5.network)
     result = mg.analyze(red, lv5.graph, lv5.params, [0.1])
     report = mg.verify_properties(result.equilibrium, lv5.params)
     tuned = mg.tune(mg.TuningSpec(delta_f_max=0.005, rocof_star=2.5), lv5.graph,
                     lv5.params.v_min, lv5.params.v_max)
     model = ClosedLoop("proposed", lv5.params, red, lv5.graph)
-    scenario = replace(lv5, initial_theta=np.zeros(5), initial_state=np.zeros(15))
-    records = (lv5.graph, lv5.params, red, result.lin, scenario, result.equilibrium,
+    with_theta = replace(lv5, initial_theta=np.zeros(5))
+    with_state = replace(lv5, initial_state=np.zeros(15))
+    records = (lv5.graph, lv5.params, red, with_theta, with_state, result.equilibrium,
                result.blocks, result.certificate, report, tuned, model, result)
-    assert len({type(r) for r in records}) == 12
+    assert len({type(r) for r in records}) == 11
     return records
 
 

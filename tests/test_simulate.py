@@ -445,6 +445,8 @@ def test_scenario_validation(lv5):
         replace(lv5, events=(mg.Event(time=5.0, kind="set-limits", v_min=0.96, v_max=1.04, ibr=6),))
     with pytest.raises(mg.ScenarioFormatError, match="unknown mode 'fast'"):
         replace(lv5, initial_mode="fast")
+    with pytest.raises(mg.ScenarioFormatError, match="initial_theta or initial_state, not both"):
+        replace(lv5, initial_theta=np.full(5, 0.3), initial_state=np.zeros(15))
     with pytest.raises(mg.ScenarioFormatError, match=r"graph \(4\) and params \(5\) must match"):
         replace(lv5, graph=mg.CommGraph.ring(4))
     params4 = replace(lv5.params, s_rated=np.ones(4), m_omega=1.57, m_v=0.05, v_min=0.95, v_max=1.05)

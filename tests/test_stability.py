@@ -12,6 +12,8 @@ from mgshare.errors import MgshareError
 from mgshare.network import jacobians
 from mgshare.scenario_io import parse_scenario_text
 
+from conftest import flow_blocks
+
 
 SWEEP_RATIOS = [0.5, 0.2, 0.1, 0.05, 0.01, 0.0]
 
@@ -39,8 +41,9 @@ def transform(n):
 def flow_offset(net, lin, theta0, V0):
     """(w_P, w_Q): the constant term of the flow linearized at (theta0, V0), S - J [theta0; V0]."""
     P, Q = mg.power_flow(net, theta0, V0)
-    return (P - lin.J_theta_P @ theta0 - lin.J_V_P @ V0,
-            Q - lin.J_theta_Q @ theta0 - lin.J_V_Q @ V0)
+    J_theta_P, J_V_P, J_theta_Q, J_V_Q = flow_blocks(lin)
+    return (P - J_theta_P @ theta0 - J_V_P @ V0,
+            Q - J_theta_Q @ theta0 - J_V_Q @ V0)
 
 
 def test_transform_maps_ones_to_e1():
@@ -85,7 +88,8 @@ def literal_blocks(lin, w, g, params):
     of the linearized flow's constant term w = (w_P, w_Q): d_theta, d_v,
     d_zeta and the quasi-steady d_v_new, which ``reduced_rhs`` below adds.
     """
-    n = lin.n
+    n = params.n
+    J_theta_P, J_V_P, J_theta_Q, J_V_Q = flow_blocks(lin)
     w_P, w_Q = w
     T = transform(n)
     Tinv = np.linalg.inv(T)
@@ -98,13 +102,13 @@ def literal_blocks(lin, w, g, params):
     KmI = K - np.eye(n)
     tv = params.tau_v
     b = dict(
-        R_theta=-Ir @ T @ mS @ lin.J_theta_P @ Tinv @ Ir.T,
-        R_thetaV=-Ir @ T @ mS @ lin.J_V_P,
-        R_vtheta=Vs @ KmI @ invS @ lin.J_theta_Q @ Tinv @ Ir.T,
-        R_vV=Vs @ KmI @ invS @ lin.J_V_Q,
+        R_theta=-Ir @ T @ mS @ J_theta_P @ Tinv @ Ir.T,
+        R_thetaV=-Ir @ T @ mS @ J_V_P,
+        R_vtheta=Vs @ KmI @ invS @ J_theta_Q @ Tinv @ Ir.T,
+        R_vV=Vs @ KmI @ invS @ J_V_Q,
         R_vzeta=-Vs @ K @ L @ Tinv @ Ir.T,
-        R_zetatheta=Ir @ (T @ L @ K @ invS @ lin.J_theta_Q @ Tinv @ Ir.T) / tv,
-        R_zetaV=Ir @ (T @ L @ K @ invS @ lin.J_V_Q) / tv,
+        R_zetatheta=Ir @ (T @ L @ K @ invS @ J_theta_Q @ Tinv @ Ir.T) / tv,
+        R_zetaV=Ir @ (T @ L @ K @ invS @ J_V_Q) / tv,
         R_zeta=-Ir @ (T @ L @ K @ L @ Tinv @ Ir.T) / tv,
         d_theta=-Ir @ T @ mS @ w_P,
         d_v=params.beta * params.v_star + Vs @ KmI @ invS @ w_Q,
@@ -176,7 +180,8 @@ def test_analyze_matches_separate_chain(name):
     lin = jacobians(red, eq.theta, eq.V)
     blocks = st.assemble_blocks(lin, sc.graph, p)
     P_y, alpha_f = st.boundary_layer_check(blocks)
-    assert result.lin == lin and result.equilibrium == eq and result.blocks == blocks
+    assert np.array_equal(result.lin, lin) and not result.lin.flags.writeable
+    assert result.equilibrium == eq and result.blocks == blocks
     assert result.certificate == st.solve_lmi(blocks, p.beta)
     assert np.array_equal(result.P_y, P_y) and result.alpha_f == alpha_f
     assert result.sweep == st.epsilon_sweep(lin, sc.graph, p, eq.v, SWEEP_RATIOS)
@@ -504,11 +509,22 @@ def test_sweep_never_assembles_blocks(lv5, lv5_lin, lv5_equilibrium, monkeypatch
         m.setattr(st, "assemble_blocks", no_blocks)
         assert len(st.epsilon_sweep(lv5_lin, *args)) == 3
     # the uniform-angle-shift check still guards every ratio
-    bad = replace(lv5_lin, J_theta_P=lv5_lin.J_theta_P + 1e-3 * np.eye(lv5_lin.n))
+    bad = lv5_lin.copy()
+    flow_blocks(bad)[0][...] += 1e-3 * np.eye(lv5.params.n)     # dP/dtheta, through a view
     with pytest.raises(MgshareError, match="uniform-angle-shift"):
         st.epsilon_sweep(bad, *args)
     with pytest.raises(MgshareError, match="uniform-angle-shift"):
         st.assemble_blocks(bad, lv5.graph, lv5.params)
+
+
+def test_complement_rejects_lin_of_another_size(lv5, lv5_equilibrium):
+    """A lin for 9 units with lv5's graph and params raises a named ValueError, not numpy's."""
+    _, lin9, _ = bundled_lin("mv9-template")
+    msg = r"lin must have shape \(10, 10\) for 5 units, got \(18, 18\)"
+    with pytest.raises(ValueError, match=msg):
+        st.assemble_blocks(lin9, lv5.graph, lv5.params)
+    with pytest.raises(ValueError, match=msg):
+        st.epsilon_sweep(lin9, lv5.graph, lv5.params, lv5_equilibrium.v, [0.1])
 
 
 @pytest.mark.parametrize("ratio", [-0.1, np.nan, np.inf, -np.inf])
@@ -551,14 +567,14 @@ def test_sweep_matches_full_coordinate_oracle(name):
     sc, lin, eq = bundled_lin(name)
     p = sc.params
     J = brackets_jacobian("proposed", p, sc.graph, lin, eq.v)
-    at, index = STATE["proposed"].at(lin.n), np.arange(J.shape[0])
+    at, index = STATE["proposed"].at(p.n), np.arange(J.shape[0])
     slow = np.concatenate([index[at.theta], index[at.v], index[at.zeta]])
     fast = np.concatenate([index[at.Omega], index[at.lam]])
     S = (J[np.ix_(slow, slow)]
          - J[np.ix_(slow, fast)] @ np.linalg.solve(J[np.ix_(fast, fast)], J[np.ix_(fast, slow)]))
     ratios = [0.5, 0.2, 0.1, 0.05, 0.01]
     for r, a in st.epsilon_sweep(lin, sc.graph, p, eq.v, ratios):
-        tau = np.repeat([1.0, p.tau_v, r * p.tau_v], lin.n)
+        tau = np.repeat([1.0, p.tau_v, r * p.tau_v], p.n)
         ref = abscissa_without_zero_modes(S / tau[:, None])
         assert abs(a - ref) <= 1e-10, r
         assert np.sign(a) == np.sign(ref)
