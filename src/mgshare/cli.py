@@ -178,6 +178,9 @@ print("wrote", here / "{name}_overview.png")
 # ---------------------------------------------------------------------------
 
 def _cmd_steady_state(args, scenario) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print(f"error: --tol must be positive and finite, got {args.tol}", file=sys.stderr)
+        return 2
     red = kron_reduce(scenario.network)
     eq = solve_equilibrium(red, scenario.graph, scenario.params, mode=args.mode)
     print(f"equilibrium ({args.mode}), residual {eq.residual:.2e}, "

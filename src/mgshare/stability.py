@@ -115,6 +115,10 @@ def _complement(lin: np.ndarray, g: CommGraph, params: IbrParams, v) -> np.ndarr
     n = params.n
     if lin.shape != (FLOW.dim(n),) * 2:
         raise ValueError(f"lin must have shape {(FLOW.dim(n),) * 2} for {n} units, got {lin.shape}")
+    if g.n != n:
+        raise ValueError(f"graph must have {n} nodes for {n} units, got {g.n}")
+    if np.shape(v) != (n,):
+        raise ValueError(f"voltage state must have shape {(n,)} for {n} units, got {np.shape(v)}")
     _check_angle_shift_invariance(lin, g.L, n)
     T, Ti = _relative_maps(n)
     J = brackets_jacobian("proposed", params, g, lin, v)
@@ -162,8 +166,11 @@ class LmiCertificate(Record):
     P_theta: np.ndarray
     D_v: np.ndarray               # diagonal matrix
     margin: float                 # max eig of Q + Q^T (< 0 when feasible)
-    alpha_s: float                # smallest eig of -(Q + Q^T)
     feasible: bool
+
+    @property
+    def alpha_s(self) -> float:   # smallest eig of -(Q + Q^T)
+        return -self.margin
 
     def verify(self, blocks: ReducedBlocks, beta: float) -> bool:
         """Re-check all three conditions by direct eigenvalue computation."""
@@ -196,7 +203,7 @@ def _certificate(blocks: ReducedBlocks, beta: float, P: np.ndarray, d: np.ndarra
     scale = 1.0 / max(np.abs(P).max(), d.max())
     P, d = P * scale, d * scale
     feasible = _verify(blocks, beta, P, d)
-    return LmiCertificate(P, np.diag(d), float(f * scale), float(-f * scale), feasible)
+    return LmiCertificate(P, np.diag(d), float(f * scale), feasible)
 
 
 def _riccati_candidates(blocks: ReducedBlocks, beta: float):

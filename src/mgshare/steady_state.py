@@ -13,17 +13,18 @@ its sum pinned. The solved state satisfies, among others:
 * the sharing-accuracy identities/bounds for unsaturated/saturated units.
 
 The Newton iteration evaluates the residual once per trial point: the
-accepted trial's residual carries into the next iteration. In proposed
-mode the leakage rho(v) v has a kink at |v| = KINK Delta, where the Jacobian
-jumps; a full step across it backtracks many times and stalls. So a
-step that would carry some unit's v across its kink is cut to land the
-first such unit on the kink (backtracking halves from there), and a cut
-step does not count as stagnation unless more than 2n cut steps in a row,
-the number of kinks, make no progress. A full Newton step never counts as
-stagnation: past a kink the residual can stay flat for a step while v moves
-a long way towards the solution. The solve is deterministic: stagnation,
-running out of iterations or a singular Jacobian raises
-``ConvergenceError``. ``Equilibrium.iterations`` reports the cost.
+accepted trial's residual carries into the next iteration. In proposed mode
+the leakage rho(v) v has a kink at |v| = KINK Delta, where the Jacobian
+jumps; a full step across it backtracks many times and stalls. So a step
+that would carry some unit's v across KINK Delta or -KINK Delta is cut to
+land the first such unit on that kink (backtracking halves from there); a
+unit within 1e-12 relative of a kink does not cut, so a landing is not
+repeated. A cut step does not count as stagnation unless more than 2n cut
+steps in a row, the number of kinks, make no progress. A full Newton step
+never counts as stagnation: past a kink the residual can stay flat for a
+step while v moves a long way towards the solution. The solve is
+deterministic: stagnation, running out of iterations or a singular Jacobian
+raises ``ConvergenceError``. ``Equilibrium.iterations`` reports the cost.
 """
 
 from __future__ import annotations
@@ -148,34 +149,18 @@ def _embedding(mode: str, n: int):
     return read_only(E), read_only(fold[:, rows].copy()), rows
 
 
-def _kink_search(v, dv, delta) -> float:
+def _kink_step(v, dv, delta) -> float:
     """First step in (0, 1] at which some unit's v + step dv reaches +/-KINK Delta.
 
     Those are the leakage kinks. A unit within round-off of its kink does not
     limit the step, so a landing is not repeated; 1.0 when nothing crosses.
     """
-    step = 1.0
-    for kink in (ctrl.KINK * delta, -ctrl.KINK * delta):
-        gap = kink - v
-        cross = (gap * dv > 0) & (np.abs(gap) < np.abs(dv))
-        cross &= np.abs(gap) > 1e-12 * np.abs(kink)
-        if cross.any():
-            step = min(step, float(np.min(gap[cross] / dv[cross])))
-    return step
-
-
-def _kink_step(v, dv, delta) -> float:
-    """``_kink_search``, which returns 1.0 straight away when every |v| and |v + dv| is below KINK Delta.
-
-    No margin is needed. With k = KINK Delta and v in (-k, k), a crossing of k
-    needs dv > 0 and the rounded k - v below dv; no float lies between the
-    exact k - v and its rounding, so dv > k - v, v + dv > k, and the rounded
-    v + dv is at least k. The -k side mirrors this.
-    """
     kink = ctrl.KINK * delta
-    if (np.abs(v) < kink).all() and (np.abs(v + dv) < kink).all():
+    gap = np.array([kink - v, -kink - v])
+    cross = (gap * dv > 0) & (np.abs(gap) < np.abs(dv)) & (np.abs(gap) > 1e-12 * kink)
+    if not cross.any():
         return 1.0
-    return _kink_search(v, dv, delta)
+    return min(1.0, float(np.min(gap[cross] / np.vstack([dv, dv])[cross])))
 
 
 def solve_equilibrium(
@@ -286,7 +271,9 @@ class PropertyReport(Record):
 
 
 def verify_properties(eq: Equilibrium, params: IbrParams, tol: float = 1e-6) -> PropertyReport:
-    """Evaluate the four steady-state properties on a solved equilibrium."""
+    """Evaluate the four steady-state properties on a solved equilibrium; tol must be positive and finite."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     q_ratio = eq.Q / params.s_rated
     p_ratio = eq.P / params.s_rated
     dev = np.abs(q_ratio - eq.alpha_Q)

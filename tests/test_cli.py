@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mgshare import serialize_scenario, stability
+from mgshare import cli, serialize_scenario, stability
 from mgshare.cli import main
 from mgshare.errors import ScenarioFormatError
 from mgshare.scenario_io import bundled_scenario_path, parse_scenario_text
@@ -226,6 +226,18 @@ def test_bad_tune_option_exits_2(capsys, flag, value, field):
     assert main(["tune", "lv5", flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: tuning spec field {field} must be positive and finite\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_bad_steady_state_tol_exits_2(capsys, monkeypatch, value):
+    def no_newton(*_args, **_kw):
+        raise AssertionError("Newton ran before --tol was checked")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", no_newton)
+    assert main(["steady-state", "lv5", "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --tol must be positive and finite, got {float(value)}\n"
     assert captured.out == ""
 
 

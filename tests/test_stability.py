@@ -527,6 +527,16 @@ def test_complement_rejects_lin_of_another_size(lv5, lv5_equilibrium):
         st.epsilon_sweep(lin9, lv5.graph, lv5.params, lv5_equilibrium.v, [0.1])
 
 
+def test_complement_rejects_graph_or_voltage_state_of_another_size(lv5, lv5_lin):
+    """A graph or voltage state of the wrong size raises a named ValueError, not numpy's."""
+    with pytest.raises(ValueError, match="graph must have 5 nodes for 5 units, got 6"):
+        st.assemble_blocks(lv5_lin, mg.CommGraph.ring(6), lv5.params)
+    with pytest.raises(ValueError, match="graph must have 5 nodes for 5 units, got 6"):
+        st.epsilon_sweep(lv5_lin, mg.CommGraph.ring(6), lv5.params, np.zeros(5), [0.1])
+    with pytest.raises(ValueError, match=r"voltage state must have shape \(5,\) for 5 units, got \(4,\)"):
+        st.epsilon_sweep(lv5_lin, lv5.graph, lv5.params, np.zeros(4), [0.1])
+
+
 @pytest.mark.parametrize("ratio", [-0.1, np.nan, np.inf, -np.inf])
 def test_sweep_rejects_bad_ratio(lv5, lv5_reduced, lv5_lin, lv5_equilibrium, ratio, monkeypatch):
     with pytest.raises(ValueError, match="nonnegative and finite"):

@@ -72,6 +72,12 @@ def test_property_report_passes(lv5, lv5_equilibrium):
     assert report.all_pass, "\n".join(report.lines())
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+def test_property_report_rejects_bad_tol(lv5, lv5_equilibrium, tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        mg.verify_properties(lv5_equilibrium, lv5.params, tol=tol)
+
+
 def test_nominal_saturated_set(lv5_equilibrium):
     """Phasor-model outcome at nominal load, frozen as a regression value."""
     assert lv5_equilibrium.saturated == frozenset({1, 5})
@@ -241,10 +247,22 @@ def near_kinks(draw):
 @given(case=near_kinks())
 # v + dv passes 3 Delta = 0.15000000000000002 by less than half an ulp and rounds onto it
 @example(case=(np.array([0.1]), np.array([np.nextafter(3.0 * 0.05 - 0.1, 1.0)]), np.array([0.05])))
-def test_kink_step_fast_path_matches_the_search(case):
-    """Newton's kink step returns exactly what the full crossing search returns."""
+def test_kink_step_is_the_first_crossing(case):
+    """Newton's kink step is the first crossing that a scalar loop over units and kinks
+    finds with the same three tests, capped at 1; below 1 it lands on that kink."""
     v, dv, delta = case
-    assert ss._kink_step(v, dv, delta) == ss._kink_search(v, dv, delta)
+    crossings = []
+    for i, (vi, dvi, di) in enumerate(zip(v.tolist(), dv.tolist(), delta.tolist())):
+        for kink in (ctrl.KINK * di, -ctrl.KINK * di):
+            gap = kink - vi
+            if gap * dvi > 0 and abs(gap) < abs(dvi) and abs(gap) > 1e-12 * abs(kink):
+                crossings.append((gap / dvi, i, kink))
+    step = ss._kink_step(v, dv, delta)
+    assert step == min([1.0] + [s for s, _, _ in crossings])
+    if step < 1.0:
+        for s, i, kink in crossings:
+            if s == step:
+                assert abs(v[i] + s * dv[i] - kink) <= 4 * np.spacing(abs(kink))
 
 
 @pytest.mark.parametrize("mode", ["proposed", "droop"])
