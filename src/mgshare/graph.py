@@ -103,8 +103,9 @@ class CommGraph(Record):
 
     @staticmethod
     def from_edges(n: int, edges, default_weight: float = 1.0) -> "CommGraph":
-        """Build from 0-based (i, j) or (i, j, weight) pairs."""
+        """Build from 0-based (i, j) or (i, j, weight) pairs; each edge is listed once."""
         a = np.zeros((n, n))
+        seen = set()
         for e in edges:
             if len(e) == 2:
                 i, j = e
@@ -115,13 +116,16 @@ class CommGraph(Record):
                 raise ValueError(f"edge ({i}, {j}) has a node outside 0..{n - 1}")
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
+            if frozenset((i, j)) in seen:
+                raise ValueError(f"edge ({i}, {j}) is listed twice")
+            seen.add(frozenset((i, j)))
             a[i, j] = a[j, i] = w
         return CommGraph(a)
 
     @staticmethod
     def ring(n: int, weight: float = 1.0) -> "CommGraph":
-        """Unit-weight ring on n nodes (the bundled default topology)."""
-        return CommGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], weight)
+        """Unit-weight ring on n nodes (the bundled default topology); on 2 nodes, one edge."""
+        return CommGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n - (n == 2))], weight)
 
 
 def _connected(a: np.ndarray) -> bool:

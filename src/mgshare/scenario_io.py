@@ -38,6 +38,7 @@ __all__ = ["Event", "Scenario", "parse_scenario", "parse_scenario_text",
            "serialize_scenario", "bundled_scenario_path", "BUNDLED"]
 
 BUNDLED = ("lv5", "mv9-template")
+REL_TOL_FLOOR = 100 * np.finfo(float).eps    # solve_ivp's floor on rtol
 
 
 def _num(tok, lineno, what):
@@ -161,6 +162,8 @@ class Scenario(Record):
         for name in ("t_end", "sample_ms", "rel_tol"):
             if not (0 < getattr(self, name) < np.inf):
                 raise ScenarioFormatError(f"{name} must be positive and finite")
+        if self.rel_tol < REL_TOL_FLOOR:
+            raise ScenarioFormatError(f"rel_tol must be at least {REL_TOL_FLOOR:.3g}, got {self.rel_tol}")
         times = [e.time for e in self.events]
         if not all(t1 < t2 for t1, t2 in zip(times, times[1:])):
             raise ScenarioFormatError("event times must be strictly increasing")

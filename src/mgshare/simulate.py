@@ -19,9 +19,11 @@ adaptive steps: it starts at 0, steps by ``sample_ms`` and ends at or before
 t_end. The ``TimeSeries`` arrays are allocated once, before the first
 segment, and every sample is written into them in place: the dense output is
 evaluated in chunks of samples, and each segment makes one batched
-power-flow call on its stored angles and voltages. Containment of the
-saturated voltages is asserted on every accepted integrator step, not just
-on output samples.
+power-flow call on its stored angles and voltages. Each segment fixes its
+mode and limits, and in droop lam = zeta = rho = 0; a channel that every
+segment fixes to one value is stored once, as a read-only broadcast view.
+Containment of the saturated voltages is asserted on every accepted
+integrator step, not just on output samples.
 
 ``TimeSeries.to_csv`` renders every value as ``%.12g`` in numpy, a block of
 rows at a time. The fast path takes the decimal exponent from ``log10``,
@@ -91,7 +93,8 @@ CSV_HEADER = [
 
 @dataclass(eq=False)
 class TimeSeries:
-    """Sampled trajectory, compared by value and unhashable; channels are (n_samples, n_ibr)."""
+    """Sampled trajectory, compared by value and unhashable; channels are (n_samples, n_ibr),
+    and one that the run holds constant is a read-only broadcast view of its one value."""
 
     __eq__ = value_eq
     __hash__ = None
@@ -146,7 +149,7 @@ class TimeSeries:
         """
         S, n = self.theta.shape
         rows = S * n
-        channels = [np.ravel(getattr(self, name)) for name in _CSV_CHANNELS]
+        channels = [getattr(self, name).reshape(-1) for name in _CSV_CHANNELS]
 
         def block(r0: int, buf: np.ndarray) -> bytes:
             r = np.arange(r0, min(r0 + _CSV_BLOCK_ROWS, rows))
@@ -307,7 +310,7 @@ def _csv_rows(X: np.ndarray) -> bytes:
 # simulation driver
 # ---------------------------------------------------------------------------
 
-# (n_samples, n) channels of a TimeSeries, allocated once per run
+# (n_samples, n) channels of a TimeSeries, allocated once per run unless constant
 _STATE_CHANNELS = _CSV_CHANNELS + ("v_min", "v_max")
 _SAMPLE_CHUNK = 4096     # samples per dense-output evaluation
 
@@ -322,16 +325,20 @@ def simulate(s: Scenario) -> TimeSeries:
 
     x = s.initial_state
     plan = _plan(s)
+    fixed = [_fixed(mode, params) for _, mode, params, _ in plan]
+    const = {name: value for name, value in fixed[0].items()
+             if all(name in f and np.array_equal(f[name], value) for f in fixed)}
+    shapes = {name: (n_samples, n) for name in _STATE_CHANNELS} | {"mode": (n_samples,)}
     ts = TimeSeries(
-        t=t_grid, mode=np.zeros(n_samples, dtype=int),
-        **{name: np.empty((n_samples, n)) for name in _STATE_CHANNELS},
-        segment_starts=[start for start, *_ in plan],
+        t=t_grid, segment_starts=[start for start, *_ in plan],
+        **{name: np.broadcast_to(const[name], shape) if name in const
+           else np.empty(shape, int if name == "mode" else float) for name, shape in shapes.items()},
     )
     model = scale = None
     ends = ts.segment_starts[1:] + [s.t_end]
     # each segment's samples lie in [start, end); the last one's also include t_end
     cuts = [0, *np.searchsorted(t_grid, np.array(ends[:-1]) - 1e-12, "right"), n_samples]
-    for (t_now, mode, params, load_scale), t_next, lo, hi in zip(plan, ends, cuts, cuts[1:]):
+    for (t_now, mode, params, load_scale), f, t_next, lo, hi in zip(plan, fixed, ends, cuts, cuts[1:]):
         if load_scale is not scale:    # the plan shares one array until a load step
             try:
                 red = kron_reduce(s.network, load_scale)
@@ -354,7 +361,8 @@ def simulate(s: Scenario) -> TimeSeries:
             )
         _check_containment(model, sol)
         if hi > lo:
-            _channels(ts, slice(lo, hi), model, sol.sol, s.network.bases.f_nom)
+            varying = {name: value for name, value in f.items() if name not in const}
+            _channels(ts, slice(lo, hi), model, sol.sol, s.network.bases.f_nom, varying)
         x = sol.y[:, -1]
 
     return ts
@@ -388,6 +396,12 @@ def _plan(s: Scenario) -> list[tuple]:
     return [(start, *entry) for start, entry in plan.items()]
 
 
+def _fixed(mode: str, params: ctrl.IbrParams) -> dict:
+    """The channels a segment holds constant: its mode and limits, and in droop lam = zeta = rho = 0."""
+    fixed = {"mode": int(mode == "proposed"), "v_min": params.v_min, "v_max": params.v_max}
+    return fixed | (dict.fromkeys(("lam", "zeta", "rho"), 0.0) if mode == "droop" else {})
+
+
 def _carry(x: np.ndarray, old: ctrl.ClosedLoop, new: ctrl.ClosedLoop) -> np.ndarray:
     """Map the state across a segment boundary, holding the terminal voltages V.
 
@@ -419,17 +433,18 @@ def _check_containment(model: ctrl.ClosedLoop, sol):
         )
 
 
-def _channels(ts: TimeSeries, rows: slice, model: ctrl.ClosedLoop, dense, f_nom: float):
+def _channels(ts: TimeSeries, rows: slice, model: ctrl.ClosedLoop, dense, f_nom: float,
+              fixed: dict):
     """Write the samples ``rows`` of one segment into ``ts`` in place.
 
+    ``fixed`` holds the segment's constant channels that vary over the run.
     The dense output ``dense`` is evaluated ``_SAMPLE_CHUNK`` samples at a
     time; the power flow takes the segment's stored theta and V in one call.
     """
     p = model.params
     proposed = model.mode == "proposed"
-    ts.mode[rows] = int(proposed)
-    ts.v_min[rows] = p.v_min
-    ts.v_max[rows] = p.v_max
+    for name, value in fixed.items():
+        getattr(ts, name)[rows] = value
     for start in range(rows.start, rows.stop, _SAMPLE_CHUNK):
         c = slice(start, min(start + _SAMPLE_CHUNK, rows.stop))
         X = dense(ts.t[c]).T
@@ -439,8 +454,6 @@ def _channels(ts: TimeSeries, rows: slice, model: ctrl.ClosedLoop, dense, f_nom:
         if proposed:
             ts.lam[c], ts.zeta[c] = model.block(X, "lam"), model.block(X, "zeta")
             ts.rho[c] = ctrl.leakage(p, ts.v[c])
-        else:
-            ts.lam[c] = ts.zeta[c] = ts.rho[c] = 0.0
     del X    # the last chunk is not alive next to the flow's temporaries
     P, Q = power_flow(model.net, ts.theta[rows], ts.V[rows])
     ts.P[rows], ts.Q[rows] = P, Q

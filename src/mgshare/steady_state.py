@@ -184,6 +184,8 @@ def solve_equilibrium(
     the solve zeta solves L zeta = Q/S - lambda with sum(zeta) = zeta_sum.
     ``Equilibrium.residual`` is the infinity norm of the folded residual.
     """
+    if not np.isfinite(zeta_sum):
+        raise ValueError(f"zeta_sum must be finite, got {zeta_sum}")
     n = params.n
     model = ctrl.ClosedLoop(mode, params, net, g)
     proposed = mode == "proposed"

@@ -66,6 +66,8 @@ def tune(spec: TuningSpec, g: CommGraph, v_min, v_max) -> TunedParams:
     v_min = np.atleast_1d(np.asarray(v_min, dtype=float))
     v_max = np.atleast_1d(np.asarray(v_max, dtype=float))
     v_min, v_max = np.broadcast_arrays(v_min, v_max)
+    if not np.all(np.isfinite(v_min) & np.isfinite(v_max)):
+        raise MgshareError(f"voltage limits must be finite, got v_min={v_min}, v_max={v_max}")
     if np.any(v_min >= v_max):
         raise MgshareError("need v_min < v_max")
     delta = 0.5 * (v_max - v_min)
@@ -126,8 +128,11 @@ def validate(params, beta_error_budget: float | None = None) -> ValidationReport
     """Check an IbrParams set against the timescale and sharing-budget rules.
 
     Boundary values (exactly 10x) pass; the reference gain table itself
-    sits on them.
+    sits on them. ``beta_error_budget`` None skips the sharing rule; any
+    other budget must be positive and finite.
     """
+    if beta_error_budget is not None and not 0 < beta_error_budget < math.inf:
+        raise ValueError(f"beta_error_budget must be positive and finite, got {beta_error_budget}")
     checked = []
     violations = []
 

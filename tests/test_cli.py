@@ -217,6 +217,13 @@ def test_bad_simulate_override_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "lv5_timeseries.csv").exists()
 
 
+def test_rel_tol_below_the_integrator_floor_exits_2(tmp_path, capsys):
+    """solve_ivp would raise such a tolerance to its floor behind a warning."""
+    assert main(["simulate", "lv5", "--rel-tol", "1e-20", "--out-dir", str(tmp_path)]) == 2
+    assert "rel_tol must be at least 2.22e-14, got 1e-20" in capsys.readouterr().err
+    assert not (tmp_path / "lv5_timeseries.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--rocof", "nan", "rocof_star"), ("--rocof", "-1", "rocof_star"),
     ("--delta-f-max", "0", "delta_f_max"), ("--k-d", "inf", "k_d"),

@@ -18,6 +18,10 @@ def test_ring_laplacian_structure():
     assert np.allclose(np.diag(L), 2.0)
 
 
+def test_ring_on_two_nodes_is_one_edge():
+    assert CommGraph.ring(2) == CommGraph.from_edges(2, [(0, 1)])
+
+
 def test_ring5_algebraic_connectivity_oracle():
     assert CommGraph.ring(5).sigma2 == pytest.approx(RING5_SIGMA2, abs=1e-12)
 
@@ -49,6 +53,13 @@ def test_edge_outside_the_nodes_rejected(edge):
     """A node index outside 0..n-1 is an error, not a wrapped or out-of-bounds index."""
     with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) has a node outside 0..2"):
         CommGraph.from_edges(3, [edge, (1, 2)])
+
+
+@pytest.mark.parametrize("again", [(1, 0, 5.0), (0, 1)])
+def test_repeated_edge_rejected(again):
+    """An edge listed twice, in either node order, is an error, not an overwritten weight."""
+    with pytest.raises(ValueError, match=rf"^edge \({again[0]}, {again[1]}\) is listed twice$"):
+        CommGraph.from_edges(3, [(0, 1, 1.0), again, (1, 2)])
 
 
 def test_asymmetric_rejected():
@@ -102,11 +113,11 @@ def test_laplacian_is_a_new_copy_of_the_graphs_own(n):
 def test_random_connected_graph_properties(n, seed):
     """On a ring plus random chords: L psd with a single zero mode, sigma2 > 0."""
     rng = np.random.default_rng(seed)
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges = {frozenset((i, (i + 1) % n)) for i in range(n)}
     for _ in range(rng.integers(0, n)):
         i, j = rng.choice(n, 2, replace=False)
-        edges.append((int(i), int(j)))
-    g = CommGraph.from_edges(n, [(i, j) for i, j in edges if i != j])
+        edges.add(frozenset((int(i), int(j))))    # a chord may repeat an edge: listed once
+    g = CommGraph.from_edges(n, [tuple(e) for e in edges])
     w = np.linalg.eigvalsh(g.L)
     assert w[0] == pytest.approx(0.0, abs=1e-9)
     assert w[1] > 1e-9

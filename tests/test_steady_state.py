@@ -101,6 +101,11 @@ def test_zeta_sum_pinning(lv5, lv5_reduced):
     assert np.abs(eq.Q - eq0.Q).max() <= 1e-8
 
 
+def test_non_finite_zeta_sum_rejected(lv5, lv5_reduced):
+    with pytest.raises(ValueError, match="^zeta_sum must be finite, got nan$"):
+        mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, zeta_sum=np.nan)
+
+
 def test_droop_mode(lv5, lv5_reduced):
     eq = mg.solve_equilibrium(lv5_reduced, lv5.graph, lv5.params, mode="droop")
     assert eq.residual <= 1e-10

@@ -66,6 +66,13 @@ def test_tune_rejects_an_empty_band(v_min, v_max):
         mg.tune(reference_spec(), ring5(), v_min, v_max)
 
 
+@pytest.mark.parametrize("v_min, v_max", [(np.nan, 1.05), (0.95, np.inf)], ids=["nan", "inf"])
+def test_tune_rejects_a_non_finite_limit(v_min, v_max):
+    """A non-finite limit is named before any arithmetic, so no RuntimeWarning comes first."""
+    with pytest.raises(mg.MgshareError, match="^voltage limits must be finite"):
+        mg.tune(reference_spec(), ring5(), v_min, v_max)
+
+
 def test_tau_v_range_warning():
     tuned = mg.tune(reference_spec(rocof_star=0.05), ring5(), 0.95, 1.05)
     assert tuned.tau_v > 10.0
@@ -115,6 +122,12 @@ def test_validate_sharing_rule_divides_by_v_star():
     failed = mg.validate(p, beta_error_budget=5e-4).violations
     assert len(failed) == 1 and failed[0].startswith("beta * Delta / V_star")
     assert mg.validate(p, beta_error_budget=2e-3).ok
+
+
+@pytest.mark.parametrize("budget", [np.nan, -1.0, 0.0, np.inf])
+def test_validate_rejects_a_meaningless_budget(lv5, budget):
+    with pytest.raises(ValueError, match="^beta_error_budget must be positive and finite"):
+        mg.validate(lv5.params, beta_error_budget=budget)
 
 
 def test_bad_spec_rejected():
